@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, normalize_vertex_set
+from .graphs import Graph, neighbor_union
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -185,10 +185,7 @@ def candidate_trace(g: Graph, sched: CaterpillarSchedule,
         if kind == HAIR:
             current = current & adj[next(leaf_iter)]
         else:
-            nxt: set[int] = set()
-            for v in current:
-                nxt |= adj[v]
-            current = nxt
+            current = neighbor_union(g, current)
         sets.append(tuple(sorted(current)))
         x = Fraction(t * sched.r, sched.s)
         exps.append(x - (x.numerator // x.denominator))

@@ -1,22 +1,21 @@
 """Command-line front end: generators, solver, distinguishers, LP export, bench.
 
 Subcommands: gen, plant, solve, distinguish, lp-export, bench.
-Global flags: --seed, --out, --config <json>, --threads, --budget.
+Global flags: --seed, --out, --config <json>, --budget.
 Exit codes: 0 ok, 1 usage, 2 runtime, 3 budget-exceeded.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
-<out>.timing.json that is excluded from determinism comparisons.
+<out>.timing.json that is excluded from determinism comparisons. JSON is
+strict: a value with no JSON form (NaN, infinity) is an error, never written.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -88,9 +87,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    # serialize first, so an unencodable value leaves no partial file behind
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _write_timing(out: str, timings: dict) -> None:
@@ -154,11 +154,11 @@ def cmd_solve(args, cfg) -> int:
         sidecar = None
     if sidecar and sidecar.get("ground_truth_density"):
         gt = float(sidecar["ground_truth_density"])
-        record["ratio"] = gt / res.density if res.density > 0 else math.inf
+        record["ratio"] = gt / res.density if res.density > 0 else None
         record["ratio_vs"] = "planted"
     elif g.n <= 18:
         opt = brute_force_dks(g, k)
-        record["ratio"] = opt.density / res.density if res.density > 0 else math.inf
+        record["ratio"] = opt.density / res.density if res.density > 0 else None
         record["ratio_vs"] = "brute-force"
     _write_json(out, record)
     _write_timing(out, {"solve_seconds": elapsed})
@@ -226,11 +226,7 @@ def cmd_distinguish(args, cfg) -> int:
         return [inst.model, n, alpha, k, beta, seed, v.statistic,
                 repr(v.value), repr(v.threshold), v.decision, truth]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    rows = [run(j) for j in jobs]
     elapsed = time.perf_counter() - t0
 
     header = ["model", "n", "alpha", "k", "beta", "seed", "statistic",
@@ -290,11 +286,7 @@ def cmd_bench(args, cfg) -> int:
         ratio = (k - 1) / null_d
         return [gi, a, n, k, seed, repr(res.density), repr(ratio)]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    rows = [run(j) for j in jobs]
     elapsed = time.perf_counter() - t0
 
     _write_csv(out, ["grid", "alpha", "n", "k", "seed", "null_density",
@@ -326,7 +318,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file (schema_version %d)" % CONFIG_SCHEMA_VERSION)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
 
 

@@ -37,7 +37,7 @@ class Graph:
     """Undirected graph on vertices [0, n).
 
     edges: canonical (u, v) pairs with u < v, deduplicated, no self-loops.
-    weights: optional strictly-positive weight per edge (same key order as edges).
+    weights: optional positive, finite weight per edge (same key order as edges).
     bipartition: optional frozenset of "left" vertices; every edge must cross.
     """
 
@@ -60,6 +60,8 @@ class Graph:
             for e, w in self.weights.items():
                 if not w > 0:
                     raise GraphFormatError(f"non-positive weight {w} on edge {e}")
+                if not math.isfinite(w):
+                    raise GraphFormatError(f"non-finite weight {w} on edge {e}")
         if self.bipartition is not None:
             left = self.bipartition
             for (u, v) in self.edges:
@@ -167,7 +169,8 @@ def load_graph(path) -> Graph:
     """Read the edge-list text format: header "n m", then "u v" or "u v w" lines.
 
     Lines starting with '#' are comments. Repeated edges are deduplicated;
-    self-loops and non-positive weights are rejected.
+    self-loops, non-positive or non-finite weights, and repeated edges with
+    different weights are rejected.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f]
@@ -205,7 +208,10 @@ def load_graph(path) -> Graph:
                 raise GraphFormatError(f"malformed weight: {ln!r}") from exc
             if not w > 0:
                 raise GraphFormatError(f"non-positive weight: {ln!r}")
-            weights[_canon_edge(u, v)] = w
+            e = _canon_edge(u, v)
+            if weights.get(e, w) != w:
+                raise GraphFormatError(f"conflicting duplicate weight: {ln!r}")
+            weights[e] = w
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
     return Graph.from_edges(n, edges, weights if weighted else None)
@@ -244,13 +250,18 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph.from_edges(len(members), edges, weights, bp), members
 
 
-def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
-    """Union of neighbor sets of members of s (not excluding s itself)."""
+def neighbor_union(g: Graph, s: Iterable[int]) -> set[int]:
+    """Gamma(s): union of neighbor sets of members of s (not excluding s itself)."""
     out: set[int] = set()
     adj = g.adj
     for v in s:
         out |= adj[v]
-    return tuple(sorted(out))
+    return out
+
+
+def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
+    """Gamma(s) as a sorted tuple."""
+    return tuple(sorted(neighbor_union(g, s)))
 
 
 def density_report(g: Graph, s: Iterable[int]) -> DensityReport:

@@ -1,16 +1,14 @@
 """Preprocessing/postprocessing reductions that wrap every solver.
 
-Covers degree-capping via a greedy core, union-until-k accumulation, the
-bipartite double cover and its collapse, randomized edge pruning to reach
-kD <= n, weight bucketing, and the subexponential-regime preprocessing.
-All randomized operations take an explicit 64-bit seed.
+Covers degree-capping via a greedy core, union-until-k accumulation with
+greedy pruning back to size, the bipartite double cover and its collapse, and
+weight bucketing.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -145,23 +143,6 @@ def collapse_double_cover(cover_set: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted({v % n for v in cover_set}))
 
 
-def prune_to_kD_le_n(g: Graph, k: int, seed: int) -> tuple[Graph, float]:
-    """Keep each edge independently with probability n/(kD) when kD > n.
-
-    Returns (pruned graph, retention probability); identity (prob 1.0) when
-    kD <= n already.
-    """
-    d_max = g.max_degree()
-    if k * d_max <= g.n:
-        return g, 1.0
-    p_keep = g.n / (k * d_max)
-    rng = np.random.default_rng(seed)
-    ordered = sorted(g.edges)
-    keep = rng.random(len(ordered)) < p_keep
-    edges = [e for e, kp in zip(ordered, keep) if kp]
-    return Graph(n=g.n, edges=frozenset(edges), bipartition=g.bipartition), p_keep
-
-
 def weight_buckets(g: Graph) -> list[Graph]:
     """Bucket weighted edges into powers of two from max weight down to max/n^2.
 
@@ -186,40 +167,3 @@ def weight_buckets(g: Graph) -> list[Graph]:
             i += 1
         buckets[i].append(e)
     return [Graph.from_edges(g.n, b) for b in buckets if b]
-
-
-def exp_preprocess(g: Graph, k: int, d: float, eps: float, seed: int) -> Graph:
-    """Preprocessing for the cluster-based subexponential solver.
-
-    Step 1: if d > k^(1-beta) (beta = log_n k), thin edges with retention
-    probability k^(1-beta)/d. Step 2: if the resulting k/2-largest degree D'
-    satisfies D'k < n, add the edges of G(n, 1/k); otherwise prune so kD <= n.
-    """
-    if not 0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range")
-    n = g.n
-    beta = math.log(k) / math.log(n) if n > 1 else 1.0
-    if not 0 < beta < 1:
-        warnings.warn(f"beta = log_n(k) = {beta:.3f} outside (0,1); "
-                      "preprocessing guarantees degrade", stacklevel=2)
-    rng = np.random.default_rng(seed)
-    edges = sorted(g.edges)
-    target = k ** (1 - beta)
-    if d > target:
-        p_keep = target / d
-        keep = rng.random(len(edges)) < p_keep
-        edges = [e for e, kp in zip(edges, keep) if kp]
-    pruned = Graph.from_edges(n, edges)
-    degs = np.sort(pruned.degrees)[::-1]
-    d_half = int(degs[min((k + 1) // 2, n) - 1]) if n else 0
-    if d_half * k < n:
-        # sparse side: superpose G(n, 1/k) noise edges
-        p = 1.0 / k
-        iu, ju = np.triu_indices(n, 1)
-        mask = rng.random(len(iu)) < p
-        extra = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-        return Graph.from_edges(n, edges + extra)
-    out, _ = prune_to_kD_le_n(pruned, k, seed=int(rng.integers(0, 2**63 - 1)))
-    return out

@@ -11,14 +11,14 @@ cover, caterpillar search, collapse, and resize to exactly k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .caterpillar import BACKBONE, HAIR, CaterpillarSchedule, build_schedule, choose_rs
-from .graphs import (Graph, SolveResult, density_report, induced_subgraph,
+from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs
+from .graphs import (Graph, SolveResult, density_report, neighbor_union,
                      normalize_vertex_set)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
                          greedy_core, prune_to_size, union_until_k, weight_buckets)
@@ -29,7 +29,12 @@ class SolverConfig:
     s_max: int = 4
     leaf_budget: int = 2000
     seed: int = 0
-    local_rounds_cap: int = 64   # cap on union_until_k rounds as a safety net
+
+
+def _edgeless(n: int, k: int) -> SolveResult:
+    """The first min(k, n) vertices, for a graph with no edges to find."""
+    return SolveResult(vertices=tuple(range(min(k, n))), density=0.0,
+                       provenance="edgeless")
 
 
 def _fold(best: Optional[SolveResult], cand: Optional[SolveResult]) -> Optional[SolveResult]:
@@ -63,9 +68,7 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
         raise ValueError("k must be >= 1")
     adj = g.adj
     sset = set(S)
-    gamma: set[int] = set()
-    for v in S:
-        gamma |= adj[v]
+    gamma = neighbor_union(g, S)
     if universe is not None:
         gamma &= universe
     if not gamma:
@@ -106,48 +109,6 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     return SolveResult(vertices=verts, density=dens, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class BranchState:
-    current_set: frozenset[int]
-    step_index: int
-    chosen_leaves: tuple[tuple[int, ...], ...]
-
-
-def _gamma(adj, s: set[int]) -> set[int]:
-    out: set[int] = set()
-    for v in s:
-        out |= adj[v]
-    return out
-
-
-def _run_branch_steps(g: Graph, k: int, sched: CaterpillarSchedule,
-                      clusters: Sequence[tuple[int, ...]],
-                      cluster_local: bool) -> Optional[SolveResult]:
-    """Replay one full branch (a fixed cluster per hair step); returns its best."""
-    adj = g.adj
-    best: Optional[SolveResult] = None
-    current: set[int] = set(range(g.n))
-    ci = 0
-    for t, kind in enumerate(sched.steps, start=1):
-        if t > 1:
-            best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
-        if kind == HAIR:
-            J = clusters[ci]
-            ci += 1
-            current = current & _gamma(adj, set(J))
-            if cluster_local and current:
-                best = _fold(best, dks_local(
-                    g, J, k, universe=current | set(J),
-                    provenance=f"cluster-local@t={t}"))
-            if not current:
-                return best  # branch abandoned
-        else:
-            current = _gamma(adj, current)
-            if not current:
-                return best
-    return best
-
-
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
                  seed: int, cluster_size: int = 1,
                  cluster_local: bool = False) -> Optional[SolveResult]:
@@ -166,45 +127,40 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     if not cands:
         return None
     n_hairs = sched.num_leaves
-    n_clusters = math.comb(len(cands), cluster_size)
-    enumerate_all = n_clusters ** n_hairs <= budget
+    best: Optional[SolveResult] = None
 
-    if enumerate_all:
-        adj = g.adj
-        best: Optional[SolveResult] = None
+    def walk(t: int, current: set[int],
+             hairs: Sequence[Sequence[tuple[int, ...]]]) -> None:
+        """Run steps t..s from `current`; hairs[i] lists the clusters tried at
+        the i-th hair step still ahead. Folds in depth-first pre-order."""
+        nonlocal best
+        if t > 1:
+            best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
+        if sched.steps[t - 1] == HAIR:
+            for J in hairs[0]:
+                nxt = current & neighbor_union(g, J)
+                if cluster_local and nxt:
+                    best = _fold(best, dks_local(
+                        g, J, k, universe=nxt | set(J),
+                        provenance=f"cluster-local@t={t}"))
+                if nxt and t < sched.s:
+                    walk(t + 1, nxt, hairs[1:])
+        else:
+            nxt = neighbor_union(g, current)
+            if nxt and t < sched.s:
+                walk(t + 1, nxt, hairs)
 
-        def dfs(t: int, current: set[int]) -> None:
-            nonlocal best
-            if t > sched.s:
-                return
-            kind = sched.steps[t - 1]
-            if t > 1:
-                best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
-            if kind == HAIR:
-                for J in combinations(cands, cluster_size):
-                    nxt = current & _gamma(adj, set(J))
-                    if cluster_local and nxt:
-                        best = _fold(best, dks_local(
-                            g, J, k, universe=nxt | set(J),
-                            provenance=f"cluster-local@t={t}"))
-                    if nxt:
-                        dfs(t + 1, nxt)
-            else:
-                nxt = _gamma(adj, current)
-                if nxt:
-                    dfs(t + 1, nxt)
-
-        dfs(1, set(range(g.n)))
+    if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
+        walk(1, set(range(g.n)), [list(combinations(cands, cluster_size))] * n_hairs)
         return best
-
     rng = np.random.default_rng(seed)
-    best = None
+
+    def draw() -> tuple[int, ...]:
+        pick = rng.choice(len(cands), size=cluster_size, replace=False)
+        return tuple(sorted(cands[i] for i in pick))
+
     for _ in range(budget):
-        clusters = []
-        for _ in range(n_hairs):
-            pick = rng.choice(len(cands), size=cluster_size, replace=False)
-            clusters.append(tuple(sorted(cands[i] for i in pick)))
-        best = _fold(best, _run_branch_steps(g, k, sched, clusters, cluster_local))
+        walk(1, set(range(g.n)), [[draw()] for _ in range(n_hairs)])
     return best
 
 
@@ -229,8 +185,7 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
         return min(current.edges)
 
     if g.m == 0:
-        verts = tuple(range(min(k, g.n)))
-        return SolveResult(vertices=verts, density=0.0, provenance="edgeless")
+        return _edgeless(g.n, k)
     verts = union_until_k(g, k, inner)
     dens = density_report(g, verts).average_degree
     return SolveResult(vertices=verts, density=dens, provenance=prov)
@@ -262,8 +217,7 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     best = _branch_best(g, k, sched, cluster_budget, seed,
                         cluster_size=cluster_size, cluster_local=True)
     if best is None:
-        verts = tuple(range(min(k, n)))
-        return SolveResult(vertices=verts, density=0.0, provenance="edgeless")
+        return _edgeless(n, k)
     if len(best.vertices) > k:
         verts = prune_to_size(g, best.vertices, k)
         return SolveResult(vertices=verts,
@@ -309,18 +263,14 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
                               provenance=f"bucket{i}:{res.provenance}",
                               gamma=res.gamma)
             best = _fold(best, res)
-        if best is None:
-            verts = tuple(range(k))
-            return SolveResult(vertices=verts, density=0.0, provenance="edgeless")
-        return best
+        return best or _edgeless(g.n, k)
     if k == g.n:
         verts = tuple(range(g.n))
         return SolveResult(vertices=verts,
                            density=density_report(g, verts).average_degree,
                            provenance="whole-graph")
     if g.m == 0:
-        verts = tuple(range(k))
-        return SolveResult(vertices=verts, density=0.0, provenance="edgeless")
+        return _edgeless(g.n, k)
     if k == 1:
         return SolveResult(vertices=(0,), density=0.0, provenance="single-vertex")
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from catdks.cli import main
+from catdks.cli import _write_json, main
 from catdks.graphs import load_graph
 
 DATA = Path(__file__).parent / "data"
@@ -81,6 +81,29 @@ def test_solve_deterministic_bytes(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_solve_edgeless_ratio_is_null(tmp_path):
+    g = tmp_path / "g.el"
+    g.write_text("5 0\n")
+    rep = tmp_path / "sol.json"
+    assert run("solve", "--input", str(g), "--k", "2", "--out", str(rep)) == 0
+    record = _strict_json(rep)
+    assert record["density"] == 0.0 and record["provenance"] == "edgeless"
+    assert record["ratio"] is None and record["ratio_vs"] == "brute-force"
+
+
+def test_write_json_refuses_nan_without_partial_file(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(str(out), {"a": float("nan")})
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # distinguish / bench determinism
 
@@ -97,16 +120,6 @@ def test_distinguish_csv_deterministic(tmp_path):
     summary = json.loads((tmp_path / "d0.csv.summary.json").read_text())
     assert summary["trials"] == 8
     assert summary["accuracy"] >= 0.75
-
-
-def test_distinguish_threads_same_bytes(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = ["distinguish", "--test", "degree", "--n", "100", "--alpha", "0.5",
-            "--k", "10", "--beta", "1.0", "--trials", "3", "--seed", "2"]
-    assert run(*base, "--out", str(a)) == 0
-    assert run(*base, "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_bench_summary_shape(tmp_path):
@@ -149,6 +162,10 @@ def test_runtime_error_exit_2(tmp_path):
                "--out", str(tmp_path / "s.json")) == 2
     assert run("solve", "--input", str(tmp_path / "missing.el"), "--k", "2",
                "--out", str(tmp_path / "s.json")) == 2
+    bad.write_text("4 3\n0 1 inf\n1 2 1\n2 3 1\n")
+    assert run("solve", "--input", str(bad), "--k", "2",
+               "--out", str(tmp_path / "s.json")) == 2
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_budget_exceeded_exit_3(tmp_path):

@@ -40,6 +40,11 @@ def test_load_dedup(tmp_path):
     p = tmp_path / "g.el"
     p.write_text("4 3\n0 1\n0 1\n2 3\n")
     assert load_graph(p).m == 2
+    p.write_text("2 2\n0 1 5\n1 0 5.0\n")
+    assert load_graph(p).weights == {(0, 1): 5.0}
+    p.write_text("2 2\n0 1 5\n1 0 7\n")
+    with pytest.raises(GraphFormatError, match="conflicting"):
+        load_graph(p)
 
 
 def test_load_comments_and_weights(tmp_path):
@@ -56,6 +61,9 @@ def test_load_rejects_bad_weight_and_range(tmp_path):
         load_graph(p)
     p.write_text("3 1\n0 5\n")
     with pytest.raises(GraphFormatError):
+        load_graph(p)
+    p.write_text("4 3\n0 1 inf\n1 2 1\n2 3 1\n")
+    with pytest.raises(GraphFormatError, match="non-finite"):
         load_graph(p)
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from catdks.graphs import Graph, brute_force_dks, density_report
 from catdks.reductions import (GreedyResult, StallError, bipartite_double_cover,
-                               collapse_double_cover, exp_preprocess,
-                               greedy_core, prune_to_kD_le_n, prune_to_size,
+                               collapse_double_cover, greedy_core, prune_to_size,
                                union_until_k, weight_buckets)
 
 
@@ -168,40 +167,6 @@ def test_cover_density_dominates_brute():
 
 
 # ---------------------------------------------------------------------------
-# kD <= n pruning
-
-
-def test_prune_identity_when_small():
-    g = Graph.from_edges(20, [(0, 1), (2, 3)])
-    out, p = prune_to_kD_le_n(g, 3, seed=0)
-    assert out.edges == g.edges and p == 1.0
-
-
-def test_prune_deterministic_and_expectation():
-    n = 14
-    g = clique(n)
-    counts = []
-    for seed in range(100):
-        out, p = prune_to_kD_le_n(g, n, seed)
-        assert p == pytest.approx(n / (n * (n - 1)))
-        counts.append(out.m)
-    again, _ = prune_to_kD_le_n(g, n, 0)
-    assert again.edges == prune_to_kD_le_n(g, n, 0)[0].edges
-    mean = np.mean(counts)
-    expect = g.m * n / (n * (n - 1))  # = n/2
-    sigma = math.sqrt(g.m * (n / (n * (n - 1))) * (1 - n / (n * (n - 1))))
-    assert abs(mean - expect) <= 3 * sigma / math.sqrt(100) + 1e-9
-
-
-def test_prune_new_max_degree():
-    # expected new max degree about n/k
-    n, k = 60, 12
-    g = clique(n)
-    degs = [prune_to_kD_le_n(g, k, s)[0].max_degree() for s in range(40)]
-    assert np.mean(degs) <= 3 * n / k
-
-
-# ---------------------------------------------------------------------------
 # weight buckets
 
 
@@ -240,45 +205,3 @@ def test_bucket_count_bound():
     out = weight_buckets(Graph.from_edges(n, edges, weights=w))
     assert len(out) <= 2 * math.log2(n) + 1
 
-
-# ---------------------------------------------------------------------------
-# exp_preprocess
-
-
-def test_exp_preprocess_identity_side():
-    # sparse graph with d below threshold: step 1 no-op, step 2 adds noise
-    g = Graph.from_edges(30, [(0, 1)])
-    out = exp_preprocess(g, 5, d=1.0, eps=0.2, seed=1)
-    assert out.n == 30
-    assert (0, 1) in out.edges  # step-1 retention untouched
-
-
-def test_exp_preprocess_thinning_rate():
-    n, k = 64, 8
-    beta = math.log(k) / math.log(n)  # 1/2
-    d = float(k)  # > k^(1-beta): thinning with prob k^(1-beta)/d = k^(-beta)
-    g = clique(n)
-    p_thin = k ** (1 - beta) / d
-    kept, maxdeg = [], []
-    for seed in range(60):
-        out = exp_preprocess(g, k, d, 0.1, seed)
-        kept.append(len(out.edges & g.edges))
-        maxdeg.append(out.max_degree())
-    # the second stage can only prune further, so the thinning rate caps kept
-    assert np.mean(kept) <= g.m * p_thin
-    assert np.mean(kept) > 0
-    # postcondition of the whole preprocessing: max degree around n/k
-    assert np.mean(maxdeg) <= 3 * n / k
-
-
-def test_exp_preprocess_noise_addition():
-    n, k = 40, 5
-    g = Graph.from_edges(n, [])
-    added = [exp_preprocess(g, k, 0.0, 0.1, s).m for s in range(60)]
-    expect = math.comb(n, 2) / k
-    assert abs(np.mean(added) - expect) <= 4 * math.sqrt(expect) / math.sqrt(60) + 1
-
-
-def test_exp_preprocess_validates_eps():
-    with pytest.raises(ValueError):
-        exp_preprocess(clique(6), 3, 1.0, 0.7, 0)

@@ -119,6 +119,55 @@ def test_cat_exact_size():
 
 
 # ---------------------------------------------------------------------------
+# golden outputs: exact results of the branch search, in both the enumerate
+# regime (branch space <= budget) and the sampled regime
+
+
+# ((n, m, graph seed, k, r, s, leaf_budget, seed), vertices, density, provenance)
+CAT_GOLDEN = [
+    ((8, 14, 0, 3, 1, 2, 100, 0), (0, 4, 5), 2.0, 'caterpillar(r=1,s=2)'),  # enumerate
+    ((9, 16, 1, 4, 1, 2, 100, 1), (2, 3, 4, 7), 2.0, 'caterpillar(r=1,s=2)'),  # enumerate
+    ((10, 18, 2, 4, 2, 3, 2000, 2), (0, 4, 7, 8), 2.5, 'caterpillar(r=2,s=3)'),  # enumerate
+    ((8, 20, 3, 5, 2, 3, 1000, 3), (1, 2, 4, 5, 6), 2.8, 'caterpillar(r=2,s=3)'),  # enumerate
+    ((7, 12, 4, 3, 1, 3, 500, 4), (3, 4, 6), 2.0, 'caterpillar(r=1,s=3)'),  # enumerate
+    ((9, 14, 5, 3, 3, 4, 20000, 5), (2, 3, 5), 2.0, 'caterpillar(r=3,s=4)'),  # enumerate
+    ((20, 50, 6, 6, 1, 2, 40, 6), (2, 9, 11, 15, 16, 17), 2.6666666666666665, 'caterpillar(r=1,s=2)'),  # sampled
+    ((25, 80, 7, 6, 2, 3, 30, 7), (0, 11, 12, 20, 22, 24), 3.3333333333333335, 'caterpillar(r=2,s=3)'),  # sampled
+    ((30, 90, 8, 7, 1, 3, 25, 8), (4, 5, 9, 11, 13, 14, 16), 3.7142857142857144, 'caterpillar(r=1,s=3)'),  # sampled
+    ((22, 60, 9, 5, 3, 4, 20, 9), (4, 13, 15, 19, 20), 2.8, 'caterpillar(r=3,s=4)'),  # sampled
+    ((18, 70, 10, 8, 2, 5, 35, 10), (1, 2, 9, 10, 13, 14, 15, 17), 4.75, 'caterpillar(r=2,s=5)'),  # sampled
+    ((16, 30, 11, 4, 1, 2, 300, 11), (2, 7, 8, 13), 3.0, 'caterpillar(r=1,s=2)'),  # enumerate
+]
+
+
+# ((n, m, graph seed, k, eps, cluster_budget, seed), vertices, density, provenance)
+EXP_GOLDEN = [
+    ((6, 9, 20, 3, 0.25, 4000, 0), (1, 3, 5), 2.0, 'cluster-local@t=3'),  # enumerate
+    ((7, 10, 21, 4, 0.1, 10000, 1), (0, 2, 4, 6), 2.0, 'local@t=2'),  # enumerate
+    ((8, 14, 20, 3, 0.25, 2000, 0), (2, 5, 7), 2.0, 'local@t=2'),  # sampled
+    ((24, 60, 22, 5, 0.25, 40, 2), (8, 10, 16, 19, 22), 2.8, 'local@t=2'),  # sampled
+    ((30, 90, 23, 6, 0.3, 30, 3), (0, 2, 11, 13, 25, 28), 3.0, 'local@t=3'),  # sampled
+]
+
+
+@pytest.mark.parametrize("params,vertices,density,provenance", CAT_GOLDEN)
+def test_cat_golden(params, vertices, density, provenance):
+    n, m, gseed, k, r, s, budget, seed = params
+    res = dks_cat_combinatorial(random_graph(n, m, gseed), k, r, s, budget, seed)
+    assert (res.vertices, res.density, res.provenance) == \
+        (vertices, density, provenance)
+
+
+@pytest.mark.parametrize("params,vertices,density,provenance", EXP_GOLDEN)
+def test_exp_cluster_golden(params, vertices, density, provenance):
+    n, m, gseed, k, eps, budget, seed = params
+    res = dks_exp(random_graph(n, m, gseed), k, eps, budget, seed=seed,
+                  cluster_size=2)
+    assert (res.vertices, res.density, res.provenance) == \
+        (vertices, density, provenance)
+
+
+# ---------------------------------------------------------------------------
 # dks_exp
 
 
