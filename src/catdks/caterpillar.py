@@ -3,9 +3,13 @@
 An (r,s)-caterpillar is built in s steps from a single backbone vertex: step t
 adds a length-1 hair when the interval [(t-1)r/s, tr/s] contains an integer,
 and extends the backbone otherwise. It has r+1 leaves and s-r internal
-vertices. Counting is by dynamic programming over the rightmost backbone
-vertex, so it counts homomorphisms (internal vertices may collide); the
-injective count is available as a brute-force variant flag for small graphs.
+vertices. Counting walks the schedule on a batch of leaf tuples at once: row
+j of a sparse count matrix holds, per vertex, the number of ways to realize
+the current prefix for tuple j with that vertex as the rightmost backbone
+vertex. A hair step keeps the entries adjacent to the row's leaf and a
+backbone step multiplies by the adjacency matrix. This counts homomorphisms
+(internal vertices may collide); the injective count is available as a
+brute-force variant flag for small graphs.
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import permutations
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -111,33 +115,66 @@ def count_caterpillars(g: Graph, sched: CaterpillarSchedule,
                        leaves: Sequence[int], injective: bool = False) -> int:
     """Number of caterpillar copies whose ordered leaf sequence is `leaves`.
 
-    Homomorphism count by DP along the backbone: O(s * |E|). With
-    injective=True, internal vertices must be distinct from each other and
-    from the leaves (brute force; small graphs only).
+    Homomorphism count by the batched walker on a single tuple: O(s * |E|).
+    With injective=True, internal vertices must be distinct from each other
+    and from the leaves (brute force; small graphs only).
     """
     if len(leaves) != sched.num_leaves:
         raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
     if injective:
         return _count_injective(g, sched, leaves)
-    adj = g.adj
-    leaf_iter = iter(leaves)
-    # counts[v] = ways to realize the current prefix with rightmost backbone vertex v
-    # step 1 is always a hair step, so seed from the first leaf's neighborhood
-    counts = {v: 1 for v in adj[next(leaf_iter)]}
-    for kind in sched.steps[1:]:
+    return _count_batch(g, sched, np.array([leaves], dtype=np.int64))[0]
+
+
+# leaf tuples per block: the walker's count matrix is at most _BLOCK x n
+_BLOCK = 256
+
+
+def _count_batch(g: Graph, sched: CaterpillarSchedule,
+                 leaves: np.ndarray) -> list[int]:
+    """Homomorphism counts for every row of a (B, r+1) array of leaf tuples.
+
+    Counts are int64 while max_degree^(s-r), which bounds every count and
+    every partial count, stays below 2^63, and exact Python ints otherwise.
+    """
+    from scipy.sparse import csr_matrix
+
+    indptr, indices = g.csr
+    exact = g.max_degree() ** sched.num_internal >= 2 ** 63
+    A = csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr),
+                   shape=(g.n, g.n))
+    out: list[int] = []
+    for lo in range(0, len(leaves), _BLOCK):
+        out.extend(_walk(A, sched.steps, leaves[lo:lo + _BLOCK], exact))
+    return out
+
+
+def _walk(A, steps: Sequence[str], block: np.ndarray,
+          exact: bool = False) -> list[int]:
+    """Counts for one block of tuples; A is the int64 scipy CSR adjacency.
+
+    X holds one row per tuple and one column per vertex. It is a sparse int64
+    matrix, so a backbone step X @ A costs O(nnz(X) * max degree); with
+    `exact` it is a dense array of Python ints and a backbone step sums, for
+    each vertex, the columns of its neighbors.
+    """
+    nbrs = np.split(A.indices, A.indptr[1:-1]) if exact else None
+    X = None
+    hair = 0
+    for kind in steps:
         if kind == HAIR:
-            leaf = next(leaf_iter)
-            nbrs = adj[leaf]
-            counts = {v: c for v, c in counts.items() if v in nbrs}
+            rows = A[block[:, hair]]
+            hair += 1
+            if exact:
+                rows = rows.toarray().astype(object)
+                X = rows if X is None else X * rows
+            else:
+                X = rows if X is None else X.multiply(rows).tocsr()
+        elif exact:
+            X = np.stack([X[:, nb].sum(axis=1) for nb in nbrs], axis=1)
         else:
-            nxt: dict[int, int] = {}
-            for v, c in counts.items():
-                for u in adj[v]:
-                    nxt[u] = nxt.get(u, 0) + c
-            counts = nxt
-        if not counts:
-            return 0
-    return sum(counts.values())
+            X = X @ A
+    return np.asarray(X.sum(axis=1)).ravel().tolist()
 
 
 def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> int:
@@ -205,7 +242,7 @@ def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    cands = [v for v in range(g.n) if g.degrees[v] > 0]
+    cands = np.flatnonzero(g.degrees).tolist()
     if not cands:
         return tuple([0] * sched.num_leaves), 0
     arity = sched.num_leaves
@@ -214,19 +251,14 @@ def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
         return tuple((cands * arity)[:arity]), 0
     space = math.perm(len(cands), arity)
     if space <= budget:
-        tuples: Iterable[tuple[int, ...]] = (
-            t for t in product(cands, repeat=arity) if len(set(t)) == arity)
+        tuples = np.array(list(permutations(cands, arity)), dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        tuples = (tuple(cands[i] for i in
-                        rng.choice(len(cands), size=arity, replace=False))
-                  for _ in range(budget))
-    best_tuple: Optional[tuple[int, ...]] = None
-    best_count = -1
-    for tup in tuples:
-        c = count_caterpillars(g, sched, tup)
-        if c > best_count or (c == best_count and (best_tuple is None or tup < best_tuple)):
-            best_count = c
-            best_tuple = tup
-    assert best_tuple is not None
+        tuples = np.asarray(cands, dtype=np.int64)[np.stack(
+            [rng.choice(len(cands), size=arity, replace=False)
+             for _ in range(budget)])]
+    counts = _count_batch(g, sched, tuples)
+    best_count = max(counts)
+    best_tuple = min(tuple(t) for t, c in zip(tuples.tolist(), counts)
+                     if c == best_count)
     return best_tuple, best_count

@@ -1,15 +1,17 @@
 """Immutable undirected graph with degree/density queries and small exact oracles.
 
-Vertices are dense integer ids in [0, n). Adjacency is stored as frozensets
-for O(1) membership and fast set intersection, which the hair steps and
-caterpillar counting lean on heavily.
+Vertices are dense integer ids in [0, n). The edge set is a frozenset of
+canonical (u, v) tuples. Validation, degrees and a sorted CSR (indptr /
+indices) are computed with numpy from one (m, 2) edge array; adjacency is
+exposed as one frozenset per vertex, built lazily from the CSR rows, for O(1)
+membership and fast set intersection in the hair steps and solvers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +34,30 @@ def _canon_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+_PAIR = np.dtype((np.int64, 2))
+
+
+def _edge_array(edges) -> np.ndarray:
+    """(m, 2) int64 array of an (m, 2) array or an iterable of (u, v) pairs."""
+    if isinstance(edges, np.ndarray):
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise GraphFormatError(f"edge array of shape {edges.shape}, expected (m, 2)")
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
+    if not isinstance(edges, (list, tuple, set, frozenset)):
+        edges = list(edges)
+    return np.fromiter(edges, dtype=_PAIR, count=len(edges))
+
+
+def _check_endpoints(uv: np.ndarray, n: int) -> None:
+    """Raise on the first edge with an endpoint outside [0, n) or a self-loop."""
+    if len(uv) and (uv.min() < 0 or uv.max() >= n):
+        u, v = uv[((uv < 0) | (uv >= n)).any(axis=1).argmax()].tolist()
+        raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{n})")
+    bad = uv[:, 0] == uv[:, 1]
+    if bad.any():
+        raise GraphFormatError(f"self-loop at vertex {int(uv[bad.argmax(), 0])}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices [0, n).
@@ -39,6 +65,9 @@ class Graph:
     edges: canonical (u, v) pairs with u < v, deduplicated, no self-loops.
     weights: optional positive, finite weight per edge (same key order as edges).
     bipartition: optional frozenset of "left" vertices; every edge must cross.
+
+    Derived structures are built lazily and cached: `edge_array` (the edges
+    as an (m, 2) array), `csr`, `degrees`, `adj` and `adjacency_matrix`.
     """
 
     n: int
@@ -47,76 +76,111 @@ class Graph:
     bipartition: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{self.n})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if u > v:
-                raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
+        n = self.n
+        uv = self.edge_array
+        _check_endpoints(uv, n)
+        bad = uv[:, 0] > uv[:, 1]
+        if bad.any():
+            u, v = uv[bad.argmax()].tolist()
+            raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
         if self.weights is not None:
-            if set(self.weights) != set(self.edges):
+            if self.weights.keys() != self.edges:
                 raise GraphFormatError("weights must cover exactly the edge set")
-            for e, w in self.weights.items():
-                if not w > 0:
-                    raise GraphFormatError(f"non-positive weight {w} on edge {e}")
-                if not math.isfinite(w):
-                    raise GraphFormatError(f"non-finite weight {w} on edge {e}")
+            w = np.fromiter(self.weights.values(), dtype=np.float64,
+                            count=len(self.weights))
+            for bad, what in ((~(w > 0), "non-positive"),
+                              (~np.isfinite(w), "non-finite")):
+                if bad.any():
+                    e, x = next(islice(self.weights.items(), int(bad.argmax()), None))
+                    raise GraphFormatError(f"{what} weight {x} on edge {e}")
         if self.bipartition is not None:
-            left = self.bipartition
-            for (u, v) in self.edges:
-                if (u in left) == (v in left):
-                    raise GraphFormatError(f"edge ({u},{v}) does not cross the bipartition")
+            left = np.fromiter(self.bipartition, dtype=np.int64,
+                               count=len(self.bipartition))
+            side = np.isin(uv, left)
+            bad = side[:, 0] == side[:, 1]
+            if bad.any():
+                u, v = uv[bad.argmax()].tolist()
+                raise GraphFormatError(f"edge ({u},{v}) does not cross the bipartition")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
                    weights: Optional[dict[tuple[int, int], float]] = None,
                    bipartition: Optional[Iterable[int]] = None) -> "Graph":
-        """Build a graph, canonicalizing and deduplicating edges; rejects self-loops."""
-        canon = set()
-        for (u, v) in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            canon.add(_canon_edge(int(u), int(v)))
+        """Build a graph, canonicalizing and deduplicating edges; rejects self-loops.
+
+        `edges` is an iterable of (u, v) pairs or an (m, 2) integer array.
+        Weight keys are canonicalized too; (u, v) and (v, u) keys with
+        different weights are rejected.
+        """
+        n = int(n)
+        uv = _edge_array(edges)
+        _check_endpoints(uv, n)
+        key = np.sort(uv.min(axis=1) * n + uv.max(axis=1))
+        key = key[np.diff(key, prepend=-1) != 0]   # sorted and deduplicated
+        uv = np.stack(np.divmod(key, n), axis=1)
+        # one int object per vertex, shared by every edge tuple
+        ids = list(range(n))
+        canon = frozenset(zip(map(ids.__getitem__, uv[:, 0].tolist()),
+                              map(ids.__getitem__, uv[:, 1].tolist())))
         w = None
         if weights is not None:
-            w = {_canon_edge(u, v): float(x) for (u, v), x in weights.items()}
+            w = {}
+            for (u, v), x in weights.items():
+                e, x = _canon_edge(u, v), float(x)
+                if e in w and w[e] != x:
+                    raise GraphFormatError(
+                        f"conflicting duplicate weight on edge {e}: {w[e]!r} and {x!r}")
+                w[e] = x
         bp = frozenset(bipartition) if bipartition is not None else None
-        return Graph(n=int(n), edges=frozenset(canon), weights=w, bipartition=bp)
+        g = Graph.__new__(Graph)
+        # seed the edge-array cache so __post_init__ validates without a rebuild
+        g.__dict__["edge_array"] = uv
+        g.__init__(n=n, edges=canon, weights=w, bipartition=bp)
+        return g
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array (sorted when built by from_edges)."""
+        return _edge_array(self.edges)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric adjacency as (indptr, indices) with each row sorted."""
+        n, uv = self.n, self.edge_array
+        idx = np.int32 if max(n, 2 * len(uv)) < 2 ** 31 else np.int64
+        key = np.sort(np.concatenate([uv[:, 0] * n + uv[:, 1],
+                                      uv[:, 1] * n + uv[:, 0]]))
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        return indptr, (key % n).astype(idx)
+
+    @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        indptr, indices = self.csr
+        ids = list(range(self.n))
+        bounds = indptr.tolist()
+        # a frozenset copied from a set gets a table sized to fit, not one
+        # grown step by step (up to twice as large)
+        return tuple(frozenset(set(map(ids.__getitem__, indices[a:b].tolist())))
+                     for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
+        return deg.astype(np.int64, copy=False)
 
     @cached_property
     def adjacency_matrix(self):
         """scipy CSR adjacency (0/1, symmetric)."""
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csr_matrix
 
-        if self.m == 0:
-            return coo_matrix((self.n, self.n)).tocsr()
-        rows, cols = [], []
-        for (u, v) in self.edges:
-            rows += [u, v]
-            cols += [v, u]
-        data = np.ones(2 * self.m, dtype=np.float64)
-        return coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        indptr, indices = self.csr
+        return csr_matrix((np.ones(len(indices)), indices, indptr),
+                          shape=(self.n, self.n))
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n else 0
@@ -169,8 +233,9 @@ def load_graph(path) -> Graph:
     """Read the edge-list text format: header "n m", then "u v" or "u v w" lines.
 
     Lines starting with '#' are comments. Repeated edges are deduplicated;
-    self-loops, non-positive or non-finite weights, and repeated edges with
-    different weights are rejected.
+    self-loops, non-positive or non-finite weights, repeated edges with
+    different weights, and files mixing weighted and unweighted lines are
+    rejected.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f]
@@ -186,7 +251,7 @@ def load_graph(path) -> Graph:
         raise GraphFormatError(f"bad header line: {lines[0]!r}") from exc
     edges = []
     weights: dict[tuple[int, int], float] = {}
-    weighted = False
+    weighted = unweighted = False
     for ln in lines[1:1 + m]:
         parts = ln.split()
         if len(parts) not in (2, 3):
@@ -212,6 +277,10 @@ def load_graph(path) -> Graph:
             if weights.get(e, w) != w:
                 raise GraphFormatError(f"conflicting duplicate weight: {ln!r}")
             weights[e] = w
+        else:
+            unweighted = True
+        if weighted and unweighted:
+            raise GraphFormatError(f"weighted and unweighted edge lines mixed: {ln!r}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
     return Graph.from_edges(n, edges, weights if weighted else None)

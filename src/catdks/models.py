@@ -54,21 +54,23 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if n < 2 or p == 0:
         return Graph.from_edges(n, [])
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    if p == 1:
-        mask = np.ones(len(iu), dtype=bool)
-    else:
-        mask = rng.random(len(iu)) < p
-    edges = zip(iu[mask].tolist(), ju[mask].tolist())
-    return Graph.from_edges(n, edges)
+    # pair k of the row-major upper triangle is (i, j): row i starts at
+    # starts[i] and holds j = i+1 .. n-1; mapping the kept k back avoids
+    # materialising all n(n-1)/2 index pairs
+    pairs = n * (n - 1) // 2
+    k = np.arange(pairs) if p == 1 else np.flatnonzero(rng.random(pairs) < p)
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return Graph.from_edges(n, np.stack([i, k - starts[i] + i + 1], axis=1))
 
 
-def _replace_induced(base: Graph, location: tuple[int, ...],
-                     inner_edges: Iterable[tuple[int, int]]) -> Graph:
-    loc_set = set(location)
-    kept = [e for e in base.edges if not (e[0] in loc_set and e[1] in loc_set)]
-    mapped = [(location[a], location[b]) for (a, b) in inner_edges]
-    return Graph.from_edges(base.n, kept + mapped)
+def _replace_induced(base: Graph, location: tuple[int, ...], h: Graph) -> Graph:
+    inside = np.zeros(base.n, dtype=bool)
+    inside[list(location)] = True
+    kept = base.edge_array[~inside[base.edge_array].all(axis=1)]
+    mapped = np.asarray(location, dtype=np.int64)[h.edge_array]
+    return Graph.from_edges(base.n, np.concatenate([kept, mapped]))
 
 
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
@@ -81,7 +83,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
     base = gen_gnp(n, n ** (alpha - 1), int(rng.integers(0, 2**63 - 1)))
     location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
     h = gen_gnp(k, k ** (beta - 1), int(rng.integers(0, 2**63 - 1)))
-    g = _replace_induced(base, location, h.edges)
+    g = _replace_induced(base, location, h)
     gt = density_report(g, location).average_degree if k else None
     return PlantedInstance(graph=g, planted=location, model="random-planted",
                            params={"n": n, "alpha": alpha, "k": k, "beta": beta,
@@ -95,7 +97,7 @@ def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
     loc = normalize_vertex_set(location)
     if len(loc) != h.n:
         raise ValueError(f"location size {len(loc)} != |V(h)| = {h.n}")
-    g = _replace_induced(g_base, loc, h.edges)
+    g = _replace_induced(g_base, loc, h)
     gt = density_report(g, loc).average_degree if loc else None
     return PlantedInstance(graph=g, planted=loc, model="dense-in-random",
                            params={"n": g_base.n, "k": len(loc), "seed": seed},

@@ -152,15 +152,19 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
 
     if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
         walk(1, set(range(g.n)), [list(combinations(cands, cluster_size))] * n_hairs)
-        return best
-    rng = np.random.default_rng(seed)
+    else:
+        rng = np.random.default_rng(seed)
 
-    def draw() -> tuple[int, ...]:
-        pick = rng.choice(len(cands), size=cluster_size, replace=False)
-        return tuple(sorted(cands[i] for i in pick))
+        def draw() -> tuple[int, ...]:
+            pick = rng.choice(len(cands), size=cluster_size, replace=False)
+            return tuple(sorted(cands[i] for i in pick))
 
-    for _ in range(budget):
-        walk(1, set(range(g.n)), [[draw()] for _ in range(n_hairs)])
+        for _ in range(budget):
+            walk(1, set(range(g.n)), [[draw()] for _ in range(n_hairs)])
+    # walk reaches itself through its closure; breaking that cycle frees g
+    # (often a whole union round's graph) now rather than at the next
+    # cyclic garbage collection
+    del walk
     return best
 
 

@@ -259,3 +259,50 @@ def test_witness_full_enumeration_is_argmax():
     best = max(count_caterpillars(g, sched, t)
                for t in product(range(7), repeat=2) if t[0] != t[1])
     assert count == best
+
+
+# (graph, (r, s), budget, seed) -> (leaves, count), recorded from the per-tuple
+# dictionary DP. The first five enumerate every distinct leaf tuple; the rest
+# draw `budget` seeded samples, so they also pin the RNG stream and the
+# (count, smallest tuple) tie rule.
+WITNESS_GOLDEN = [
+    (("rg", 8, 14, 1), (1, 2), 10000, 0, (2, 4), 2),
+    (("rg", 9, 20, 2), (2, 3), 10000, 0, (0, 1, 5), 1),
+    (("rg", 10, 18, 3), (1, 3), 10000, 0, (1, 7), 7),
+    (("rg", 9, 22, 4), (3, 5), 10000, 0, (0, 5, 4, 8), 4),
+    (("rg", 10, 25, 5), (2, 5), 10000, 0, (1, 6, 8), 50),
+    (("gnp", 120, 0.08, 11), (1, 2), 400, 3, (23, 115), 5),
+    (("gnp", 150, 0.06, 12), (2, 3), 400, 4, (3, 33, 140), 1),
+    (("gnp", 200, 0.05, 13), (1, 3), 300, 5, (157, 193), 43),
+    (("gnp", 250, 0.04, 14), (3, 5), 300, 6, (133, 35, 229, 190), 1),
+    (("gnp", 300, 0.03, 15), (2, 5), 300, 7, (51, 270, 143), 17),
+    (("rg", 60, 90, 16), (2, 3), 500, 8, (23, 33, 42), 1),
+    (("rg", 40, 30, 17), (3, 5), 200, 9, (0, 10, 14, 25), 0),
+    (("gnp", 150, 0.2, 18), (2, 3), 300, 10, (9, 120, 127), 4),
+    (("gnp", 100, 0.3, 19), (3, 5), 200, 11, (77, 47, 42, 68), 80),
+]
+
+
+@pytest.mark.parametrize("spec,rs,budget,seed,leaves,count", WITNESS_GOLDEN)
+def test_witness_golden(spec, rs, budget, seed, leaves, count):
+    from catdks.models import gen_gnp
+    kind, n, x, gseed = spec
+    g = random_graph(n, x, gseed) if kind == "rg" else gen_gnp(n, x, gseed)
+    sched = build_schedule(*rs)
+    enumerate_all = math.perm(int((g.degrees > 0).sum()), sched.num_leaves) <= budget
+    assert enumerate_all == (kind == "rg" and n <= 10)
+    assert max_witness_count(g, sched, budget, seed) == (leaves, count)
+    assert count_caterpillars(g, sched, leaves) == count
+
+
+def test_count_overflows_int64_exactly():
+    # closed form for walks of length L between two distinct vertices of K_n:
+    # ((n-1)^L - (-1)^L) / n; with L = 13 this is (39**13 + 1) // 40 on K_40
+    k40 = Graph.from_edges(40, combinations(range(40), 2))
+    sched = build_schedule(1, 13)
+    expected = (39 ** 13 + 1) // 40
+    assert expected >= 2 ** 63
+    got = count_caterpillars(k40, sched, (0, 1))
+    assert type(got) is int and got == expected
+    k6 = Graph.from_edges(6, combinations(range(6), 2))
+    assert count_caterpillars(k6, sched, (0, 1)) == (5 ** 13 + 1) // 6

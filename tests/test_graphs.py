@@ -234,3 +234,91 @@ def test_brute_budget():
 
 def test_normalize_vertex_set():
     assert normalize_vertex_set([3, 1, 3, 2]) == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# derived structures: golden values recorded from the set-based builds
+
+
+def _random_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, {(int(a), int(b)) for a, b in
+                                rng.integers(0, n, size=(m, 2)) if a != b})
+
+
+GRAPH_GOLDEN = [
+    (lambda: _random_graph(9, 16, 21),
+     [(0, 3), (1, 7), (1, 8), (2, 3), (2, 5), (2, 7), (3, 5), (3, 6), (4, 6),
+      (4, 8), (5, 8), (6, 8), (7, 8)],
+     [1, 2, 3, 4, 2, 3, 3, 3, 5],
+     [[3], [7, 8], [3, 5, 7], [0, 2, 5, 6], [6, 8], [2, 3, 8], [3, 4, 8],
+      [1, 2, 8], [1, 4, 5, 6, 7]],
+     [0, 1, 3, 6, 10, 12, 15, 18, 21, 26],
+     [3, 7, 8, 3, 5, 7, 0, 2, 5, 6, 6, 8, 2, 3, 8, 3, 4, 8, 1, 2, 8, 1, 4, 5,
+      6, 7]),
+    (lambda: Graph.from_edges(7, [(0, 3), (3, 1), (1, 5), (5, 0), (2, 5)]),
+     [(0, 3), (0, 5), (1, 3), (1, 5), (2, 5)],
+     [2, 2, 1, 2, 0, 3, 0],
+     [[3, 5], [3, 5], [5], [0, 1], [], [0, 1, 2], []],
+     [0, 2, 4, 5, 7, 7, 10, 10],
+     [3, 5, 3, 5, 5, 0, 1, 0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("make,edges,degrees,adj,indptr,indices", GRAPH_GOLDEN)
+def test_derived_structures_golden(make, edges, degrees, adj, indptr, indices):
+    g = make()
+    assert sorted(g.edges) == edges
+    assert g.degrees.dtype == np.int64 and g.degrees.tolist() == degrees
+    assert all(type(nb) is frozenset for nb in g.adj)
+    assert [sorted(nb) for nb in g.adj] == adj
+    A = g.adjacency_matrix
+    assert A.format == "csr" and A.shape == (g.n, g.n)
+    assert A.indptr.dtype == np.int32 and A.indptr.tolist() == indptr
+    assert A.indices.dtype == np.int32 and A.indices.tolist() == indices
+    assert A.data.dtype == np.float64 and A.data.tolist() == [1.0] * len(indices)
+
+
+def test_from_edges_accepts_arrays():
+    g = Graph.from_edges(4, np.array([[1, 0], [2, 3], [0, 1]]))
+    assert g.edges == frozenset({(0, 1), (2, 3)})
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int64)).m == 0
+    with pytest.raises(GraphFormatError, match="self-loop"):
+        Graph.from_edges(3, np.array([[1, 1]]))
+    with pytest.raises(GraphFormatError, match="out of range"):
+        Graph.from_edges(3, [(0, 3)])
+
+
+def test_constructor_checks():
+    with pytest.raises(GraphFormatError, match="out of range"):
+        Graph(n=3, edges=frozenset({(0, 5)}))
+    with pytest.raises(GraphFormatError, match="self-loop"):
+        Graph(n=3, edges=frozenset({(1, 1)}))
+    with pytest.raises(GraphFormatError, match="canonical"):
+        Graph(n=3, edges=frozenset({(2, 1)}))
+    with pytest.raises(GraphFormatError, match="cover"):
+        Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 2): 1.0})
+    with pytest.raises(GraphFormatError, match="non-positive"):
+        Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 1): 0.0})
+    with pytest.raises(GraphFormatError, match="non-finite"):
+        Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 1): math.inf})
+    with pytest.raises(GraphFormatError, match="bipartition"):
+        Graph(n=3, edges=frozenset({(0, 1)}), bipartition=frozenset())
+
+
+def test_from_edges_rejects_conflicting_weights():
+    with pytest.raises(GraphFormatError, match="conflicting duplicate weight"):
+        Graph.from_edges(2, [(0, 1)], weights={(0, 1): 5.0, (1, 0): 7.0})
+    g = Graph.from_edges(2, [(0, 1)], weights={(0, 1): 5.0, (1, 0): 5.0})
+    assert g.weights == {(0, 1): 5.0}
+
+
+def test_load_rejects_weight_on_one_duplicate_only(tmp_path):
+    p = tmp_path / "g.el"
+    p.write_text("2 2\n0 1 5\n1 0\n")
+    with pytest.raises(GraphFormatError):
+        load_graph(p)
+    p.write_text("2 2\n0 1\n1 0 5\n")
+    with pytest.raises(GraphFormatError):
+        load_graph(p)

@@ -1,0 +1,89 @@
+"""Property tests: Graph canonical form, derived structures, edge-list round
+trip, and the batched caterpillar walker against brute force."""
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
+                                count_caterpillars)
+from catdks.graphs import Graph, load_graph, save_graph  # noqa: E402
+from test_caterpillar import brute_count  # noqa: E402
+
+SCHEDULES = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 5), (3, 5)]
+
+
+@st.composite
+def edge_lists(draw, max_n=9):
+    """(n, distinct canonical edges)."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, edges
+
+
+@settings(deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_from_edges_canonical_under_order_orientation_duplication(ne, rnd):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    assert g.edges == frozenset(edges)
+    messy = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    messy += [rnd.choice(messy) for _ in range(len(messy) // 2)] if messy else []
+    rnd.shuffle(messy)
+    assert Graph.from_edges(n, messy) == g
+    assert Graph.from_edges(n, np.array(messy, dtype=np.int64).reshape(-1, 2)) == g
+    assert Graph.from_edges(n, iter(messy)) == g
+
+
+@settings(deadline=None)
+@given(edge_lists())
+def test_degrees_and_adj_match_edges(ne):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    count = [0] * n
+    for u, v in edges:
+        count[u] += 1
+        count[v] += 1
+    assert g.degrees.tolist() == count
+    assert all(v in g.adj[u] and u in g.adj[v] for u, v in edges)
+    assert {(u, v) for u in range(n) for v in g.adj[u] if u < v} == set(edges)
+    assert all(u in g.adj[v] for v in range(n) for u in g.adj[v])
+    assert (g.adjacency_matrix.toarray() == g.adjacency_matrix.toarray().T).all()
+
+
+@settings(deadline=None)
+@given(edge_lists(), st.data())
+def test_save_load_round_trip(ne, data):
+    n, edges = ne
+    weights = None
+    if edges and data.draw(st.booleans()):
+        pos = st.floats(min_value=1e-300, max_value=1e300,
+                        allow_nan=False, allow_infinity=False)
+        weights = {e: data.draw(pos) for e in edges}
+    g = Graph.from_edges(n, edges, weights)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.el")
+        save_graph(g, path)
+        assert load_graph(path) == g
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=7), st.sampled_from(SCHEDULES), st.data())
+def test_batched_counts_match_brute_force(ne, rs, data):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    sched = build_schedule(*rs)
+    tuples = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * (rs[0] + 1)),
+                                min_size=1, max_size=12))
+    leaves = np.array(tuples, dtype=np.int64)
+    counts = _count_batch(g, sched, leaves)
+    assert counts == [brute_count(g, sched, t) for t in tuples]
+    A = g.adjacency_matrix.astype(np.int64)
+    assert _walk(A, sched.steps, leaves, exact=True) == _walk(A, sched.steps, leaves)
+    for t, c in zip(tuples, counts):
+        assert c >= count_caterpillars(g, sched, t, injective=True)
