@@ -146,7 +146,8 @@ def cmd_solve(args, cfg) -> int:
     record = {"vertices": list(res.vertices), "density": res.density,
               "provenance": res.provenance, "gamma": res.gamma,
               "k": k, "n": g.n, "seed": args.seed}
-    # ratio vs planted ground truth (sidecar) or brute force at desk scale
+    # ratio vs planted ground truth (sidecar) or brute force at desk scale;
+    # brute_force_dks counts edges, so weighted input gets no brute-force ratio
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
             sidecar = json.load(f)
@@ -156,7 +157,7 @@ def cmd_solve(args, cfg) -> int:
         gt = float(sidecar["ground_truth_density"])
         record["ratio"] = gt / res.density if res.density > 0 else None
         record["ratio_vs"] = "planted"
-    elif g.n <= 18:
+    elif g.n <= 18 and g.weights is None:
         opt = brute_force_dks(g, k)
         record["ratio"] = opt.density / res.density if res.density > 0 else None
         record["ratio_vs"] = "brute-force"

@@ -168,6 +168,16 @@ class Graph:
         return tuple(frozenset(set(map(ids.__getitem__, indices[a:b].tolist())))
                      for a, b in zip(bounds, bounds[1:]))
 
+    def rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR rows of the vertices `vs`, concatenated, as (owner, nbr):
+        nbr[p] is a neighbour of vs[owner[p]], rows in the order of `vs`."""
+        indptr, indices = self.csr
+        start = indptr[vs]
+        length = indptr[vs + 1] - start
+        owner = np.repeat(np.arange(len(vs)), length)
+        first = np.cumsum(length) - length   # where each row begins in the output
+        return owner, indices[np.arange(len(owner)) + (start - first)[owner]]
+
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
@@ -213,7 +223,8 @@ class SolveResult:
     """A vertex subset with its density and provenance.
 
     density is always the average degree of the induced subgraph in the host
-    graph the result refers to.
+    graph the result refers to; in a weighted host graph it is the weighted
+    average degree 2 W(S) / |S| (see weighted_average_degree).
     """
     vertices: tuple[int, ...]
     density: float
@@ -306,16 +317,18 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range [0,{g.n})")
-    index = {old: new for new, old in enumerate(members)}
-    mset = set(members)
-    edges = [(index[u], index[v]) for (u, v) in g.edges if u in mset and v in mset]
+    relabel = np.full(g.n, -1, dtype=np.int64)
+    relabel[list(members)] = np.arange(len(members))
+    edges = relabel[g.edge_array]
+    edges = edges[(edges >= 0).all(axis=1)]
     weights = None
     if g.weights is not None:
+        index = {old: new for new, old in enumerate(members)}
         weights = {(index[u], index[v]): w for (u, v), w in g.weights.items()
-                   if u in mset and v in mset}
+                   if u in index and v in index}
     bp = None
     if g.bipartition is not None:
-        bp = [index[v] for v in members if v in g.bipartition]
+        bp = [new for new, old in enumerate(members) if old in g.bipartition]
     return Graph.from_edges(len(members), edges, weights, bp), members
 
 
@@ -343,10 +356,12 @@ def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
     members = normalize_vertex_set(s)
     if not members:
         raise ValueError("density_report of empty vertex set")
-    mset = set(members)
-    adj = g.adj
-    degs = [len(adj[v] & mset) for v in members]
-    edge_count = sum(degs) // 2
+    vs = np.array(members, dtype=np.int64)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vs] = True
+    owner, nbr = g.rows(vs)
+    degs = np.bincount(owner[inside[nbr]], minlength=len(vs))
+    edge_count = int(degs.sum()) // 2
     vc = len(members)
     avg = 2.0 * edge_count / vc
     if vc > 1 and avg > 1.0:
@@ -354,8 +369,23 @@ def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
     else:
         log_density = 0.0
     return DensityReport(vertex_count=vc, edge_count=edge_count,
-                         average_degree=avg, min_degree=min(degs),
+                         average_degree=avg, min_degree=int(degs.min()),
                          log_density=log_density)
+
+
+def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:
+    """2 W(s) / |s|, where W(s) is the total weight of the edges induced on s
+    (1 per edge in an unweighted graph); s must be nonempty."""
+    members = normalize_vertex_set(s)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(members)] = True
+    uv = g.edge_array
+    induced = uv[inside[uv[:, 0]] & inside[uv[:, 1]]]
+    if g.weights is None:
+        w = float(len(induced))
+    else:
+        w = math.fsum(g.weights[e] for e in map(tuple, induced.tolist()))
+    return 2.0 * w / len(members)
 
 
 def peel_to_min_degree(g: Graph, s: Iterable[int], threshold: float) -> tuple[int, ...]:

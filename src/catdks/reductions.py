@@ -93,22 +93,25 @@ def union_until_k(g: Graph, k: int,
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    remaining = set(g.edges)
+    uv = g.edge_array
+    remaining = np.ones(len(uv), dtype=bool)
     accum: set[int] = set()
     while len(accum) < k:
-        if not remaining:
+        if not remaining.any():
             pad = (v for v in range(g.n) if v not in accum)
             while len(accum) < k:
                 accum.add(next(pad))
             break
-        current = Graph(n=g.n, edges=frozenset(remaining))
+        # the first residual is g itself: no copy of its edges held alongside it
+        current = g if remaining.all() else Graph.from_edges(g.n, uv[remaining])
         found = normalize_vertex_set(inner(current))
-        fset = set(found)
-        removed = {e for e in remaining if e[0] in fset and e[1] in fset}
-        if not found or not removed:
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(found)] = True
+        removed = remaining & inside[uv[:, 0]] & inside[uv[:, 1]]
+        if not found or not removed.any():
             raise StallError("inner solver returned an empty or edgeless subgraph")
-        remaining -= removed
-        accum |= fset
+        remaining &= ~removed
+        accum.update(found)
     if len(accum) > k:
         accum = set(prune_to_size(g, accum, k))
     return tuple(sorted(accum))
@@ -131,10 +134,9 @@ def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
 def bipartite_double_cover(g: Graph) -> Graph:
     """Two vertex copies; edge (u, v) becomes (u, v+n) and (v, u+n)."""
     n = g.n
-    edges = []
-    for (u, v) in g.edges:
-        edges.append((u, v + n))
-        edges.append((v, u + n))
+    u, v = g.edge_array.T
+    edges = np.concatenate([np.stack([u, v + n], axis=1),
+                            np.stack([v, u + n], axis=1)])
     return Graph.from_edges(2 * n, edges, bipartition=range(n))
 
 

@@ -18,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs
-from .graphs import (Graph, SolveResult, density_report, neighbor_union,
-                     normalize_vertex_set)
+from .graphs import (Graph, SolveResult, density_report, normalize_vertex_set,
+                     weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
                          greedy_core, prune_to_size, union_until_k, weight_buckets)
 
@@ -43,70 +43,63 @@ def _fold(best: Optional[SolveResult], cand: Optional[SolveResult]) -> Optional[
     return cand if cand.better_than(best) else best
 
 
-def bipartite_average_degree(n_left: int, n_right: int, cross_edges: int) -> float:
-    total = n_left + n_right
-    return 2.0 * cross_edges / total if total else 0.0
-
-
 def dks_local(g: Graph, s_set: Iterable[int], k: int,
               universe: Optional[set[int]] = None,
               provenance: str = "local") -> SolveResult:
     """Densest bipartite candidate on (S, Gamma(S)).
 
-    For each k' = 1..k, T_k' is the top-k' of Gamma(S) by degree into S (ties
-    by id); the candidate pairs T_k' with the min{k', |S|} members of S having
-    the most neighbors in T_k'. Candidates are compared by bipartite average
-    degree (ties: fewer vertices, then lexicographic); the returned density is
-    the induced average degree of the winning vertex set in the host graph.
+    Gamma(S) is ordered by degree into S, descending (ties by id), and T is
+    its first k members. For each k' = 1..k the candidate pairs T_k', the
+    first min(k', |Gamma(S)|) members of T, with the min(k', |S|) members of
+    S that have the most neighbours in T_k' (ties by id); k' stops growing
+    once neither side can. All k' are scored at once from the prefix matrix
+    C, whose row t-1 counts, for each member of S, its neighbours among the
+    first t members of T (the cumulative sum over T of the T x S incidence
+    matrix): a candidate's cross edges are the sum of the m largest entries
+    of its row. Candidates are compared by bipartite average degree (ties:
+    fewer vertices, then lexicographic); the returned density is the induced
+    average degree of the winning vertex set in the host graph.
 
-    `universe`, when given, restricts Gamma(S) and all edges to that subset.
+    `universe`, when given, restricts Gamma(S) to that subset.
     """
-    S = list(normalize_vertex_set(s_set))
-    if not S:
+    S = np.unique(np.fromiter(s_set, dtype=np.int64))
+    if not len(S):
         raise ValueError("dks_local requires a nonempty set")
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj = g.adj
-    sset = set(S)
-    gamma = neighbor_union(g, S)
+    owner, nbr = g.rows(S)
+    deg = np.bincount(nbr, minlength=g.n)  # degree into S; Gamma(S) is deg > 0
     if universe is not None:
-        gamma &= universe
-    if not gamma:
-        return SolveResult(vertices=tuple(S), density=0.0, provenance=provenance)
-    gamma_list = sorted(gamma)
-    deg_into_s = {j: len(adj[j] & sset) for j in gamma_list}
-    order = sorted(gamma_list, key=lambda j: (-deg_into_s[j], j))
-
-    s_ids = np.array(S, dtype=np.int64)
-    cnt = np.zeros(len(S), dtype=np.int64)
-    pos = {v: i for i, v in enumerate(S)}
-
-    best_key = None
-    best_sets: Optional[tuple[list[int], list[int]]] = None
-    t_members: list[int] = []
-    for kp in range(1, k + 1):
-        if kp - 1 < len(order):
-            j = order[kp - 1]
-            t_members.append(j)
-            for u in adj[j]:
-                if u in pos:
-                    cnt[pos[u]] += 1
-        m = min(kp, len(S))
-        idx = np.lexsort((s_ids, -cnt))[:m]
-        e = int(cnt[idx].sum())
-        avg = bipartite_average_degree(m, len(t_members), e)
-        chosen_s = sorted(s_ids[idx].tolist())
-        verts = sorted(set(chosen_s) | set(t_members))
-        key = (-avg, len(verts), tuple(verts))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_sets = (chosen_s, list(t_members))
-        if kp >= len(order) and m >= len(S):
-            break  # candidates can no longer change
-    assert best_sets is not None
-    verts = normalize_vertex_set(best_sets[0] + best_sets[1])
-    dens = density_report(g, verts).average_degree
-    return SolveResult(vertices=verts, density=dens, provenance=provenance)
+        keep = np.zeros(g.n, dtype=bool)
+        u = np.fromiter(universe, dtype=np.int64, count=len(universe))
+        keep[u[(u >= 0) & (u < g.n)]] = True
+        deg[~keep] = 0
+    gamma = np.flatnonzero(deg)
+    if not len(gamma):
+        return SolveResult(vertices=tuple(S.tolist()), density=0.0,
+                           provenance=provenance)
+    order = gamma[np.lexsort((gamma, -deg[gamma]))]
+    T = order[:k]
+    rank = np.full(g.n, len(T))
+    rank[T] = np.arange(len(T))
+    hit = rank[nbr] < len(T)
+    C = np.zeros((len(T), len(S)), dtype=np.int32)
+    C[rank[nbr[hit]], owner[hit]] = 1
+    np.cumsum(C, axis=0, out=C)
+    # top[t-1, m-1]: cross edges of the m best members of S against T[:t]
+    top = np.cumsum(np.sort(C, axis=1)[:, ::-1], axis=1)
+    kp = np.arange(1, min(k, max(len(order), len(S))) + 1)
+    t = np.minimum(kp, len(order))
+    m = np.minimum(kp, len(S))
+    avg = 2.0 * top[t - 1, m - 1] / (m + t)
+    best = None
+    for i in np.flatnonzero(avg == avg.max()).tolist():
+        chosen = S[np.lexsort((S, -C[t[i] - 1]))[:m[i]]]
+        verts = tuple(np.union1d(chosen, T[:t[i]]).tolist())
+        if best is None or (len(verts), verts) < (len(best), best):
+            best = verts
+    dens = density_report(g, best).average_degree
+    return SolveResult(vertices=best, density=dens, provenance=provenance)
 
 
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
@@ -123,35 +116,41 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         raise ValueError("budget must be positive")
     if g.n == 0:
         raise ValueError("empty graph")
-    cands = [v for v in range(g.n) if len(g.adj[v]) > 0]
+    cands = np.flatnonzero(g.degrees).tolist()
     if not cands:
         return None
     n_hairs = sched.num_leaves
+    indptr, indices = g.csr
     best: Optional[SolveResult] = None
 
-    def walk(t: int, current: set[int],
+    def walk(t: int, current: np.ndarray,
              hairs: Sequence[Sequence[tuple[int, ...]]]) -> None:
-        """Run steps t..s from `current`; hairs[i] lists the clusters tried at
-        the i-th hair step still ahead. Folds in depth-first pre-order."""
+        """Run steps t..s from `current` (a sorted vertex array); hairs[i]
+        lists the clusters tried at the i-th hair step still ahead. Folds in
+        depth-first pre-order."""
         nonlocal best
         if t > 1:
             best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
         if sched.steps[t - 1] == HAIR:
+            in_current = np.zeros(g.n, dtype=bool)
+            in_current[current] = True
             for J in hairs[0]:
-                nxt = current & neighbor_union(g, J)
-                if cluster_local and nxt:
+                nbrs = np.concatenate([indices[indptr[j]:indptr[j + 1]] for j in J])
+                nxt = np.unique(nbrs[in_current[nbrs]])   # current ∩ Gamma(J)
+                if cluster_local and len(nxt):
                     best = _fold(best, dks_local(
-                        g, J, k, universe=nxt | set(J),
+                        g, J, k, universe=set(nxt.tolist()) | set(J),
                         provenance=f"cluster-local@t={t}"))
-                if nxt and t < sched.s:
+                if len(nxt) and t < sched.s:
                     walk(t + 1, nxt, hairs[1:])
         else:
-            nxt = neighbor_union(g, current)
-            if nxt and t < sched.s:
+            nxt = np.unique(g.rows(current)[1])
+            if len(nxt) and t < sched.s:
                 walk(t + 1, nxt, hairs)
 
+    everyone = np.arange(g.n)
     if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
-        walk(1, set(range(g.n)), [list(combinations(cands, cluster_size))] * n_hairs)
+        walk(1, everyone, [list(combinations(cands, cluster_size))] * n_hairs)
     else:
         rng = np.random.default_rng(seed)
 
@@ -160,7 +159,7 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
             return tuple(sorted(cands[i] for i in pick))
 
         for _ in range(budget):
-            walk(1, set(range(g.n)), [[draw()] for _ in range(n_hairs)])
+            walk(1, everyone, [[draw()] for _ in range(n_hairs)])
     # walk reaches itself through its closure; breaking that cycle frees g
     # (often a whole union round's graph) now rather than at the next
     # cyclic garbage collection
@@ -181,10 +180,8 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
 
     def inner(current: Graph) -> tuple[int, ...]:
         res = _branch_best(current, k, sched, leaf_budget, seed)
-        if res is not None and res.vertices:
-            fset = set(res.vertices)
-            if any(u in fset and v in fset for (u, v) in current.edges):
-                return res.vertices
+        if res is not None and density_report(current, res.vertices).edge_count > 0:
+            return res.vertices
         # residual has edges but no branch spans one: fall back to a single edge
         return min(current.edges)
 
@@ -260,10 +257,13 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     if g.weights is not None:
+        # each bucket is solved unweighted; its set is scored and reported by
+        # its weighted average degree in g
         best: Optional[SolveResult] = None
         for i, bucket in enumerate(weight_buckets(g)):
-            res = approximate(bucket, min(k, bucket.n), config)
-            res = SolveResult(vertices=res.vertices, density=res.density,
+            res = approximate(bucket, k, config)
+            res = SolveResult(vertices=res.vertices,
+                              density=weighted_average_degree(g, res.vertices),
                               provenance=f"bucket{i}:{res.provenance}",
                               gamma=res.gamma)
             best = _fold(best, res)

@@ -69,6 +69,18 @@ def test_solve_ratio_vs_brute_force(tmp_path):
     assert record["ratio_vs"] == "brute-force" and record["ratio"] >= 1.0
 
 
+def test_solve_weighted_has_no_brute_force_ratio(tmp_path):
+    g = tmp_path / "g.el"
+    lines = [f"{u} {v} 1" for u in range(6) for v in range(u + 1, 6)]
+    lines += [f"{6 + 2 * i} {7 + 2 * i} 1000" for i in range(6)]
+    g.write_text(f"18 {len(lines)}\n" + "\n".join(lines) + "\n")
+    rep = tmp_path / "sol.json"
+    assert run("solve", "--input", str(g), "--k", "6", "--out", str(rep)) == 0
+    record = _strict_json(rep)
+    assert "ratio" not in record and "ratio_vs" not in record
+    assert record["density"] >= 2 * 2000 / 6
+
+
 def test_solve_deterministic_bytes(tmp_path):
     g = tmp_path / "g.el"
     run("gen", "--n", "30", "--p", "0.25", "--seed", "1", "--out", str(g))

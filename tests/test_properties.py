@@ -1,5 +1,6 @@
 """Property tests: Graph canonical form, derived structures, edge-list round
-trip, and the batched caterpillar walker against brute force."""
+trip, the batched caterpillar walker against brute force, density_report
+against a plain count, and resize_to_k."""
 import os
 import tempfile
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
-from catdks.graphs import Graph, load_graph, save_graph  # noqa: E402
+from catdks.graphs import (Graph, density_report, load_graph,  # noqa: E402
+                           save_graph, weighted_average_degree)
+from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
 
 SCHEDULES = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 5), (3, 5)]
@@ -87,3 +90,34 @@ def test_batched_counts_match_brute_force(ne, rs, data):
     assert _walk(A, sched.steps, leaves, exact=True) == _walk(A, sched.steps, leaves)
     for t, c in zip(tuples, counts):
         assert c >= count_caterpillars(g, sched, t, injective=True)
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=12), st.data())
+def test_density_report_matches_plain_count(ne, data):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    degs = [sum(1 for u, v in edges if w in (u, v) and u in s and v in s)
+            for w in sorted(s)]
+    e = sum(degs) // 2
+    rep = density_report(g, s)
+    assert (rep.vertex_count, rep.edge_count, rep.min_degree) == (len(s), e, min(degs))
+    assert rep.average_degree == 2.0 * e / len(s)
+    assert weighted_average_degree(g, s) == rep.average_degree
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=12), st.data())
+def test_resize_to_k_returns_exactly_k(ne, data):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    s = data.draw(st.lists(st.integers(0, n - 1)))
+    k = data.draw(st.integers(1, n))
+    out = resize_to_k(g, s, k)
+    assert len(out) == len(set(out)) == k
+    assert all(0 <= v < n for v in out) and list(out) == sorted(out)
+    if len(set(s)) <= k:
+        assert set(s) <= set(out)
+    else:
+        assert set(out) <= set(s)

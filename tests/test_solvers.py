@@ -79,6 +79,46 @@ def test_local_rejects_empty_s():
         dks_local(clique(3), [], 2)
 
 
+# (random_graph args, S, k, universe, vertices, density), recorded from the
+# per-k' loop version. Covers S meeting Gamma(S), a universe (one equal to S),
+# k > |Gamma(S)|, k < |S| and a four-way tie in the bipartite average.
+LOCAL_GOLDEN = [
+    ((12, 30, 0), (0, 1, 2, 3), 5, None, (0, 1, 2, 3, 6, 9, 10), 2.2857142857142856),
+    ((12, 30, 1), (0, 1, 2, 3, 4, 5), 3, None, (0, 1, 3, 5, 9), 2.8),
+    ((10, 12, 2), (0, 1), 20, None, (0, 1, 2, 4, 8, 9), 2.0),
+    ((15, 40, 3), (2, 4, 6, 8), 6, (1, 3, 5, 7, 9, 11, 13), (2, 3, 4, 8, 9, 11), 2.6666666666666665),
+    ((15, 40, 4), (0, 5, 10), 4, (0, 2, 4, 6, 8, 10, 12, 14), (4, 5, 10, 14), 2.0),
+    ((20, 60, 5), (0, 1, 2, 3, 4, 5, 6, 7), 5, None, (0, 1, 2, 3, 4, 6, 13, 15, 17, 19), 3.8),
+    ((8, 28, 6), (0, 1, 2), 6, None, (0, 1, 2, 4, 5, 6), 4.0),
+    ((20, 50, 8), (1, 2, 3, 4, 5, 6, 7), 10, (10, 11, 12, 13, 14, 15, 16, 17, 18, 19), (1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 16, 17, 18, 19), 3.5714285714285716),
+    ((25, 80, 9), (0, 3, 7, 11, 19), 12, None, (0, 1, 2, 3, 7, 8, 10, 11, 14, 16, 19), 2.727272727272727),
+    ((14, 22, 20), (0, 1, 2, 3), 6, None, (0, 1, 3, 7, 12), 2.4),
+    ((12, 30, 0), (0, 1, 2, 3), 5, (0, 1, 2, 3), (0, 1, 3), 1.3333333333333333),
+]
+
+# ((n, edges), S, k, vertices, density): a perfect matching (every k' ties),
+# equal counts in S (the smaller id wins), and an S with no neighbours
+LOCAL_GOLDEN_SMALL = [
+    ((6, ((0, 3), (1, 4), (2, 5))), (0, 1, 2), 3, (0, 3), 1.0),
+    ((3, ((0, 2), (1, 2))), (0, 1), 1, (0, 2), 1.0),
+    ((3, ((0, 2), (1, 2))), (0, 1), 2, (0, 1, 2), 1.3333333333333333),
+    ((5, ((1, 2),)), (0,), 2, (0,), 0.0),
+]
+
+
+@pytest.mark.parametrize("spec,S,k,universe,vertices,density", LOCAL_GOLDEN)
+def test_local_golden(spec, S, k, universe, vertices, density):
+    uni = None if universe is None else set(universe)
+    res = dks_local(random_graph(*spec), S, k, universe=uni, provenance="p")
+    assert (res.vertices, res.density, res.provenance) == (vertices, density, "p")
+
+
+@pytest.mark.parametrize("graph,S,k,vertices,density", LOCAL_GOLDEN_SMALL)
+def test_local_golden_small(graph, S, k, vertices, density):
+    res = dks_local(Graph.from_edges(*graph), S, k)
+    assert (res.vertices, res.density, res.provenance) == (vertices, density, "local")
+
+
 # ---------------------------------------------------------------------------
 # dks_cat_combinatorial
 
@@ -250,6 +290,23 @@ def test_approximate_weighted_buckets():
     res = approximate(g, 3)
     assert set(res.vertices) == {0, 1, 2}
     assert res.provenance.startswith("bucket0")
+
+
+def k6_plus_heavy_matching():
+    """K6 with weight 1 on vertices 0-5 plus six disjoint edges of weight 1000."""
+    weights = {e: 1.0 for e in combinations(range(6), 2)}
+    weights.update({(6 + 2 * i, 7 + 2 * i): 1000.0 for i in range(6)})
+    return Graph.from_edges(18, list(weights), weights=weights)
+
+
+def test_approximate_weighted_density_is_host_weighted_density():
+    g = k6_plus_heavy_matching()
+    res = approximate(g, 6)
+    inside = set(res.vertices)
+    w = sum(x for (u, v), x in g.weights.items() if u in inside and v in inside)
+    assert len(res.vertices) == 6
+    assert res.density == pytest.approx(2 * w / 6)
+    assert res.density >= 2 * 2000 / 6
 
 
 def test_approximate_oracle_ratio_smoke():
