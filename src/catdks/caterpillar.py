@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, neighbor_union
+from .graphs import Graph
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -207,23 +207,31 @@ def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]
     return total
 
 
+def hair_step(g: Graph, current: np.ndarray, J: Sequence[int]) -> np.ndarray:
+    """current ∩ Gamma(J) as a sorted array: the members of the vertex array
+    `current` found in the CSR rows of J."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[current] = True
+    nbrs = g.rows(np.asarray(J, dtype=np.int64))[1]
+    return np.unique(nbrs[inside[nbrs]])
+
+
 def candidate_trace(g: Graph, sched: CaterpillarSchedule,
                     leaves: Sequence[int]) -> CandidateTrace:
     """Replay the candidate sets S(t): hair intersects with the next leaf's
     neighborhood, backbone expands to the full neighborhood."""
     if len(leaves) != sched.num_leaves:
         raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
-    adj = g.adj
-    current: set[int] = set(range(g.n))
-    sets = [tuple(sorted(current))]
+    current = np.arange(g.n)
+    sets = [tuple(range(g.n))]
     leaf_iter = iter(leaves)
     exps = []
     for t, kind in enumerate(sched.steps, start=1):
         if kind == HAIR:
-            current = current & adj[next(leaf_iter)]
+            current = hair_step(g, current, (next(leaf_iter),))
         else:
-            current = neighbor_union(g, current)
-        sets.append(tuple(sorted(current)))
+            current = g.neighbors(current)
+        sets.append(tuple(current.tolist()))
         x = Fraction(t * sched.r, sched.s)
         exps.append(x - (x.numerator // x.denominator))
     return CandidateTrace(sets=tuple(sets), kinds=sched.steps,

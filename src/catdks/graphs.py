@@ -2,17 +2,19 @@
 
 Vertices are dense integer ids in [0, n). The edge set is a frozenset of
 canonical (u, v) tuples. Validation, degrees and a sorted CSR (indptr /
-indices) are computed with numpy from one (m, 2) edge array; adjacency is
-exposed as one frozenset per vertex, built lazily from the CSR rows, for O(1)
-membership and fast set intersection in the hair steps and solvers.
+indices) are computed with numpy from one sorted (m, 2) edge array; graph
+walks (Gamma(S), induced degrees, peeling) read the CSR rows. The lazy
+frozenset rows `adj` serve only set-at-a-time code: the brute-force injective
+caterpillar count and per-pair neighbourhood intersections.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, islice, takewhile
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -67,7 +69,8 @@ class Graph:
     bipartition: optional frozenset of "left" vertices; every edge must cross.
 
     Derived structures are built lazily and cached: `edge_array` (the edges
-    as an (m, 2) array), `csr`, `degrees`, `adj` and `adjacency_matrix`.
+    as an (m, 2) array, always in lexicographic order), `csr`, `degrees`,
+    `adj` and `adjacency_matrix`.
     """
 
     n: int
@@ -144,8 +147,10 @@ class Graph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array (sorted when built by from_edges)."""
-        return _edge_array(self.edges)
+        """The edges as an (m, 2) int64 array in lexicographic order (from_edges
+        seeds it sorted; a graph built from a frozenset sorts it here)."""
+        uv = _edge_array(self.edges)
+        return uv[np.lexsort((uv[:, 1], uv[:, 0]))]
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +183,11 @@ class Graph:
         first = np.cumsum(length) - length   # where each row begins in the output
         return owner, indices[np.arange(len(owner)) + (start - first)[owner]]
 
+    def neighbors(self, vs: np.ndarray) -> np.ndarray:
+        """Gamma(vs): the union of the neighbours of the vertices vs (not
+        excluding vs itself), as a sorted array."""
+        return np.unique(self.rows(vs)[1])
+
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
@@ -198,15 +208,8 @@ class Graph:
     def average_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
-    def unweighted(self) -> "Graph":
-        if self.weights is None:
-            return self
-        return Graph(n=self.n, edges=self.edges, weights=None, bipartition=self.bipartition)
-
     def edge_count_within(self, s: Iterable[int]) -> int:
-        sset = set(s)
-        adj = self.adj
-        return sum(1 for u in sset for v in adj[u] if v > u and v in sset)
+        return int(induced_edge_mask(self, vertex_array(self, s)).sum())
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,7 @@ def save_graph(g: Graph, path) -> None:
     """Write the edge-list format read back by load_graph."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{g.n} {g.m}\n")
-        for (u, v) in sorted(g.edges):
+        for u, v in g.edge_array.tolist():
             if g.weights is not None:
                 f.write(f"{u} {v} {g.weights[(u, v)]!r}\n")
             else:
@@ -313,12 +316,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
     Returns (subgraph, mapping) where mapping[new_id] = old_id.
     """
-    members = normalize_vertex_set(s)
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0,{g.n})")
+    vs = vertex_array(g, s)
+    members = tuple(vs.tolist())
     relabel = np.full(g.n, -1, dtype=np.int64)
-    relabel[list(members)] = np.arange(len(members))
+    relabel[vs] = np.arange(len(vs))
     edges = relabel[g.edge_array]
     edges = edges[(edges >= 0).all(axis=1)]
     weights = None
@@ -332,18 +333,19 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph.from_edges(len(members), edges, weights, bp), members
 
 
-def neighbor_union(g: Graph, s: Iterable[int]) -> set[int]:
-    """Gamma(s): union of neighbor sets of members of s (not excluding s itself)."""
-    out: set[int] = set()
-    adj = g.adj
-    for v in s:
-        out |= adj[v]
-    return out
+def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
+    """s as a sorted, duplicate-free int64 array; raises ValueError on an id
+    outside [0, n)."""
+    vs = np.unique(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64))
+    bad = (vs < 0) | (vs >= g.n)
+    if bad.any():
+        raise ValueError(f"vertex {vs[bad.argmax()]} out of range [0,{g.n})")
+    return vs
 
 
 def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     """Gamma(s) as a sorted tuple."""
-    return tuple(sorted(neighbor_union(g, s)))
+    return tuple(g.neighbors(vertex_array(g, s)).tolist())
 
 
 def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
@@ -353,16 +355,12 @@ def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
     average degree is at most 1 (constant-degree convention) or the set is a
     single vertex.
     """
-    members = normalize_vertex_set(s)
-    if not members:
+    vs = vertex_array(g, s)
+    if not len(vs):
         raise ValueError("density_report of empty vertex set")
-    vs = np.array(members, dtype=np.int64)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[vs] = True
-    owner, nbr = g.rows(vs)
-    degs = np.bincount(owner[inside[nbr]], minlength=len(vs))
+    degs = induced_degrees(g, vs)
     edge_count = int(degs.sum()) // 2
-    vc = len(members)
+    vc = len(vs)
     avg = 2.0 * edge_count / vc
     if vc > 1 and avg > 1.0:
         log_density = math.log(avg) / math.log(vc)
@@ -373,43 +371,62 @@ def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
                          log_density=log_density)
 
 
+def induced_degrees(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """Degree inside vs of each member of vs (a duplicate-free vertex array)."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vs] = True
+    owner, nbr = g.rows(vs)
+    return np.bincount(owner[inside[nbr]], minlength=len(vs))
+
+
+def induced_edge_mask(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """Boolean mask over g.edge_array of the edges induced on the vertex array vs."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vs] = True
+    return inside[g.edge_array].all(axis=1)
+
+
 def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:
     """2 W(s) / |s|, where W(s) is the total weight of the edges induced on s
     (1 per edge in an unweighted graph); s must be nonempty."""
-    members = normalize_vertex_set(s)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(members)] = True
-    uv = g.edge_array
-    induced = uv[inside[uv[:, 0]] & inside[uv[:, 1]]]
+    vs = vertex_array(g, s)
+    induced = induced_edge_mask(g, vs)
     if g.weights is None:
-        w = float(len(induced))
+        w = float(induced.sum())
     else:
-        w = math.fsum(g.weights[e] for e in map(tuple, induced.tolist()))
-    return 2.0 * w / len(members)
+        w = math.fsum(g.weights[e] for e in map(tuple, g.edge_array[induced].tolist()))
+    return 2.0 * w / len(vs)
+
+
+def _peel_order(g: Graph, vs: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Yield (vertex, induced degree at removal) while peeling the subgraph
+    induced on the vertex array vs down to nothing, least degree first, ties
+    by smaller id. Heap entries whose degree is no longer current are skipped."""
+    indptr, indices = g.csr
+    deg = dict(zip(vs.tolist(), induced_degrees(g, vs).tolist()))   # alive vertices
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if deg.get(v) != d:
+            continue
+        del deg[v]
+        yield v, d
+        for u in indices[indptr[v]:indptr[v + 1]].tolist():
+            if u in deg:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
 
 
 def peel_to_min_degree(g: Graph, s: Iterable[int], threshold: float) -> tuple[int, ...]:
-    """Maximal subset of s whose induced minimum degree is >= threshold.
-
-    Standard core-peeling fixpoint; may be empty.
-    """
+    """Maximal subset of s whose induced minimum degree is >= threshold (may
+    be empty): peeling stops at the first vertex of degree >= threshold, so
+    what remains is that subset, the unique one."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    alive = set(normalize_vertex_set(s))
-    adj = g.adj
-    deg = {v: len(adj[v] & alive) for v in alive}
-    queue = [v for v in alive if deg[v] < threshold]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in adj[v]:
-            if u in alive:
-                deg[u] -= 1
-                if deg[u] < threshold:
-                    queue.append(u)
-    return tuple(sorted(alive))
+    vs = vertex_array(g, s)
+    dropped = [v for v, _ in takewhile(lambda vd: vd[1] < threshold, _peel_order(g, vs))]
+    return tuple(np.setdiff1d(vs, dropped).tolist())
 
 
 def brute_force_dks(g: Graph, k: int, budget: int = 5_000_000) -> SolveResult:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import BudgetExceededError, Graph, normalize_vertex_set
+from .graphs import (BudgetExceededError, Graph, induced_degrees, normalize_vertex_set,
+                     vertex_array)
 
 Path = tuple[int, ...]
 Number = Union[int, float, Fraction]
@@ -72,7 +73,7 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
         raise BudgetExceededError(
             f"instance needs {var_count} variables, budget {budget}")
     d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
-    adj = g.adj
+    indptr, indices = (a.tolist() for a in g.csr)   # CSR rows are sorted
 
     variables: list[Path] = [()]
     for length in range(1, t + 2):
@@ -96,8 +97,9 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
                                terms=tuple(terms), sense=">="))
         for i in range(n):
             # (2) degree; vacuous 0 >= 0 rows (isolated vertex, d = 0) skipped
-            if adj[i] or d != 0:
-                terms = [(1, q + (i, j)) for j in sorted(adj[i])] + [(-d, q + (i,))]
+            row = indices[indptr[i]:indptr[i + 1]]
+            if row or d != 0:
+                terms = [(1, q + (i, j)) for j in row] + [(-d, q + (i,))]
                 cons.append(Constraint(cid=f"deg[{qs}|{i}]", family="degree",
                                        terms=tuple(terms), sense=">="))
             # (4) box chain: y(q.i) <= y(q)
@@ -127,12 +129,11 @@ def indicator_solution(inst: LPInstance, h_set: Iterable[int],
     offending vertex is named otherwise.
     """
     g = g or inst.graph
-    members = normalize_vertex_set(h_set)
-    if len(members) > inst.k:
-        raise ValueError(f"|h_set| = {len(members)} exceeds k = {inst.k}")
-    mset = set(members)
-    for v in members:
-        deg = len(g.adj[v] & mset)
+    vs = vertex_array(g, h_set)
+    if len(vs) > inst.k:
+        raise ValueError(f"|h_set| = {len(vs)} exceeds k = {inst.k}")
+    mset = set(vs.tolist())
+    for v, deg in zip(vs.tolist(), induced_degrees(g, vs).tolist()):
         if deg < inst.d:
             raise ValueError(
                 f"vertex {v} has induced degree {deg} < d = {inst.d}")

@@ -266,21 +266,16 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
 
 def _dense_subset_heuristic(g: Graph, k: int, rounds: int = 4) -> tuple[int, ...]:
     """Top-k degrees followed by a few rounds of degree-into-set refinement."""
-    deg = g.degrees
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    current = set(order[:k])
-    adj = g.adj
-    best = tuple(sorted(current))
-    best_edges = g.edge_count_within(best)
+    ids = np.arange(g.n)
+    current = np.sort(np.lexsort((ids, -g.degrees))[:k])   # ties by smaller id
+    best, best_edges = current, g.edge_count_within(current)
     for _ in range(rounds):
-        score = {v: len(adj[v] & current) for v in range(g.n)}
-        order = sorted(range(g.n), key=lambda v: (-score[v], v))
-        current = set(order[:k])
-        cand = tuple(sorted(current))
-        e = g.edge_count_within(cand)
+        score = np.bincount(g.rows(current)[1], minlength=g.n)   # degree into current
+        current = np.sort(np.lexsort((ids, -score))[:k])
+        e = g.edge_count_within(current)
         if e > best_edges:
-            best, best_edges = cand, e
-    return best
+            best, best_edges = current, e
+    return tuple(best.tolist())
 
 
 def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0,

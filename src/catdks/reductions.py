@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, induced_subgraph, normalize_vertex_set
+from .graphs import Graph, _peel_order, induced_edge_mask, induced_subgraph, vertex_array
 
 
 class StallError(RuntimeError):
@@ -30,12 +31,6 @@ class GreedyResult:
     u_prime: tuple[int, ...]
 
 
-def _top_by(keys, count, items):
-    """Top `count` items by key desc, tie by smaller item."""
-    order = sorted(items, key=lambda v: (-keys[v], v))
-    return order[:count]
-
-
 def greedy_core(g: Graph, k: int) -> GreedyResult:
     """Degree-capping greedy: U = highest-degree half, U' = best neighbors of U.
 
@@ -49,36 +44,32 @@ def greedy_core(g: Graph, k: int) -> GreedyResult:
     if not 2 <= k <= g.n:
         raise ValueError(f"k={k} out of range 2..{g.n}")
     half = (k + 1) // 2
+    ids = np.arange(g.n)
     deg = g.degrees
-    u = _top_by(deg, half, range(g.n))
-    cap_degree = float(min(deg[v] for v in u))
+    u = np.sort(np.lexsort((ids, -deg))[:half])   # top degrees, ties by smaller id
+    cap_degree = float(deg[u].min())
 
     if g.m < half:
         # matching fallback: disjoint edges greedily by id, padded to k vertices
         used: set[int] = set()
-        for (a, b) in sorted(g.edges):
+        for a, b in g.edge_array.tolist():
             if a not in used and b not in used and len(used) + 2 <= k:
                 used.add(a)
                 used.add(b)
         pad = (v for v in range(g.n) if v not in used)
         while len(used) < k:
             used.add(next(pad))
-        h_prime = tuple(sorted(used))
+        h_prime = np.array(sorted(used))
     else:
-        uset = set(u)
-        into_u = np.zeros(g.n, dtype=np.int64)
-        for v in range(g.n):
-            into_u[v] = len(g.adj[v] & uset)
-        u_prime = _top_by(into_u, half, range(g.n))
-        h_prime = normalize_vertex_set(list(u) + u_prime)
+        into_u = np.bincount(g.rows(u)[1], minlength=g.n)
+        h_prime = np.union1d(u, np.lexsort((ids, -into_u))[:half])
 
-    rest = [v for v in range(g.n) if v not in set(u)]
-    g_prime, mapping = induced_subgraph(g, rest)
+    g_prime, mapping = induced_subgraph(g, np.setdiff1d(ids, u))
     gamma = max(cap_degree * k / g.n, 1.0)
-    u_prime_out = tuple(sorted(set(h_prime) - set(u)))
-    return GreedyResult(h_prime=h_prime, g_prime=g_prime, g_prime_vertices=mapping,
-                        cap_degree=cap_degree, gamma=gamma,
-                        u=tuple(sorted(u)), u_prime=u_prime_out)
+    return GreedyResult(h_prime=tuple(h_prime.tolist()), g_prime=g_prime,
+                        g_prime_vertices=mapping, cap_degree=cap_degree, gamma=gamma,
+                        u=tuple(u.tolist()),
+                        u_prime=tuple(np.setdiff1d(h_prime, u).tolist()))
 
 
 def union_until_k(g: Graph, k: int,
@@ -104,14 +95,12 @@ def union_until_k(g: Graph, k: int,
             break
         # the first residual is g itself: no copy of its edges held alongside it
         current = g if remaining.all() else Graph.from_edges(g.n, uv[remaining])
-        found = normalize_vertex_set(inner(current))
-        inside = np.zeros(g.n, dtype=bool)
-        inside[list(found)] = True
-        removed = remaining & inside[uv[:, 0]] & inside[uv[:, 1]]
-        if not found or not removed.any():
+        found = vertex_array(g, inner(current))
+        removed = remaining & induced_edge_mask(g, found)
+        if not removed.any():
             raise StallError("inner solver returned an empty or edgeless subgraph")
         remaining &= ~removed
-        accum.update(found)
+        accum.update(found.tolist())
     if len(accum) > k:
         accum = set(prune_to_size(g, accum, k))
     return tuple(sorted(accum))
@@ -119,16 +108,9 @@ def union_until_k(g: Graph, k: int,
 
 def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
     """Greedily drop lowest-induced-degree vertices (ties by id) down to k."""
-    alive = set(normalize_vertex_set(s))
-    adj = g.adj
-    deg = {v: len(adj[v] & alive) for v in alive}
-    while len(alive) > k:
-        v = min(alive, key=lambda x: (deg[x], x))
-        alive.discard(v)
-        for u in adj[v]:
-            if u in alive:
-                deg[u] -= 1
-    return tuple(sorted(alive))
+    vs = vertex_array(g, s)
+    dropped = [v for v, _ in islice(_peel_order(g, vs), max(len(vs) - k, 0))]
+    return tuple(np.setdiff1d(vs, dropped).tolist())
 
 
 def bipartite_double_cover(g: Graph) -> Graph:

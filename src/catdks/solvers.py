@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs
-from .graphs import (Graph, SolveResult, density_report, normalize_vertex_set,
+from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs, hair_step
+from .graphs import (Graph, SolveResult, density_report, vertex_array,
                      weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
                          greedy_core, prune_to_size, union_until_k, weight_buckets)
@@ -44,7 +44,7 @@ def _fold(best: Optional[SolveResult], cand: Optional[SolveResult]) -> Optional[
 
 
 def dks_local(g: Graph, s_set: Iterable[int], k: int,
-              universe: Optional[set[int]] = None,
+              universe: Optional[Iterable[int]] = None,
               provenance: str = "local") -> SolveResult:
     """Densest bipartite candidate on (S, Gamma(S)).
 
@@ -62,7 +62,7 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
 
     `universe`, when given, restricts Gamma(S) to that subset.
     """
-    S = np.unique(np.fromiter(s_set, dtype=np.int64))
+    S = vertex_array(g, s_set)
     if not len(S):
         raise ValueError("dks_local requires a nonempty set")
     if k < 1:
@@ -71,8 +71,7 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     deg = np.bincount(nbr, minlength=g.n)  # degree into S; Gamma(S) is deg > 0
     if universe is not None:
         keep = np.zeros(g.n, dtype=bool)
-        u = np.fromiter(universe, dtype=np.int64, count=len(universe))
-        keep[u[(u >= 0) & (u < g.n)]] = True
+        keep[vertex_array(g, universe)] = True
         deg[~keep] = 0
     gamma = np.flatnonzero(deg)
     if not len(gamma):
@@ -120,7 +119,6 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     if not cands:
         return None
     n_hairs = sched.num_leaves
-    indptr, indices = g.csr
     best: Optional[SolveResult] = None
 
     def walk(t: int, current: np.ndarray,
@@ -132,19 +130,16 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         if t > 1:
             best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
         if sched.steps[t - 1] == HAIR:
-            in_current = np.zeros(g.n, dtype=bool)
-            in_current[current] = True
             for J in hairs[0]:
-                nbrs = np.concatenate([indices[indptr[j]:indptr[j + 1]] for j in J])
-                nxt = np.unique(nbrs[in_current[nbrs]])   # current ∩ Gamma(J)
+                nxt = hair_step(g, current, J)
                 if cluster_local and len(nxt):
                     best = _fold(best, dks_local(
-                        g, J, k, universe=set(nxt.tolist()) | set(J),
+                        g, J, k, universe=np.union1d(nxt, J),
                         provenance=f"cluster-local@t={t}"))
                 if len(nxt) and t < sched.s:
                     walk(t + 1, nxt, hairs[1:])
         else:
-            nxt = np.unique(g.rows(current)[1])
+            nxt = g.neighbors(current)
             if len(nxt) and t < sched.s:
                 walk(t + 1, nxt, hairs)
 
@@ -182,8 +177,8 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
         res = _branch_best(current, k, sched, leaf_budget, seed)
         if res is not None and density_report(current, res.vertices).edge_count > 0:
             return res.vertices
-        # residual has edges but no branch spans one: fall back to a single edge
-        return min(current.edges)
+        # residual has edges but no branch spans one: fall back to its first edge
+        return tuple(current.edge_array[0].tolist())
 
     if g.m == 0:
         return _edgeless(g.n, k)
@@ -228,24 +223,23 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
 
 
 def resize_to_k(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
-    """Prune (lowest degree first) or pad (neighbors first, then untouched
-    vertices) a vertex set to exactly k members."""
-    cur = set(normalize_vertex_set(s))
+    """Prune (lowest degree first) or pad a vertex set to exactly k members;
+    each padding step adds the vertex with the most neighbours in the set,
+    ties (also at none) by smaller id."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k={k} out of range [0,{g.n}]")
+    cur = vertex_array(g, s)
     if len(cur) > k:
         return prune_to_size(g, cur, k)
-    adj = g.adj
-    while len(cur) < k:
-        fringe: dict[int, int] = {}
-        for v in cur:
-            for u in adj[v]:
-                if u not in cur:
-                    fringe[u] = fringe.get(u, 0) + 1
-        if fringe:
-            pick = max(fringe, key=lambda u: (fringe[u], -u))
-        else:
-            pick = next(v for v in range(g.n) if v not in cur)
-        cur.add(pick)
-    return tuple(sorted(cur))
+    indptr, indices = g.csr
+    score = np.bincount(g.rows(cur)[1], minlength=g.n)   # neighbours in the set
+    score[cur] = -1                                      # members
+    for _ in range(k - len(cur)):
+        v = int(score.argmax())
+        score[v] = -1
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        score[nbrs[score[nbrs] >= 0]] += 1
+    return tuple(np.flatnonzero(score < 0).tolist())
 
 
 def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> SolveResult:

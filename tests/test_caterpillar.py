@@ -219,6 +219,22 @@ def test_trace_hair_shrinks_backbone_expands():
     assert tr.sizes() == tuple(len(s) for s in tr.sets)
 
 
+# (random_graph args, (r, s), leaves, S(0..s)), recorded from the set-based
+# version
+TRACE_GOLDEN = [
+    ((14, 40, 6), (3, 5), (0, 1, 2, 3),
+     (tuple(range(14)), (1, 2, 8, 11), (8,), (0, 1, 2, 6, 7, 11), (0, 7), ())),
+    ((14, 40, 6), (2, 5), (4, 5, 6),
+     (tuple(range(14)), (7, 10), (1, 2, 4, 6, 8, 9, 11, 12, 13), (9, 13), (5, 6, 7),
+      (7,))),
+]
+
+
+@pytest.mark.parametrize("spec,rs,leaves,sets", TRACE_GOLDEN)
+def test_trace_golden(spec, rs, leaves, sets):
+    assert candidate_trace(random_graph(*spec), build_schedule(*rs), leaves).sets == sets
+
+
 def test_trace_json_dump():
     g = random_graph(6, 8, 0)
     tr = candidate_trace(g, build_schedule(1, 2), (0, 1))

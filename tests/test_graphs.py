@@ -7,7 +7,9 @@ import pytest
 from catdks.graphs import (BudgetExceededError, Graph, GraphFormatError,
                            brute_force_dks, density_report, induced_subgraph,
                            load_graph, neighborhood, normalize_vertex_set,
-                           peel_to_min_degree, save_graph)
+                           peel_to_min_degree, save_graph, weighted_average_degree)
+from catdks.reductions import prune_to_size
+from catdks.solvers import dks_local, resize_to_k
 
 
 def clique(k):
@@ -117,6 +119,30 @@ def test_neighborhood_star_and_path():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert neighborhood(path, [0, 2]) == (1,)
     assert neighborhood(cycle(5), [0]) == (1, 4)
+
+
+# every function that takes a vertex set rejects ids outside [0, n) instead of
+# wrapping negative ids around or failing inside numpy
+RANGE_CHECKED = [
+    pytest.param(lambda g, v: density_report(g, [0, v]), id="density_report"),
+    pytest.param(lambda g, v: weighted_average_degree(g, [v, 2]),
+                 id="weighted_average_degree"),
+    pytest.param(lambda g, v: neighborhood(g, [v]), id="neighborhood"),
+    pytest.param(lambda g, v: peel_to_min_degree(g, [v, 0, 2], 1),
+                 id="peel_to_min_degree"),
+    pytest.param(lambda g, v: prune_to_size(g, [v, 0, 2], 2), id="prune_to_size"),
+    pytest.param(lambda g, v: resize_to_k(g, [v], 2), id="resize_to_k"),
+    pytest.param(lambda g, v: dks_local(g, [v], 2), id="dks_local"),
+    pytest.param(lambda g, v: induced_subgraph(g, [0, v]), id="induced_subgraph"),
+]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("call", RANGE_CHECKED)
+def test_vertex_ids_range_checked(call, bad):
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0,4\)"):
+        call(path, bad)
 
 
 def test_neighborhood_monotone():
@@ -297,6 +323,10 @@ def test_constructor_checks():
         Graph(n=3, edges=frozenset({(1, 1)}))
     with pytest.raises(GraphFormatError, match="canonical"):
         Graph(n=3, edges=frozenset({(2, 1)}))
+    # built straight from a frozenset, the edge array is still sorted
+    edges = frozenset({(3, 4), (0, 9), (2, 3), (0, 5), (1, 2)})
+    g = Graph(n=10, edges=edges)
+    assert g.edge_array.tolist() == [[0, 5], [0, 9], [1, 2], [2, 3], [3, 4]]
     with pytest.raises(GraphFormatError, match="cover"):
         Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 2): 1.0})
     with pytest.raises(GraphFormatError, match="non-positive"):

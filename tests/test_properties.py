@@ -1,8 +1,10 @@
 """Property tests: Graph canonical form, derived structures, edge-list round
 trip, the batched caterpillar walker against brute force, density_report
-against a plain count, and resize_to_k."""
+against a plain count, peel_to_min_degree against brute force, and
+resize_to_k."""
 import os
 import tempfile
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
 from catdks.graphs import (Graph, density_report, load_graph,  # noqa: E402
-                           save_graph, weighted_average_degree)
+                           peel_to_min_degree, save_graph, weighted_average_degree)
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
 
@@ -105,6 +107,28 @@ def test_density_report_matches_plain_count(ne, data):
     assert (rep.vertex_count, rep.edge_count, rep.min_degree) == (len(s), e, min(degs))
     assert rep.average_degree == 2.0 * e / len(s)
     assert weighted_average_degree(g, s) == rep.average_degree
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=10), st.data())
+def test_peel_to_min_degree_is_largest_qualifying_subset(ne, data):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    s = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    threshold = data.draw(st.integers(0, 10)) / 2
+    nbrs = {v: set() for v in range(n)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = peel_to_min_degree(g, s, threshold)
+    for size in range(len(s), 0, -1):
+        found = [c for c in combinations(s, size)
+                 if all(len(nbrs[v] & set(c)) >= threshold for v in c)]
+        if found:
+            # the union of two qualifying subsets qualifies: the largest is unique
+            assert found == [out]
+            return
+    assert out == ()
 
 
 @settings(deadline=None)

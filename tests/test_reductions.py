@@ -56,6 +56,36 @@ def test_greedy_invariants_random():
         assert dens >= max(res.cap_degree * k / g.n / 4, 1.0) or g.m < (k + 1) // 2
 
 
+# (graph, k, (h_prime, u, u_prime, cap_degree, g_prime_vertices)), recorded
+# from the set-based version. A graph is random_graph args or (n, edges); the
+# 8-cycle ties every degree, and the last two take the matching fallback
+GREEDY_GOLDEN = [
+    ((20, 40, 0), 6, ((0, 6, 7, 10, 13), (0, 7, 10), (6, 13), 5.0,
+                      (1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19))),
+    ((30, 60, 1), 7, ((1, 7, 8, 12, 15, 16, 20, 25), (8, 12, 15, 25), (1, 7, 16, 20), 5.0,
+                      (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20,
+                       21, 22, 23, 24, 26, 27, 28, 29))),
+    ((16, 24, 5), 5, ((0, 2, 10, 12, 15), (0, 2, 10), (12, 15), 4.0,
+                      (1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15))),
+    ((12, 40, 3), 4, ((2, 3, 5, 7), (2, 3), (5, 7), 6.0,
+                      (0, 1, 4, 5, 6, 7, 8, 9, 10, 11))),
+    ((8, tuple((i, (i + 1) % 8) for i in range(8))), 4,
+     ((0, 1), (0, 1), (), 2.0, (2, 3, 4, 5, 6, 7))),
+    ((9, ((5, 6), (0, 3), (7, 8))), 7,
+     ((0, 1, 3, 5, 6, 7, 8), (0, 3, 5, 6), (1, 7, 8), 1.0, (1, 2, 4, 7, 8))),
+    ((8, ((0, 1), (2, 3), (4, 5), (6, 7))), 4,
+     ((0, 1), (0, 1), (), 1.0, (2, 3, 4, 5, 6, 7))),
+]
+
+
+@pytest.mark.parametrize("graph,k,expected", GREEDY_GOLDEN)
+def test_greedy_core_golden(graph, k, expected):
+    g = random_graph(*graph) if len(graph) == 3 else Graph.from_edges(*graph)
+    res = greedy_core(g, k)
+    assert (res.h_prime, res.u, res.u_prime, res.cap_degree,
+            res.g_prime_vertices) == expected
+
+
 def test_greedy_k_out_of_range():
     with pytest.raises(ValueError):
         greedy_core(clique(4), 1)
@@ -113,6 +143,23 @@ def test_union_pads_when_out_of_edges():
 def test_prune_to_size_deterministic():
     g = clique(5, n=8)
     assert prune_to_size(g, range(8), 5) == (0, 1, 2, 3, 4)
+    # every degree ties on the 8-cycle: the smallest id goes first
+    ring = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert prune_to_size(ring, range(8), 5) == (3, 4, 5, 6, 7)
+    assert prune_to_size(ring, range(8), 3) == (5, 6, 7)
+
+
+# (random_graph args, s, k, kept), recorded from the set-based version
+PRUNE_GOLDEN = [
+    ((20, 40, 0), tuple(range(20)), 7, (7, 10, 13, 14, 16, 17, 19)),
+    ((16, 24, 5), (0, 2, 3, 5, 7, 8, 11, 13, 15), 4, (0, 2, 8, 15)),
+    ((12, 40, 3), tuple(range(12)), 5, (2, 3, 5, 7, 8)),
+]
+
+
+@pytest.mark.parametrize("spec,s,k,kept", PRUNE_GOLDEN)
+def test_prune_to_size_golden(spec, s, k, kept):
+    assert prune_to_size(random_graph(*spec), s, k) == kept
 
 
 # ---------------------------------------------------------------------------

@@ -251,12 +251,36 @@ def test_resize_pads_by_fringe():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     out = resize_to_k(g, [0, 1], 3)
     assert out == (0, 1, 2)
+    # ties go to the smaller id; with no fringe left, the first vertex outside
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (0, 3), (4, 5)])
+    assert resize_to_k(g, [0], 7) == (0, 1, 2, 3, 4, 5, 6)
+    ring = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert resize_to_k(ring, [0, 4], 6) == (0, 1, 2, 3, 4, 5)
 
 
 def test_resize_prunes_lowest_degree():
     g = clique(4, n=6)
     out = resize_to_k(g, [0, 1, 2, 3, 4], 4)
     assert out == (0, 1, 2, 3)
+    ring = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert resize_to_k(ring, range(8), 5) == (3, 4, 5, 6, 7)
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            resize_to_k(g, [0, 1], k)
+
+
+# (random_graph args, s, k, resized), recorded from the set-based version
+RESIZE_GOLDEN = [
+    ((20, 40, 0), (0, 1), 8, (0, 1, 2, 5, 7, 10, 12, 17)),
+    ((16, 24, 5), (3,), 6, (0, 2, 3, 10, 12, 15)),
+    ((12, 40, 3), (0, 4, 5, 9, 10, 11), 3, (0, 10, 11)),
+    ((30, 20, 2), (0, 1, 2), 9, (0, 1, 2, 5, 13, 20, 26, 28, 29)),
+]
+
+
+@pytest.mark.parametrize("spec,s,k,resized", RESIZE_GOLDEN)
+def test_resize_to_k_golden(spec, s, k, resized):
+    assert resize_to_k(random_graph(*spec), s, k) == resized
 
 
 def test_approximate_whole_graph():
