@@ -42,10 +42,6 @@ class CaterpillarSchedule:
     def num_internal(self) -> int:
         return self.s - self.r
 
-    def hair_positions(self) -> tuple[int, ...]:
-        """1-based step indices that are hair steps."""
-        return tuple(t for t, kind in enumerate(self.steps, start=1) if kind == HAIR)
-
 
 @dataclass(frozen=True)
 class CandidateTrace:
@@ -179,7 +175,6 @@ def _walk(A, steps: Sequence[str], block: np.ndarray,
 
 def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> int:
     adj = g.adj
-    total = 0
 
     def extend(step: int, backbone_v: Optional[int], used: tuple[int, ...],
                leaf_idx: int) -> int:
@@ -203,8 +198,7 @@ def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]
                     acc += extend(step + 1, u, used + (u,), leaf_idx)
         return acc
 
-    total = extend(1, None, (), 0)
-    return total
+    return extend(1, None, (), 0)
 
 
 def hair_step(g: Graph, current: np.ndarray, J: Sequence[int]) -> np.ndarray:

@@ -157,7 +157,7 @@ def cmd_solve(args, cfg) -> int:
         gt = float(sidecar["ground_truth_density"])
         record["ratio"] = gt / res.density if res.density > 0 else None
         record["ratio_vs"] = "planted"
-    elif g.n <= 18 and g.weights is None:
+    elif g.n <= 18 and g.weight_array is None:
         opt = brute_force_dks(g, k)
         record["ratio"] = opt.density / res.density if res.density > 0 else None
         record["ratio_vs"] = "brute-force"

@@ -1,19 +1,21 @@
 """Immutable undirected graph with degree/density queries and small exact oracles.
 
-Vertices are dense integer ids in [0, n). The edge set is a frozenset of
-canonical (u, v) tuples. Validation, degrees and a sorted CSR (indptr /
-indices) are computed with numpy from one sorted (m, 2) edge array; graph
-walks (Gamma(S), induced degrees, peeling) read the CSR rows. The lazy
-frozenset rows `adj` serve only set-at-a-time code: the brute-force injective
-caterpillar count and per-pair neighbourhood intersections.
+Vertices are dense integer ids in [0, n). A graph is stored as arrays: the
+sorted (m, 2) int64 edge array, an aligned float64 weight array when
+weighted, and an optional bipartition; every constructor ends in one array
+path. Degrees and a sorted CSR (indptr / indices) are numpy-built from the
+edge array, and graph walks (Gamma(S), induced degrees, peeling) read the CSR
+rows. The tuple views `edges`, `weights` and `adj` are built only when read:
+`adj` serves the brute-force injective caterpillar count and per-pair
+neighbourhood intersections, and no library code reads the other two.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, takewhile
+from itertools import combinations, takewhile
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -32,13 +34,6 @@ def normalize_vertex_set(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(v) for v in members)))
 
 
-def _canon_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-_PAIR = np.dtype((np.int64, 2))
-
-
 def _edge_array(edges) -> np.ndarray:
     """(m, 2) int64 array of an (m, 2) array or an iterable of (u, v) pairs."""
     if isinstance(edges, np.ndarray):
@@ -47,63 +42,78 @@ def _edge_array(edges) -> np.ndarray:
         return edges.astype(np.int64, copy=False).reshape(-1, 2)
     if not isinstance(edges, (list, tuple, set, frozenset)):
         edges = list(edges)
-    return np.fromiter(edges, dtype=_PAIR, count=len(edges))
+    return np.fromiter(edges, dtype=np.dtype((np.int64, 2)), count=len(edges))
 
 
-def _check_endpoints(uv: np.ndarray, n: int) -> None:
-    """Raise on the first edge with an endpoint outside [0, n) or a self-loop."""
+def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
+    """Orient the rows of uv (in range) as u < v, sort them and merge repeats,
+    carrying w (a weight per row, or None) along. Returns (uv, w, clash):
+    clash is None, or rows (i, j) where j is the first row whose weight
+    differs from that of row i, the earliest row on the same edge."""
+    code = uv.min(axis=1) * n + uv.max(axis=1)
+    clash = None
+    if w is None:
+        code = np.sort(code)
+        code = code[np.diff(code, prepend=-1) != 0]
+    else:
+        code, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        head = first[inverse]
+        bad = np.flatnonzero((w != w[head]) & (head != np.arange(len(w))))
+        clash = (int(head[bad[0]]), int(bad[0])) if len(bad) else None
+        w = w[first]
+    return np.stack(np.divmod(code, n), axis=1), w, clash
+
+
+def _canonical(n: int, edges, weights, strict: bool):
+    """(uv, w): the canonical edge array of the pairs `edges`, and the weights
+    dict keyed by those pairs as an array aligned to it (or None). strict,
+    for Graph(): pairs and keys must already be canonical (u < v)."""
+    uv = _edge_array(edges)
     if len(uv) and (uv.min() < 0 or uv.max() >= n):
         u, v = uv[((uv < 0) | (uv >= n)).any(axis=1).argmax()].tolist()
         raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{n})")
     bad = uv[:, 0] == uv[:, 1]
     if bad.any():
         raise GraphFormatError(f"self-loop at vertex {int(uv[bad.argmax(), 0])}")
+    if strict and (uv[:, 0] > uv[:, 1]).any():
+        u, v = uv[(uv[:, 0] > uv[:, 1]).argmax()].tolist()
+        raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
+    uv = _merge(n, uv)[0]
+    if weights is None:
+        return uv, None
+    keys = _edge_array(list(weights))
+    x = np.fromiter(weights.values(), dtype=np.float64, count=len(keys))
+    if not ((keys < 0) | (keys >= n) | (strict and keys[:, :1] > keys[:, 1:])).any():
+        merged, w, clash = _merge(n, keys, x)
+        if clash is not None:
+            i, j = clash
+            raise GraphFormatError(
+                f"conflicting duplicate weight on edge {tuple(sorted(keys[j].tolist()))}: "
+                f"{x[i].item()!r} and {x[j].item()!r}")
+        if np.array_equal(merged, uv):
+            return uv, w
+    raise GraphFormatError("weights must cover exactly the edge set")
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected graph on vertices [0, n).
+    """Immutable undirected graph on vertices [0, n).
 
-    edges: canonical (u, v) pairs with u < v, deduplicated, no self-loops.
-    weights: optional positive, finite weight per edge (same key order as edges).
-    bipartition: optional frozenset of "left" vertices; every edge must cross.
-
-    Derived structures are built lazily and cached: `edge_array` (the edges
-    as an (m, 2) array, always in lexicographic order), `csr`, `degrees`,
-    `adj` and `adjacency_matrix`.
+    Stored as arrays: `edge_array`, the (m, 2) int64 edges u < v, sorted,
+    deduplicated, no self-loops; `weight_array`, their positive, finite
+    float64 weights, or None; `bipartition`, an optional frozenset of "left"
+    vertices that every edge must cross. Graph(n, edges, weights, bipartition)
+    takes canonical pairs and weights keyed by exactly them; from_edges
+    canonicalizes. The views `edges` (a frozenset of (u, v) tuples), `weights`
+    (a dict keyed by them), `csr`, `degrees`, `adj` and `adjacency_matrix`
+    are built when first read and cached. Graphs are equal when n, edges,
+    weights and bipartition are; they are not hashable.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    weights: Optional[dict[tuple[int, int], float]] = None
-    bipartition: Optional[frozenset[int]] = None
-
-    def __post_init__(self):
-        n = self.n
-        uv = self.edge_array
-        _check_endpoints(uv, n)
-        bad = uv[:, 0] > uv[:, 1]
-        if bad.any():
-            u, v = uv[bad.argmax()].tolist()
-            raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
-        if self.weights is not None:
-            if self.weights.keys() != self.edges:
-                raise GraphFormatError("weights must cover exactly the edge set")
-            w = np.fromiter(self.weights.values(), dtype=np.float64,
-                            count=len(self.weights))
-            for bad, what in ((~(w > 0), "non-positive"),
-                              (~np.isfinite(w), "non-finite")):
-                if bad.any():
-                    e, x = next(islice(self.weights.items(), int(bad.argmax()), None))
-                    raise GraphFormatError(f"{what} weight {x} on edge {e}")
-        if self.bipartition is not None:
-            left = np.fromiter(self.bipartition, dtype=np.int64,
-                               count=len(self.bipartition))
-            side = np.isin(uv, left)
-            bad = side[:, 0] == side[:, 1]
-            if bad.any():
-                u, v = uv[bad.argmax()].tolist()
-                raise GraphFormatError(f"edge ({u},{v}) does not cross the bipartition")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
+                 weights: Optional[dict[tuple[int, int], float]] = None,
+                 bipartition: Optional[Iterable[int]] = None):
+        n = int(n)
+        self._init(n, *_canonical(n, edges, weights, strict=True), bipartition)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -116,41 +126,49 @@ class Graph:
         different weights are rejected.
         """
         n = int(n)
-        uv = _edge_array(edges)
-        _check_endpoints(uv, n)
-        key = np.sort(uv.min(axis=1) * n + uv.max(axis=1))
-        key = key[np.diff(key, prepend=-1) != 0]   # sorted and deduplicated
-        uv = np.stack(np.divmod(key, n), axis=1)
-        # one int object per vertex, shared by every edge tuple
-        ids = list(range(n))
-        canon = frozenset(zip(map(ids.__getitem__, uv[:, 0].tolist()),
-                              map(ids.__getitem__, uv[:, 1].tolist())))
-        w = None
-        if weights is not None:
-            w = {}
-            for (u, v), x in weights.items():
-                e, x = _canon_edge(u, v), float(x)
-                if e in w and w[e] != x:
+        return _graph(n, *_canonical(n, edges, weights, strict=False), bipartition)
+
+    def _init(self, n, uv, w, bipartition) -> "Graph":
+        """Check and store canonical arrays; every constructor ends here."""
+        if w is not None:
+            for bad, what in ((~(w > 0), "non-positive"), (~np.isfinite(w), "non-finite")):
+                if bad.any():
+                    i = int(bad.argmax())
                     raise GraphFormatError(
-                        f"conflicting duplicate weight on edge {e}: {w[e]!r} and {x!r}")
-                w[e] = x
-        bp = frozenset(bipartition) if bipartition is not None else None
-        g = Graph.__new__(Graph)
-        # seed the edge-array cache so __post_init__ validates without a rebuild
-        g.__dict__["edge_array"] = uv
-        g.__init__(n=n, edges=canon, weights=w, bipartition=bp)
-        return g
+                        f"{what} weight {w[i].item()} on edge {tuple(uv[i].tolist())}")
+        bp = None if bipartition is None else frozenset(bipartition)
+        if bp is not None:
+            side = np.isin(uv, np.fromiter(bp, dtype=np.int64, count=len(bp)))
+            bad = side[:, 0] == side[:, 1]
+            if bad.any():
+                u, v = uv[bad.argmax()].tolist()
+                raise GraphFormatError(f"edge ({u},{v}) does not cross the bipartition")
+        self.__dict__.update(n=n, edge_array=uv, weight_array=w, bipartition=bp)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        w, x = self.weight_array, getattr(other, "weight_array", None)
+        return (isinstance(other, Graph) and self.n == other.n
+                and self.bipartition == other.bipartition
+                and np.array_equal(self.edge_array, other.edge_array)
+                and (w is x or w is not None and x is not None and np.array_equal(w, x)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array in lexicographic order (from_edges
-        seeds it sorted; a graph built from a frozenset sorts it here)."""
-        uv = _edge_array(self.edges)
-        return uv[np.lexsort((uv[:, 1], uv[:, 0]))]
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(*self.edge_array.T.tolist()))
+
+    @cached_property
+    def weights(self) -> Optional[dict[tuple[int, int], float]]:
+        if self.weight_array is not None:
+            uv = map(tuple, self.edge_array.tolist())
+            return dict(zip(uv, self.weight_array.tolist()))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +251,6 @@ class SolveResult:
     density: float
     provenance: str
     gamma: float = 0.0
-    target_ratio: Optional[float] = None
 
     def better_than(self, other: Optional["SolveResult"]) -> bool:
         """Total order: density desc, vertex count asc, lexicographic."""
@@ -256,16 +273,11 @@ def load_graph(path) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"bad header line: {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise GraphFormatError(f"bad header line: {lines[0]!r}") from exc
-    edges = []
-    weights: dict[tuple[int, int], float] = {}
-    weighted = unweighted = False
+    edges, weights = [], []
     for ln in lines[1:1 + m]:
         parts = ln.split()
         if len(parts) not in (2, 3):
@@ -280,35 +292,35 @@ def load_graph(path) -> Graph:
             raise GraphFormatError(f"endpoint out of range: {ln!r}")
         edges.append((u, v))
         if len(parts) == 3:
-            weighted = True
             try:
                 w = float(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"malformed weight: {ln!r}") from exc
             if not w > 0:
                 raise GraphFormatError(f"non-positive weight: {ln!r}")
-            e = _canon_edge(u, v)
-            if weights.get(e, w) != w:
-                raise GraphFormatError(f"conflicting duplicate weight: {ln!r}")
-            weights[e] = w
-        else:
-            unweighted = True
-        if weighted and unweighted:
+            weights.append(w)
+        if 0 < len(weights) < len(edges):
             raise GraphFormatError(f"weighted and unweighted edge lines mixed: {ln!r}")
+    uv, w, clash = _merge(n, _edge_array(edges), np.array(weights) if weights else None)
+    if clash is not None:
+        raise GraphFormatError(f"conflicting duplicate weight: {lines[1 + clash[1]]!r}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
-    return Graph.from_edges(n, edges, weights if weighted else None)
+    return _graph(n, uv, w)
 
 
 def save_graph(g: Graph, path) -> None:
     """Write the edge-list format read back by load_graph."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{g.n} {g.m}\n")
-        for u, v in g.edge_array.tolist():
-            if g.weights is not None:
-                f.write(f"{u} {v} {g.weights[(u, v)]!r}\n")
-            else:
-                f.write(f"{u} {v}\n")
+        w = g.weight_array
+        w = [""] * g.m if w is None else [f" {x!r}" for x in w.tolist()]
+        f.writelines(f"{u} {v}{x}\n" for (u, v), x in zip(g.edge_array.tolist(), w))
+
+
+def _graph(n: int, uv: np.ndarray, w=None, bipartition=None) -> Graph:
+    """A Graph on arrays that are already canonical (see _canonical)."""
+    return object.__new__(Graph)._init(n, uv, w, bipartition)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -320,17 +332,13 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     members = tuple(vs.tolist())
     relabel = np.full(g.n, -1, dtype=np.int64)
     relabel[vs] = np.arange(len(vs))
-    edges = relabel[g.edge_array]
-    edges = edges[(edges >= 0).all(axis=1)]
-    weights = None
-    if g.weights is not None:
-        index = {old: new for new, old in enumerate(members)}
-        weights = {(index[u], index[v]): w for (u, v), w in g.weights.items()
-                   if u in index and v in index}
-    bp = None
-    if g.bipartition is not None:
-        bp = [new for new, old in enumerate(members) if old in g.bipartition]
-    return Graph.from_edges(len(members), edges, weights, bp), members
+    # relabelling is increasing on s, so the kept rows stay canonical and sorted
+    uv = relabel[g.edge_array]
+    inside = (uv >= 0).all(axis=1)
+    w = None if g.weight_array is None else g.weight_array[inside]
+    bp = None if g.bipartition is None else \
+        [new for new, old in enumerate(members) if old in g.bipartition]
+    return _graph(len(members), uv[inside], w, bp), members
 
 
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -390,12 +398,12 @@ def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:
     """2 W(s) / |s|, where W(s) is the total weight of the edges induced on s
     (1 per edge in an unweighted graph); s must be nonempty."""
     vs = vertex_array(g, s)
+    if not len(vs):
+        raise ValueError("weighted_average_degree of empty vertex set")
     induced = induced_edge_mask(g, vs)
-    if g.weights is None:
-        w = float(induced.sum())
-    else:
-        w = math.fsum(g.weights[e] for e in map(tuple, g.edge_array[induced].tolist()))
-    return 2.0 * w / len(vs)
+    w = g.weight_array
+    total = float(induced.sum()) if w is None else math.fsum(w[induced].tolist())
+    return 2.0 * total / len(vs)
 
 
 def _peel_order(g: Graph, vs: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -438,20 +446,17 @@ def brute_force_dks(g: Graph, k: int, budget: int = 5_000_000) -> SolveResult:
         raise BudgetExceededError(f"C({g.n},{k}) exceeds budget {budget}")
     # bitmask adjacency: popcount-based edge counting
     masks = [0] * g.n
-    for (u, v) in g.edges:
+    for u, v in g.edge_array.tolist():
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    best_edges = -1
-    best: Optional[tuple[int, ...]] = None
+    best_edges, best = -1, None
     for combo in combinations(range(g.n), k):
-        sel = 0
-        e = 0
+        sel = e = 0
         for v in combo:
             e += (masks[v] & sel).bit_count()
             sel |= 1 << v
         if e > best_edges:
-            best_edges = e
-            best = combo
+            best_edges, best = e, combo
     assert best is not None
     return SolveResult(vertices=best, density=2.0 * best_edges / k,
                        provenance="brute-force")

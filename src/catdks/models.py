@@ -220,14 +220,12 @@ def planted_rayleigh(g: Graph, h_set: Iterable[int]) -> float:
     k, n = len(members), g.n
     if not 0 < k < n:
         raise ValueError("need 0 < |h_set| < n")
-    inside = set(members)
     neg = Fraction(-k, n - k)
     assert k * Fraction(1) + (n - k) * neg == 0  # x ⟂ 1 exactly
-    num = Fraction(0)
-    for (u, v) in g.edges:
-        xu = Fraction(1) if u in inside else neg
-        xv = Fraction(1) if v in inside else neg
-        num += 2 * xu * xv
+    # edges with 0, 1 and 2 endpoints in h_set contribute x_u x_v = neg^2, neg and 1
+    inside = np.isin(g.edge_array, members).sum(axis=1)
+    none, one, both = np.bincount(inside, minlength=3).tolist()
+    num = 2 * (none * neg * neg + one * neg + both)
     den = Fraction(k) + Fraction(k * k, n - k)
     return float(num / den)
 

@@ -133,21 +133,17 @@ def weight_buckets(g: Graph) -> list[Graph]:
     Bucket i holds weights in (max/2^(i+1), max/2^i]; edges below the floor are
     dropped. Only nonempty buckets are returned (at most 2*log2(n)+1).
     """
-    if g.weights is None:
+    w = g.weight_array
+    if w is None:
         raise ValueError("weight_buckets requires a weighted graph")
-    if not g.weights:
+    if not len(w):
         return []
-    wmax = max(g.weights.values())
+    wmax = float(w.max())
     floor = wmax / (g.n * g.n)
     n_buckets = int(2 * math.log2(g.n)) + 1 if g.n > 1 else 1
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_buckets)]
-    for e, w in g.weights.items():
-        if w <= floor * (1 - 1e-12):
-            continue
-        i = 0
-        bound = wmax
-        while w <= bound / 2 and i < n_buckets - 1:
-            bound /= 2
-            i += 1
-        buckets[i].append(e)
-    return [Graph.from_edges(g.n, b) for b in buckets if b]
+    # an edge's bucket is the largest i with w <= bound[i] = wmax / 2^i (halved stepwise)
+    bound = np.cumprod(np.r_[wmax, np.full(n_buckets - 1, 0.5)])
+    bucket = np.searchsorted(-bound[1:], -w, side="right")
+    keep = w > floor * (1 - 1e-12)
+    return [Graph.from_edges(g.n, g.edge_array[keep & (bucket == i)])
+            for i in np.unique(bucket[keep])]

@@ -246,11 +246,15 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
     """Top-level driver: weight buckets -> greedy degree cap -> bipartite
     double cover -> caterpillar search at the cap's log-density -> collapse ->
     resize to k; returns the denser of the caterpillar output and the greedy
-    baseline."""
+    baseline.
+
+    Weighted input is solved bucket by bucket, each unweighted, which loses up
+    to an O(log n) factor by design: K6 at weight 1 plus a 6-edge matching at
+    weight 1000, k=6, finds weighted density 667 where 1000 is attainable."""
     config = config or SolverConfig()
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    if g.weights is not None:
+    if g.weight_array is not None:
         # each bucket is solved unweighted; its set is scored and reported by
         # its weighted average degree in g
         best: Optional[SolveResult] = None

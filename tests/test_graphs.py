@@ -145,6 +145,12 @@ def test_vertex_ids_range_checked(call, bad):
         call(path, bad)
 
 
+@pytest.mark.parametrize("call", [density_report, weighted_average_degree])
+def test_empty_vertex_set_rejected(call):
+    with pytest.raises(ValueError, match="empty vertex set"):
+        call(clique(3), [])
+
+
 def test_neighborhood_monotone():
     rng = np.random.default_rng(7)
     g = Graph.from_edges(12, {(int(a), int(b)) for a, b in

@@ -1,7 +1,7 @@
-"""Property tests: Graph canonical form, derived structures, edge-list round
-trip, the batched caterpillar walker against brute force, density_report
-against a plain count, peel_to_min_degree against brute force, and
-resize_to_k."""
+"""Property tests: Graph canonical form, its lazy edge and weight views,
+derived structures, edge-list round trip, the batched caterpillar walker
+against brute force, density_report against a plain count,
+peel_to_min_degree against brute force, and resize_to_k."""
 import os
 import tempfile
 from itertools import combinations
@@ -16,6 +16,7 @@ from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E4
                                 count_caterpillars)
 from catdks.graphs import (Graph, density_report, load_graph,  # noqa: E402
                            peel_to_min_degree, save_graph, weighted_average_degree)
+from catdks.reductions import bipartite_double_cover  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
 
@@ -43,6 +44,27 @@ def test_from_edges_canonical_under_order_orientation_duplication(ne, rnd):
     assert Graph.from_edges(n, messy) == g
     assert Graph.from_edges(n, np.array(messy, dtype=np.int64).reshape(-1, 2)) == g
     assert Graph.from_edges(n, iter(messy)) == g
+
+
+@settings(deadline=None)
+@given(edge_lists(), st.data())
+def test_lazy_views_match_canonical_input(ne, data):
+    n, edges = ne
+    messy = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    weights = None
+    if data.draw(st.booleans()):
+        pos = st.floats(min_value=1e-300, max_value=1e300,
+                        allow_nan=False, allow_infinity=False)
+        weights = {e: data.draw(pos) for e in messy}   # keys as given, (v, u) too
+    g = Graph.from_edges(n, messy + [(v, u) for u, v in messy], weights)
+    assert "edges" not in g.__dict__ and "weights" not in g.__dict__
+    assert g.m == len(edges)
+    assert g.edges == frozenset(edges)
+    assert g.weights == (None if weights is None else
+                         {(min(e), max(e)): w for e, w in weights.items()})
+    assert Graph(g.n, g.edges, g.weights, g.bipartition) == g
+    cover = bipartite_double_cover(g)
+    assert Graph(cover.n, cover.edges, None, cover.bipartition) == cover
 
 
 @settings(deadline=None)

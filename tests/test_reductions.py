@@ -252,3 +252,41 @@ def test_bucket_count_bound():
     out = weight_buckets(Graph.from_edges(n, edges, weights=w))
     assert len(out) <= 2 * math.log2(n) + 1
 
+
+
+def halving_loop_buckets(g):
+    """Reference: weight_buckets as a per-edge halving loop over the weights dict."""
+    wmax = max(g.weights.values())
+    floor = wmax / (g.n * g.n)
+    n_buckets = int(2 * math.log2(g.n)) + 1 if g.n > 1 else 1
+    buckets = [[] for _ in range(n_buckets)]
+    for e, w in g.weights.items():
+        if w <= floor * (1 - 1e-12):
+            continue
+        i = 0
+        bound = wmax
+        while w <= bound / 2 and i < n_buckets - 1:
+            bound /= 2
+            i += 1
+        buckets[i].append(e)
+    return [Graph.from_edges(g.n, b) for b in buckets if b]
+
+
+@pytest.mark.parametrize("n,wmax", [(16, 1.0), (16, 1000.0), (12, 3.0),
+                                    (12, 2.0 ** -1060)])
+def test_buckets_match_halving_loop_at_boundaries(n, wmax):
+    # every bucket bound wmax / 2^i (the floor wmax / n^2 is one of them when n
+    # is a power of two) exactly, one ulp below and one ulp above; the floor
+    # itself, one ulp either side of it, and half of it
+    floor = wmax / (n * n)
+    ws = [floor, math.nextafter(floor, 0), math.nextafter(floor, math.inf), floor / 2]
+    bound = wmax
+    for _ in range(int(2 * math.log2(n)) + 2):
+        ws += [bound, math.nextafter(bound, 0), math.nextafter(bound, math.inf)]
+        bound /= 2
+    ws = [w for w in ws if 0 < w <= wmax]
+    edges = list(combinations(range(n), 2))[:len(ws)]
+    g = Graph.from_edges(n, edges, weights=dict(zip(edges, ws)))
+    expected = halving_loop_buckets(g)
+    assert len(expected) >= 2 * math.log2(n) - 1
+    assert weight_buckets(g) == expected

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from catdks.graphs import Graph, brute_force_dks, density_report
+from catdks.graphs import Graph, brute_force_dks, density_report, load_graph, save_graph
+from catdks.models import plant
 from catdks.solvers import (SolverConfig, approximate, dks_cat_combinatorial,
                             dks_exp, dks_local, resize_to_k)
 
@@ -331,6 +332,19 @@ def test_approximate_weighted_density_is_host_weighted_density():
     assert len(res.vertices) == 6
     assert res.density == pytest.approx(2 * w / 6)
     assert res.density >= 2 * 2000 / 6
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_approximate_leaves_tuple_views_unbuilt(tmp_path, weighted):
+    # the solver path reads the stored arrays only: neither the frozenset of
+    # edge tuples nor the weights dict is ever built
+    path = tmp_path / "g.el"
+    save_graph(k6_plus_heavy_matching() if weighted
+               else plant(200, 0.5, 16, 0.8, seed=3).graph, path)
+    g = load_graph(path)
+    res = approximate(g, 6 if weighted else 16)
+    assert len(res.vertices) == (6 if weighted else 16)
+    assert "edges" not in g.__dict__ and "weights" not in g.__dict__
 
 
 def test_approximate_oracle_ratio_smoke():
