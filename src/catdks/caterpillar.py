@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, sorted_unique
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -207,7 +207,7 @@ def hair_step(g: Graph, current: np.ndarray, J: Sequence[int]) -> np.ndarray:
     inside = np.zeros(g.n, dtype=bool)
     inside[current] = True
     nbrs = g.rows(np.asarray(J, dtype=np.int64))[1]
-    return np.unique(nbrs[inside[nbrs]])
+    return sorted_unique(nbrs[inside[nbrs]])
 
 
 def candidate_trace(g: Graph, sched: CaterpillarSchedule,

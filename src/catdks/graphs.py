@@ -34,6 +34,16 @@ def normalize_vertex_set(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(v) for v in members)))
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of an integer array, from one sort and a mask of the
+    entries that differ from their predecessor (several times faster than
+    np.unique on the arrays the solvers pass)."""
+    a = np.sort(a, axis=None)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _edge_array(edges) -> np.ndarray:
     """(m, 2) int64 array of an (m, 2) array or an iterable of (u, v) pairs."""
     if isinstance(edges, np.ndarray):
@@ -53,8 +63,7 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     code = uv.min(axis=1) * n + uv.max(axis=1)
     clash = None
     if w is None:
-        code = np.sort(code)
-        code = code[np.diff(code, prepend=-1) != 0]
+        code = sorted_unique(code)
     else:
         code, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         head = first[inverse]
@@ -204,7 +213,7 @@ class Graph:
     def neighbors(self, vs: np.ndarray) -> np.ndarray:
         """Gamma(vs): the union of the neighbours of the vertices vs (not
         excluding vs itself), as a sorted array."""
-        return np.unique(self.rows(vs)[1])
+        return sorted_unique(self.rows(vs)[1])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -344,7 +353,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
     """s as a sorted, duplicate-free int64 array; raises ValueError on an id
     outside [0, n)."""
-    vs = np.unique(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64))
+    vs = sorted_unique(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64))
     bad = (vs < 0) | (vs >= g.n)
     if bad.any():
         raise ValueError(f"vertex {vs[bad.argmax()]} out of range [0,{g.n})")

@@ -13,20 +13,47 @@ length <= t-1 carries the constraint families:
 
 plus the recursion (subsystems at q.i), realized purely through indexing.
 The root homogenizer is fixed to 1, recovering the unhomogenized hierarchy.
-Exact rational arithmetic is the default for certificates.
+
+The constraint matrix is the LP. A path of length l is variable
+offset(l) + (its base-n digits), offset(l) = n^0 + ... + n^(l-1), which is
+the order of `variables`; one more column holds the constant 1 of the root
+pin. Every prefix has the same block of rows, so `build_lp` builds that
+block once and shifts it per prefix into row-ordered integer arrays
+(`LPRows`). Degree rows are scaled by d's denominator, so every coefficient
+is an integer.
+
+`check_feasible` is one reduction of coef * x[col] per row. Exact mode
+(tol = 0) scales a Fraction assignment by the lcm of its denominators and
+sums in int64 when max |coef| * max |x| * longest row proves that nothing
+overflows, and over Python ints in object arrays otherwise. A float value,
+or tol > 0, evaluates in float64, adding each row's terms in order.
+Residuals are in units of the unscaled row. The `Constraint` records (cid,
+family, terms) are decoded from the arrays only where they are read:
+violations, `export_lp` and `inst.constraints[r]`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .graphs import (BudgetExceededError, Graph, induced_degrees, normalize_vertex_set,
                      vertex_array)
 
 Path = tuple[int, ...]
 Number = Union[int, float, Fraction]
+
+# row kinds of a prefix block, in cid format and family; the block's terms
+# address y(q), y(q.i) and y(q.i.j) as column levels 0, 1 and 2
+_KINDS = (("kbound[{q}]", "k-bound"), ("deg[{q}|{i}]", "degree"),
+          ("box-up[{q}|{i}]", "box"), ("box-lo[{q}|{i}.{j}]", "box"),
+          ("box-mid[{q}|{i}.{j}]", "box"), ("sym[{q}|{i}.{j}]", "symmetry"))
+KBOUND, DEGREE, BOX_UP, BOX_LO, BOX_MID, SYM = range(len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -38,6 +65,47 @@ class Constraint:
     sense: str  # ">=" or "=="
 
 
+class LPRows(Sequence):
+    """The constraints as a row-ordered integer matrix over the columns
+    `variables` + [constant 1]: row r is sum(coef[e] * x[col[e]]) over
+    e in indptr[r]:indptr[r+1], sense ">=" or "==" (`eq`) 0, and equals its
+    constraint times scale[r]. Indexing decodes row r into a `Constraint`."""
+
+    def __init__(self, variables: list[Path], indptr: np.ndarray, col: np.ndarray,
+                 coef: np.ndarray, scale: np.ndarray, eq: np.ndarray,
+                 block: tuple[list[int], list[int], list[int]]):
+        self.variables = variables
+        self.indptr, self.col, self.coef, self.scale, self.eq = indptr, col, coef, scale, eq
+        self.block = block     # per block row: kind, i, j
+        # |row sum| <= row_bound * max |x|: decides whether int64 is exact
+        self.row_bound = int(np.abs(coef).max()) * int(np.diff(indptr).max())
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, r: int) -> Constraint:
+        if not -len(self) <= r < len(self):
+            raise IndexError("constraint index out of range")
+        r %= len(self)
+        lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
+        s = int(self.scale[r])
+        terms = []
+        for c, e in zip(self.col[lo:hi].tolist(), self.coef[lo:hi].tolist()):
+            coef = Fraction(e, s)
+            terms.append((coef.numerator if coef.denominator == 1 else coef,
+                          self.variables[c] if c < len(self.variables) else None))
+        sense = "==" if self.eq[r] else ">="
+        if r < 2:
+            return Constraint(("root-lo", "root-hi")[r], "root", tuple(terms), sense)
+        # blocks run over the prefixes in `variables` order, from the root
+        b, local = divmod(r - 2, len(self.block[0]))
+        q = self.variables[b]
+        kind, i, j = (a[local] for a in self.block)
+        fmt, family = _KINDS[kind]
+        return Constraint(fmt.format(q=".".join(map(str, q)) or "-", i=i, j=j),
+                          family, tuple(terms), sense)
+
+
 @dataclass
 class LPInstance:
     graph: Graph
@@ -45,7 +113,7 @@ class LPInstance:
     d: Fraction
     t: int
     variables: list[Path]
-    constraints: list[Constraint]
+    constraints: LPRows
 
 
 @dataclass
@@ -56,6 +124,49 @@ class Verdict:
 
 def _var_name(p: Path) -> str:
     return "h" if not p else "y_" + "_".join(str(v) for v in p)
+
+
+def _by_row(groups) -> list[np.ndarray]:
+    """Concatenate groups of fields (block rows, ...) field by field,
+    broadcasting each scalar field to its group's length, and sort them by
+    block row, keeping the given order within a row."""
+    fields = [np.concatenate([np.broadcast_to(g[f], np.shape(g[0])) for g in groups])
+              for f in range(len(groups[0]))]
+    order = np.argsort(fields[0], kind="stable")
+    return [a[order] for a in fields]
+
+
+def _block(g: Graph, k: int, d: Fraction):
+    """The rows of one prefix q, in order: k-bound; then for each i, [degree],
+    box-up, and for each j, box-lo, box-mid, [sym if i < j]. Vacuous 0 >= 0
+    degree rows (isolated i, d = 0) are skipped.
+
+    Returns the terms as arrays (block row, column level, column within the
+    level, coefficient), each row's terms in order, and per block row
+    (kind, i, j)."""
+    n = g.n
+    vs = np.arange(n)
+    has_deg = (g.degrees > 0) | (d != 0)
+    size = has_deg + 1 + 2 * n + (n - 1 - vs)           # rows of each i
+    start = 1 + np.cumsum(size) - size
+    up = start + has_deg                                  # box-up[i]
+    I, J = np.divmod(np.arange(n * n), n)
+    lo = up[I] + 1 + 2 * J + np.maximum(J - I - 1, 0)     # box-lo[i.j]
+    u = J > I
+    di = vs[has_deg]
+    owner, nbr = g.rows(vs)                               # CSR rows are sorted
+    ij = I * n + J
+    _, kind, i, j = _by_row([
+        ([0], KBOUND, 0, 0), (start[di], DEGREE, di, 0), (up, BOX_UP, vs, 0),
+        (lo, BOX_LO, I, J), (lo + 1, BOX_MID, I, J), (lo[u] + 2, SYM, I[u], J[u])])
+    terms = _by_row([  # (block row, level, column in level, coefficient)
+        ([0], 0, 0, k), (np.zeros(n, np.int64), 1, vs, -1),
+        (start[owner], 2, owner * n + nbr, d.denominator), (start[di], 1, di, -d.numerator),
+        (up, 0, 0, 1), (up, 1, vs, -1),
+        (lo, 2, ij, 1),
+        (lo + 1, 1, I, 1), (lo + 1, 2, ij, -1),
+        (lo[u] + 2, 2, ij[u], 1), (lo[u] + 2, 2, (J * n + I)[u], -1)])
+    return terms, (kind, i, j)
 
 
 def build_lp(g: Graph, k: int, d: Number, t: int,
@@ -73,52 +184,32 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
         raise BudgetExceededError(
             f"instance needs {var_count} variables, budget {budget}")
     d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
-    indptr, indices = (a.tolist() for a in g.csr)   # CSR rows are sorted
 
     variables: list[Path] = [()]
     for length in range(1, t + 2):
         variables.extend(product(range(n), repeat=length))
 
-    # the root pin h = 1 is encoded with a constant term (path None)
-    cons: list[Constraint] = [
-        Constraint(cid="root-lo", family="root", terms=((1, ()), (-1, None)), sense=">="),
-        Constraint(cid="root-hi", family="root", terms=((-1, ()), (1, None)), sense=">="),
-    ]
-
-    prefixes: list[Path] = [()]
-    for length in range(1, t):
-        prefixes.extend(product(range(n), repeat=length))
-
-    for q in prefixes:
-        qs = ".".join(map(str, q)) or "-"
-        # (1) k-bound
-        terms = [(Fraction(k), q)] + [(-1, q + (i,)) for i in range(n)]
-        cons.append(Constraint(cid=f"kbound[{qs}]", family="k-bound",
-                               terms=tuple(terms), sense=">="))
-        for i in range(n):
-            # (2) degree; vacuous 0 >= 0 rows (isolated vertex, d = 0) skipped
-            row = indices[indptr[i]:indptr[i + 1]]
-            if row or d != 0:
-                terms = [(1, q + (i, j)) for j in row] + [(-d, q + (i,))]
-                cons.append(Constraint(cid=f"deg[{qs}|{i}]", family="degree",
-                                       terms=tuple(terms), sense=">="))
-            # (4) box chain: y(q.i) <= y(q)
-            cons.append(Constraint(cid=f"box-up[{qs}|{i}]", family="box",
-                                   terms=((1, q), (-1, q + (i,))), sense=">="))
-            for j in range(n):
-                # (4) 0 <= y(q.i.j) <= y(q.i)
-                cons.append(Constraint(cid=f"box-lo[{qs}|{i}.{j}]", family="box",
-                                       terms=((1, q + (i, j)),), sense=">="))
-                cons.append(Constraint(cid=f"box-mid[{qs}|{i}.{j}]", family="box",
-                                       terms=((1, q + (i,)), (-1, q + (i, j))),
-                                       sense=">="))
-                if i < j:
-                    # (3) symmetry
-                    cons.append(Constraint(cid=f"sym[{qs}|{i}.{j}]", family="symmetry",
-                                           terms=((1, q + (i, j)), (-1, q + (j, i))),
-                                           sense="=="))
-    return LPInstance(graph=g, k=k, d=d, t=t, variables=variables,
-                      constraints=cons)
+    (row, level, col, coef), (kind, row_i, row_j) = _block(g, k, d)
+    # offset[l] is the first variable of length l; offset[t + 2] = var_count
+    # is the constant column, which pins h = 1 through the two root rows
+    offset = np.cumsum([0] + [n ** l for l in range(t + 2)])
+    stride = n ** level
+    cols = [np.array([0, var_count, 0, var_count])]
+    for length in range(t):
+        prefix = np.arange(n ** length)[:, None]
+        cols.append((offset[length + level] + prefix * stride + col).ravel())
+    blocks = int(offset[t])                 # one per prefix, in `variables` order
+    lengths = np.bincount(row, minlength=len(kind))
+    rows = LPRows(
+        variables,
+        indptr=np.concatenate([[0, 2, 4], 4 + np.cumsum(np.tile(lengths, blocks))]),
+        col=np.concatenate(cols),
+        coef=np.concatenate([[1, -1, -1, 1], np.tile(coef, blocks)]),
+        scale=np.concatenate([[1, 1], np.tile(np.where(kind == DEGREE, d.denominator, 1),
+                                              blocks)]),
+        eq=np.concatenate([[False, False], np.tile(kind == SYM, blocks)]),
+        block=(kind.tolist(), row_i.tolist(), row_j.tolist()))
+    return LPInstance(graph=g, k=k, d=d, t=t, variables=variables, constraints=rows)
 
 
 def indicator_solution(inst: LPInstance, h_set: Iterable[int],
@@ -132,39 +223,52 @@ def indicator_solution(inst: LPInstance, h_set: Iterable[int],
     vs = vertex_array(g, h_set)
     if len(vs) > inst.k:
         raise ValueError(f"|h_set| = {len(vs)} exceeds k = {inst.k}")
-    mset = set(vs.tolist())
     for v, deg in zip(vs.tolist(), induced_degrees(g, vs).tolist()):
         if deg < inst.d:
             raise ValueError(
                 f"vertex {v} has induced degree {deg} < d = {inst.d}")
-    assignment: dict[Path, int] = {}
-    for p in inst.variables:
-        assignment[p] = 1 if all(v in mset for v in p) else 0
-    return assignment
+    member = np.isin(np.arange(inst.graph.n), vs).astype(np.int64)
+    levels = [np.ones(1, np.int64)]
+    for _ in range(inst.t + 1):            # paths of length l in base-n order
+        levels.append(np.multiply.outer(levels[-1], member).ravel())
+    return dict(zip(inst.variables, np.concatenate(levels).tolist()))
 
 
 def check_feasible(inst: LPInstance, assignment: dict[Path, Number],
                    tol: Number = 0) -> Verdict:
-    """Exhaustive constraint evaluation; tol = 0 means exact rational mode."""
-    exact = tol == 0
-    violations: list[dict] = []
-    for c in inst.constraints:
-        acc: Number = Fraction(0) if exact else 0.0
-        for coef, p in c.terms:
-            if p is None:
-                val: Number = 1  # constant term (root pin)
-            else:
-                if p not in assignment:
-                    raise KeyError(f"assignment missing variable {_var_name(p)}")
-                val = assignment[p]
-            if exact:
-                acc += coef * val   # int/Fraction arithmetic is exact
-            else:
-                acc += float(coef) * float(val)
-        bad = (acc < -tol) if c.sense == ">=" else (abs(acc) > tol)
-        if bad:
-            violations.append({"constraint": c.cid, "family": c.family,
-                               "residual": float(acc)})
+    """Exhaustive constraint evaluation; tol = 0 means exact rational mode
+    (float values, if any, are evaluated in float64)."""
+    rows = inst.constraints
+    try:
+        vals = [assignment[p] for p in inst.variables]
+    except KeyError as e:
+        raise KeyError(f"assignment missing variable {_var_name(e.args[0])}") from None
+    types = set(map(type, vals))
+    if tol != 0 or any(issubclass(t, float) for t in types):
+        x = np.array(vals + [1], dtype=np.float64)
+        owner = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+        acc = np.zeros(len(rows))
+        # unbuffered, in term order: the same float sums as a per-row loop
+        np.add.at(acc, owner, (rows.coef / rows.scale[owner]).astype(np.float64)
+                  * x[rows.col])
+        bad = np.where(rows.eq, np.abs(acc) > float(tol), acc < -float(tol))
+        sums, den = acc, None
+    else:
+        if types <= {int}:
+            den, ints = 1, vals + [1]
+        else:
+            den = math.lcm(*{v.denominator for v in vals})
+            ints = [v.numerator * (den // v.denominator) for v in vals] + [den]
+        dtype = np.int64 if max(max(ints), -min(ints)) * rows.row_bound < 2**63 else object
+        prod = rows.coef.astype(dtype, copy=False) * np.array(ints, dtype=dtype)[rows.col]
+        sums = np.add.reduceat(prod, rows.indptr[:-1])
+        bad = np.where(rows.eq, sums != 0, sums < 0)
+    violations = []
+    for r in np.flatnonzero(bad).tolist():
+        c = rows[r]
+        value = sums[r] if den is None else Fraction(int(sums[r]), den * int(rows.scale[r]))
+        violations.append({"constraint": c.cid, "family": c.family,
+                           "residual": float(value)})
     return Verdict(feasible=not violations, violations=violations)
 
 

@@ -1,4 +1,9 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -150,6 +155,38 @@ def test_float_tolerance_mode():
     a[(0, 1)] += 5e-10
     assert check_feasible(inst, a, tol=1e-9).feasible
     assert not check_feasible(inst, a, tol=1e-12).feasible
+
+
+def reference_violations(inst, assignment):
+    """check_feasible's exact violations, evaluated row by row in Fractions
+    from the decoded constraint records."""
+    violations = []
+    for c in inst.constraints:
+        acc = Fraction(0)
+        for coef, p in c.terms:
+            acc += Fraction(coef) * Fraction(1 if p is None else assignment[p])
+        if (acc < 0) if c.sense == ">=" else (acc != 0):
+            violations.append({"constraint": c.cid, "family": c.family,
+                               "residual": float(acc)})
+    return violations
+
+
+def test_exact_check_beyond_int64():
+    # values near 2**62 against degree rows scaled by a denominator near
+    # 10**12: the int64 bound fails, so the sums run over Python ints
+    g = clique(4, n=5)
+    d = Fraction(3 * 10**12 - 37, 10**12 - 11)   # just below 3
+    inst = build_lp(g, 4, d, 2)
+    rows = inst.constraints
+    a = {p: v * 2**62 for p, v in indicator_solution(inst, range(4)).items()}
+    a[(0, 1)] -= 1
+    a[(1, 2, 3)] = Fraction(2**62 + 1, 3)
+    a[(4,)] = -(2**62)
+    assert max(map(abs, a.values())) * int(abs(rows.coef).max()) >= 2**63
+    verdict = check_feasible(inst, a)
+    assert verdict.violations == reference_violations(inst, a)
+    assert {v["family"] for v in verdict.violations} >= {"root", "degree", "symmetry",
+                                                          "box"}
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +358,71 @@ def test_export_weight_vector(tmp_path):
     assert "obj: 2 y_0 + 0 y_1 + 1 y_2" in out.read_text()
     with pytest.raises(ValueError):
         export_lp(inst, out, objective_weights=[1])
+
+
+# ---------------------------------------------------------------------------
+# golden: sizes, export text and violation lists, recorded from the
+# one-Python-object-per-row implementation
+
+
+GOLDEN_CASES = {
+    # name: (n, edges, k, d, t, planted set)
+    "frac-d-t1": (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], 3, Fraction(3, 2), 1,
+                  [0, 1, 2]),
+    "d0-isolated-t2": (4, [(0, 1), (1, 2)], 2, 0, 2, [0, 3]),
+    "triangle-t3": (3, [(0, 1), (1, 2), (0, 2)], 3, 2, 3, [0, 1, 2]),
+    "frac-d-t2": (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)],
+                  4, Fraction(7, 3), 2, [0, 1, 2, 3]),
+    "isolated-d1-t1": (6, [(0, 1), (1, 2), (3, 4)], 2, 1, 1, [0, 1]),
+}
+
+
+def _perturbed(inst, planted, kind):
+    """The planted indicator with a few fixed entries moved; (assignment, tol)."""
+    a = indicator_solution(inst, planted)
+    deep = tuple([0, 1, 2, 0][: inst.t + 1])
+    if kind == "int":
+        a.update({(0, 1): 2, (1,): 0, (2, 2): -1, deep: 3})
+        return a, 0
+    if kind == "fraction":
+        a.update({(1, 2): Fraction(1, 3), (2,): Fraction(5, 7), deep: Fraction(-2, 9)})
+        return a, 0
+    a = {p: float(v) for p, v in a.items()}
+    a[(0, 2)] += 0.25
+    a[(1, 1)] -= 3e-9
+    a[(2,)] += 1 / 3
+    a[deep] -= 0.1
+    return a, 1e-9
+
+
+def _golden_record(name, tmp_path):
+    n, edges, k, d, t, planted = GOLDEN_CASES[name]
+    inst = build_lp(Graph.from_edges(n, edges), k, d, t)
+    out = tmp_path / f"{name}.lp"
+    export_lp(inst, out)
+    record = {"variables": len(inst.variables), "constraints": len(inst.constraints),
+              "export_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+    for kind in ("int", "fraction", "float"):
+        a, tol = _perturbed(inst, planted, kind)
+        record[kind] = [[v["constraint"], v["family"], v["residual"]]
+                        for v in check_feasible(inst, a, tol=tol).violations]
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_lp_golden(name, tmp_path):
+    golden = json.loads((DATA / "lp_golden.json").read_text())
+    assert _golden_record(name, tmp_path) == golden[name]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so that the CLI
+    # (and every `import catdks.cli`) starts without it
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, catdks.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

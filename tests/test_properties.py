@@ -1,9 +1,11 @@
 """Property tests: Graph canonical form, its lazy edge and weight views,
 derived structures, edge-list round trip, the batched caterpillar walker
 against brute force, density_report against a plain count,
-peel_to_min_degree against brute force, and resize_to_k."""
+peel_to_min_degree against brute force, resize_to_k, and the exact LP
+check against a per-row Fraction evaluation."""
 import os
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -16,9 +18,11 @@ from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E4
                                 count_caterpillars)
 from catdks.graphs import (Graph, density_report, load_graph,  # noqa: E402
                            peel_to_min_degree, save_graph, weighted_average_degree)
+from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks.reductions import bipartite_double_cover  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
+from test_lp import reference_violations  # noqa: E402
 
 SCHEDULES = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 5), (3, 5)]
 
@@ -167,3 +171,21 @@ def test_resize_to_k_returns_exactly_k(ne, data):
         assert set(s) <= set(out)
     else:
         assert set(out) <= set(s)
+
+
+@settings(deadline=None, max_examples=60)
+@given(edge_lists(max_n=6), st.integers(1, 2), st.integers(0, 6),
+       st.fractions(min_value=-1, max_value=6, max_denominator=12),
+       st.randoms(use_true_random=False))
+def test_check_feasible_matches_row_reference(nedges, t, k, d, rnd):
+    """check_feasible (exact) against a per-row Fraction evaluation of the
+    decoded constraints, on a random subset indicator with some entries
+    replaced by random ints and Fractions."""
+    n, edges = nedges
+    inst = build_lp(Graph(n, frozenset(edges)), k, d, t)
+    members = {v for v in range(n) if rnd.random() < 0.5}
+    a = {p: int(all(v in members for v in p)) for p in inst.variables}
+    for p in rnd.sample(inst.variables, rnd.randint(0, len(inst.variables))):
+        a[p] = rnd.choice([rnd.randint(-2, 2),
+                           Fraction(rnd.randint(-20, 20), rnd.randint(1, 9))])
+    assert check_feasible(inst, a).violations == reference_violations(inst, a)
