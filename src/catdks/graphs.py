@@ -29,11 +29,6 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive operation was asked to exceed its configured budget."""
 
 
-def normalize_vertex_set(members: Iterable[int]) -> tuple[int, ...]:
-    """Sorted, duplicate-free tuple of vertex ids."""
-    return tuple(sorted(set(int(v) for v in members)))
-
-
 def sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique(a) of an integer array, from one sort and a mask of the
     entries that differ from their predecessor (several times faster than

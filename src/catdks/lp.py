@@ -42,8 +42,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import (BudgetExceededError, Graph, induced_degrees, normalize_vertex_set,
-                     vertex_array)
+from .graphs import BudgetExceededError, Graph, induced_degrees, vertex_array
 
 Path = tuple[int, ...]
 Number = Union[int, float, Fraction]
@@ -275,7 +274,7 @@ def check_feasible(inst: LPInstance, assignment: dict[Path, Number],
 def lp_value(assignment: dict[Path, Number], s_set: Iterable[int]) -> Number:
     """LP(S) = sum of top-level values over S."""
     total: Number = 0
-    for i in normalize_vertex_set(s_set):
+    for i in sorted(set(map(int, s_set))):
         if (i,) not in assignment:
             raise KeyError(f"assignment missing top-level variable y_{i}")
         total += assignment[(i,)]

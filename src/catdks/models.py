@@ -11,12 +11,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .caterpillar import build_schedule, max_witness_count
-from .graphs import Graph, density_report, normalize_vertex_set
+from .graphs import Graph, density_report, vertex_array
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
 def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
                     seed: int = 0) -> PlantedInstance:
     """Replace the induced subgraph on `location` by an arbitrary graph h."""
-    loc = normalize_vertex_set(location)
+    loc = tuple(vertex_array(g_base, location).tolist())
     if len(loc) != h.n:
         raise ValueError(f"location size {len(loc)} != |V(h)| = {h.n}")
     g = _replace_induced(g_base, loc, h)
@@ -161,13 +161,36 @@ def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
                                      notes=f"c={c}")
 
 
-def lambda2_estimate(g: Graph, iters: Optional[int] = None, tol: float = 1e-6,
-                     seed: int = 0, restarts: int = 3) -> float:
-    """Largest-magnitude eigenvalue of the adjacency operator on the
-    complement of the all-ones direction, by deflated power iteration.
+def _extreme_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray],
+                        which: str, seed: int) -> float:
+    """One extreme eigenvalue (eigsh's `which`: "LM", "LA" or "SA") of the
+    symmetric operator x -> matvec(x) on R^n, by ARPACK (Lehoucq-Sorensen-Yang)
+    from a start vector drawn from default_rng(seed).
 
-    Warns and returns the best estimate when not converged within the
-    iteration cap (default 10n).
+    When ARPACK does not converge this warns ("did not converge") and returns
+    its partial estimate: the Ritz value it returned, or the Rayleigh quotient
+    of the start vector when it returned none.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+    except ArpackNoConvergence as err:
+        warnings.warn(f"eigsh did not converge ({err}); returning its partial estimate",
+                      stacklevel=3)
+        if len(err.eigenvalues):
+            return float(err.eigenvalues[0])
+        return float(v0 @ matvec(v0) / (v0 @ v0))
+
+
+def lambda2_estimate(g: Graph, seed: int = 0) -> float:
+    """Largest-magnitude eigenvalue of the adjacency operator on the
+    complement of the all-ones direction, |lambda| of P A P with P = I - J/n.
+
+    Computed matrix-free by ARPACK from a start vector seeded by `seed`; warns
+    and returns the partial estimate when ARPACK does not converge.
     """
     n = g.n
     if n == 0:
@@ -175,39 +198,12 @@ def lambda2_estimate(g: Graph, iters: Optional[int] = None, tol: float = 1e-6,
     if g.m == 0:
         return 0.0
     A = g.adjacency_matrix
-    iters = iters if iters is not None else 10 * n
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    converged = False
-    for _ in range(restarts):
-        x = rng.standard_normal(n)
-        x -= x.mean()
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            continue
-        x /= nrm
-        prev_q = None
-        for _ in range(iters):
-            y = A @ x
-            y -= y.mean()          # deflate the all-ones direction
-            nrm = np.linalg.norm(y)
-            if nrm == 0:
-                prev_q = 0.0
-                converged = True
-                break
-            x = y / nrm
-            q = float(x @ (A @ x))
-            if prev_q is not None and abs(q - prev_q) < tol:
-                prev_q = q
-                converged = True
-                break
-            prev_q = q
-        if prev_q is not None:
-            best = max(best, abs(prev_q))
-    if not converged:
-        warnings.warn("power iteration did not converge; returning best estimate",
-                      stacklevel=2)
-    return best
+
+    def deflated(x):
+        y = A @ (x - x.mean())
+        return y - y.mean()
+
+    return abs(_extreme_eigenvalue(n, deflated, "LM", seed))
 
 
 def planted_rayleigh(g: Graph, h_set: Iterable[int]) -> float:
@@ -216,7 +212,7 @@ def planted_rayleigh(g: Graph, h_set: Iterable[int]) -> float:
     The vector is orthogonal to all-ones by construction; this is asserted in
     exact rational arithmetic.
     """
-    members = normalize_vertex_set(h_set)
+    members = vertex_array(g, h_set)
     k, n = len(members), g.n
     if not 0 < k < n:
         raise ValueError("need 0 < |h_set| < n")
@@ -246,19 +242,19 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
     D is the realized average degree 2|E|/n. lambda2 here is the top
     eigenvalue of the centered adjacency A - (D/n)J, which makes the
     certificate matrix psd by construction; on G(n,p) it coincides with the
-    deflated estimate up to lower-order terms. Dense eigendecomposition;
-    intended for n in the hundreds.
+    deflated estimate up to lower-order terms. Both eigenvalues come from
+    separate matrix-free ARPACK solves (start vectors seeded by `seed`), so
+    psd_margin is a numerical check of the certificate, near 0 when it holds.
     """
     n = g.n
     if n == 0 or g.m == 0:
         return {"dual_value": 0.0, "psd_margin": 0.0, "lambda2": 0.0}
     D = 2 * g.m / n
-    A = g.adjacency_matrix.toarray()
-    J = np.ones((n, n))
-    lam2 = float(np.linalg.eigvalsh(A - (D / n) * J)[-1])
+    A = g.adjacency_matrix
+    lam2 = _extreme_eigenvalue(n, lambda x: A @ x - (D / n) * x.sum(), "LA", seed)
     dual_value = k * k * D / n + k * lam2
-    M = (D / n) * J - A + lam2 * np.eye(n)
-    margin = float(np.linalg.eigvalsh(M)[0])
+    margin = _extreme_eigenvalue(n, lambda x: (D / n) * x.sum() - A @ x + lam2 * x,
+                                 "SA", seed)
     return {"dual_value": dual_value, "psd_margin": margin, "lambda2": lam2}
 
 
@@ -290,7 +286,7 @@ def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0,
         return DistinguishVerdict.decide("primal-witness-edges", 0.0, 0.0)
     D = 2 * g.m / n
     thr = c * k * (math.sqrt(D) + k * k * D / n)
-    verts = normalize_vertex_set(witness) if witness is not None \
+    verts = vertex_array(g, witness) if witness is not None \
         else _dense_subset_heuristic(g, k)
     stat = float(g.edge_count_within(verts))
     return DistinguishVerdict.decide("primal-witness-edges", stat, thr,

@@ -6,8 +6,8 @@ import pytest
 
 from catdks.graphs import (BudgetExceededError, Graph, GraphFormatError,
                            brute_force_dks, density_report, induced_subgraph,
-                           load_graph, neighborhood, normalize_vertex_set,
-                           peel_to_min_degree, save_graph, weighted_average_degree)
+                           load_graph, neighborhood, peel_to_min_degree, save_graph,
+                           vertex_array, weighted_average_degree)
 from catdks.reductions import prune_to_size
 from catdks.solvers import dks_local, resize_to_k
 
@@ -264,8 +264,12 @@ def test_brute_budget():
         brute_force_dks(Graph.from_edges(30, [(0, 1)]), 15, budget=100)
 
 
-def test_normalize_vertex_set():
-    assert normalize_vertex_set([3, 1, 3, 2]) == (1, 2, 3)
+def test_vertex_array():
+    g = Graph.from_edges(4, [])
+    assert vertex_array(g, [3, 1, 3, 2]).tolist() == [1, 2, 3]
+    for bad in ([0, 4], [-1]):
+        with pytest.raises(ValueError):
+            vertex_array(g, bad)
 
 
 # ---------------------------------------------------------------------------

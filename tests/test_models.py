@@ -184,6 +184,32 @@ def test_planted_rayleigh_validates():
         planted_rayleigh(clique(4), range(4))
 
 
+def test_planted_rayleigh_rejects_out_of_range_ids():
+    g = gen_gnp(10, 0.5, 1)
+    for bad in ([0, 1, 99], [-1, 0, 1]):
+        with pytest.raises(ValueError):
+            planted_rayleigh(g, bad)
+
+
+@pytest.mark.parametrize("partial", [[], [3.5]])
+def test_spectral_nonconvergence_warns(monkeypatch, partial):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("No convergence", np.array(partial),
+                                      np.zeros((0, len(partial))))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    g = gen_gnp(60, 0.2, 1)
+    with pytest.warns(UserWarning, match="did not converge"):
+        lam = lambda2_estimate(g)
+    with pytest.warns(UserWarning, match="did not converge"):
+        cert = sdp_dual_certificate(g, 5)
+    assert math.isfinite(lam) and all(math.isfinite(v) for v in cert.values())
+    if partial:
+        assert lam == cert["lambda2"] == 3.5
+
+
 def test_spectral_distinguisher_null_vs_planted():
     rho = 0.5
     n = 400
@@ -210,6 +236,34 @@ def test_sdp_margin_nonneg_by_construction():
         g = gen_gnp(120, 0.1, seed)
         out = sdp_dual_certificate(g, 10)
         assert out["psd_margin"] >= -1e-9
+
+
+def _dense_sdp_certificate(g, k):
+    """Reference: the certificate from two dense eigvalsh calls."""
+    n = g.n
+    D = 2 * g.m / n
+    A = g.adjacency_matrix.toarray()
+    J = np.ones((n, n))
+    lam2 = float(np.linalg.eigvalsh(A - (D / n) * J)[-1])
+    margin = float(np.linalg.eigvalsh((D / n) * J - A + lam2 * np.eye(n))[0])
+    return {"dual_value": k * k * D / n + k * lam2, "psd_margin": margin,
+            "lambda2": lam2}
+
+
+def test_sdp_matches_dense_oracle():
+    for seed in range(5):
+        g = gen_gnp(120, 0.1, seed)
+        out, ref = sdp_dual_certificate(g, 10, seed=seed), _dense_sdp_certificate(g, 10)
+        assert out["lambda2"] == pytest.approx(ref["lambda2"], rel=1e-9)
+        assert out["dual_value"] == pytest.approx(ref["dual_value"], rel=1e-9)
+        assert out["psd_margin"] >= -1e-9
+        assert out["psd_margin"] == pytest.approx(ref["psd_margin"], abs=1e-9)
+
+
+def test_sdp_runs_at_n_2000():
+    out = sdp_dual_certificate(gen_gnp(2000, 0.01, 0), 20)
+    assert out["psd_margin"] >= -1e-6
+    assert 0 < out["lambda2"] < 2 * math.sqrt(2000 * 0.01) + 3
 
 
 def test_sdp_weak_duality_exhaustive_small():
