@@ -201,31 +201,48 @@ def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]
     return extend(1, None, (), 0)
 
 
-def hair_step(g: Graph, current: np.ndarray, J: Sequence[int]) -> np.ndarray:
-    """current ∩ Gamma(J) as a sorted array: the members of the vertex array
-    `current` found in the CSR rows of J."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[current] = True
-    nbrs = g.rows(np.asarray(J, dtype=np.int64))[1]
-    return sorted_unique(nbrs[inside[nbrs]])
+def walk_step(g: Graph, row: np.ndarray, vert: np.ndarray,
+              clusters: Optional[np.ndarray] = None,
+              parent: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """One schedule step on a block of vertex sets.
+
+    A block holds one set per row as flat (row, vertex) pairs, sorted by row
+    and then vertex. A backbone step (no `clusters`) turns each row into its
+    Gamma. A hair step makes one child per row of the (c, |J|) array
+    `clusters`: child i is row parent[i] intersected with Gamma(clusters[i]).
+    Returns the new block's pairs, in the same sorted form.
+    """
+    n = g.n
+    if clusters is None:
+        owner, nbr = g.rows(vert)
+        key = row[owner] * n + nbr
+    else:
+        owner, nbr = g.rows(clusters.ravel())
+        child = owner // clusters.shape[1]
+        inside = np.zeros((max(row.max(initial=0), parent.max()) + 1) * n, dtype=bool)
+        inside[row * n + vert] = True
+        key = (child * n + nbr)[inside[parent[child] * n + nbr]]
+    key = sorted_unique(key)
+    return key // n, key % n
 
 
 def candidate_trace(g: Graph, sched: CaterpillarSchedule,
                     leaves: Sequence[int]) -> CandidateTrace:
-    """Replay the candidate sets S(t): hair intersects with the next leaf's
-    neighborhood, backbone expands to the full neighborhood."""
+    """Replay the candidate sets S(t) of one branch: hair intersects with the
+    next leaf's neighborhood, backbone expands to the full neighborhood."""
     if len(leaves) != sched.num_leaves:
         raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
-    current = np.arange(g.n)
+    row, vert = np.zeros(g.n, dtype=np.int64), np.arange(g.n)
     sets = [tuple(range(g.n))]
     leaf_iter = iter(leaves)
     exps = []
     for t, kind in enumerate(sched.steps, start=1):
         if kind == HAIR:
-            current = hair_step(g, current, (next(leaf_iter),))
+            leaf = np.array([[next(leaf_iter)]], dtype=np.int64)
+            row, vert = walk_step(g, row, vert, leaf, np.zeros(1, dtype=np.int64))
         else:
-            current = g.neighbors(current)
-        sets.append(tuple(current.tolist()))
+            row, vert = walk_step(g, row, vert)
+        sets.append(tuple(vert.tolist()))
         x = Fraction(t * sched.r, sched.s)
         exps.append(x - (x.numerator // x.denominator))
     return CandidateTrace(sets=tuple(sets), kinds=sched.steps,

@@ -205,11 +205,6 @@ class Graph:
         first = np.cumsum(length) - length   # where each row begins in the output
         return owner, indices[np.arange(len(owner)) + (start - first)[owner]]
 
-    def neighbors(self, vs: np.ndarray) -> np.ndarray:
-        """Gamma(vs): the union of the neighbours of the vertices vs (not
-        excluding vs itself), as a sorted array."""
-        return sorted_unique(self.rows(vs)[1])
-
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
@@ -356,8 +351,9 @@ def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
 
 
 def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
-    """Gamma(s) as a sorted tuple."""
-    return tuple(g.neighbors(vertex_array(g, s)).tolist())
+    """Gamma(s), the union of the neighbours of s (not excluding s itself), as
+    a sorted tuple."""
+    return tuple(sorted_unique(g.rows(vertex_array(g, s))[1]).tolist())
 
 
 def density_report(g: Graph, s: Iterable[int]) -> DensityReport:

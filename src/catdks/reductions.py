@@ -93,8 +93,11 @@ def union_until_k(g: Graph, k: int,
             while len(accum) < k:
                 accum.add(next(pad))
             break
-        # the first residual is g itself: no copy of its edges held alongside it
-        current = g if remaining.all() else Graph.from_edges(g.n, uv[remaining])
+        # the first residual is g itself: no copy of its edges held alongside it;
+        # later ones keep its bipartition, so dks_local can read a winner's
+        # induced edges off its bipartite score
+        current = g if remaining.all() else \
+            Graph.from_edges(g.n, uv[remaining], bipartition=g.bipartition)
         found = vertex_array(g, inner(current))
         removed = remaining & induced_edge_mask(g, found)
         if not removed.any():

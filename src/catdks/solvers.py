@@ -2,23 +2,24 @@
 
 dks_local extracts a dense bipartite candidate from (S, Gamma(S)) by
 top-degree selection over all sizes k' <= k. The branch engine enumerates (or
-samples) leaf choices at each hair step of a caterpillar schedule, running
-dks_local at every step; cluster mode generalizes leaves to C-subsets for the
-subexponential variant. The top-level approximate() driver assembles the
-preprocessing pipeline: weight buckets, greedy degree cap, bipartite double
-cover, caterpillar search, collapse, and resize to exactly k.
+samples) leaf choices at each hair step of a caterpillar schedule and walks
+the branches in blocks of rows, scoring every row of a block with one batched
+dks_local (_local_block) at every step; cluster mode generalizes leaves to
+C-subsets for the subexponential variant. The top-level approximate() driver
+assembles the preprocessing pipeline: weight buckets, greedy degree cap,
+bipartite double cover, caterpillar search, collapse, and resize to exactly k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs, hair_step
-from .graphs import (Graph, SolveResult, density_report, vertex_array,
+from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs, walk_step
+from .graphs import (Graph, SolveResult, density_report, sorted_unique, vertex_array,
                      weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
                          greedy_core, prune_to_size, union_until_k, weight_buckets)
@@ -35,12 +36,6 @@ def _edgeless(n: int, k: int) -> SolveResult:
     """The first min(k, n) vertices, for a graph with no edges to find."""
     return SolveResult(vertices=tuple(range(min(k, n))), density=0.0,
                        provenance="edgeless")
-
-
-def _fold(best: Optional[SolveResult], cand: Optional[SolveResult]) -> Optional[SolveResult]:
-    if cand is None:
-        return best
-    return cand if cand.better_than(best) else best
 
 
 def dks_local(g: Graph, s_set: Iterable[int], k: int,
@@ -60,45 +55,113 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     fewer vertices, then lexicographic); the returned density is the induced
     average degree of the winning vertex set in the host graph.
 
-    `universe`, when given, restricts Gamma(S) to that subset.
+    `universe`, when given, restricts Gamma(S) to that subset. This is the
+    one-row case of _local_block.
     """
     S = vertex_array(g, s_set)
     if not len(S):
         raise ValueError("dks_local requires a nonempty set")
     if k < 1:
         raise ValueError("k must be >= 1")
-    owner, nbr = g.rows(S)
-    deg = np.bincount(nbr, minlength=g.n)  # degree into S; Gamma(S) is deg > 0
+    zeros = np.zeros(len(S), dtype=np.int64)
     if universe is not None:
-        keep = np.zeros(g.n, dtype=bool)
-        keep[vertex_array(g, universe)] = True
+        universe = vertex_array(g, universe)
+        universe = (np.zeros(len(universe), dtype=np.int64), universe)
+    _, verts, dens = _local_block(g, zeros, S, 1, k, universe)
+    return SolveResult(vertices=tuple(verts.tolist()), density=float(dens[0]),
+                       provenance=provenance)
+
+
+def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
+                 universe: Optional[tuple[np.ndarray, np.ndarray]] = None):
+    """dks_local on B nonempty sets at once, each row's set given by flat
+    (row, vertex) pairs sorted by row and then vertex; `universe`, when
+    given, is (row, vertex) pairs in any order. Returns each row's winner as
+    sorted flat (row, vertex) pairs, and its density per row.
+
+    Per row it computes what dks_local describes: Gamma(S) and its degrees
+    into S come from one bincount over B x n, the rankings from one sort,
+    and the prefix matrices are a zero-padded B x |T| x |S| cube. Only rows
+    whose best bipartite average is reached by several k' go through the
+    per-row tie loop. When S lies on one side of g.bipartition, Gamma(S)
+    lies on the other, so the winner's induced edges are its cross edges
+    and its density is its bipartite average; other rows count them.
+    """
+    n = g.n
+    rows = np.arange(B)
+    ns = np.bincount(row, minlength=B)                  # |S| per row
+    col = np.arange(len(S)) - (np.cumsum(ns) - ns)[row]  # place within its row
+    owner, nbr = g.rows(S)
+    orow = row[owner]
+    key = orow * n + nbr
+    deg = np.bincount(key, minlength=B * n)             # degree into S, per row
+    if universe is not None:
+        keep = np.zeros(B * n, dtype=bool)
+        keep[universe[0] * n + universe[1]] = True
         deg[~keep] = 0
-    gamma = np.flatnonzero(deg)
-    if not len(gamma):
-        return SolveResult(vertices=tuple(S.tolist()), density=0.0,
-                           provenance=provenance)
-    order = gamma[np.lexsort((gamma, -deg[gamma]))]
-    T = order[:k]
-    rank = np.full(g.n, len(T))
-    rank[T] = np.arange(len(T))
-    hit = rank[nbr] < len(T)
-    C = np.zeros((len(T), len(S)), dtype=np.int32)
-    C[rank[nbr[hit]], owner[hit]] = 1
-    np.cumsum(C, axis=0, out=C)
-    # top[t-1, m-1]: cross edges of the m best members of S against T[:t]
-    top = np.cumsum(np.sort(C, axis=1)[:, ::-1], axis=1)
-    kp = np.arange(1, min(k, max(len(order), len(S))) + 1)
-    t = np.minimum(kp, len(order))
-    m = np.minimum(kp, len(S))
-    avg = 2.0 * top[t - 1, m - 1] / (m + t)
-    best = None
-    for i in np.flatnonzero(avg == avg.max()).tolist():
-        chosen = S[np.lexsort((S, -C[t[i] - 1]))[:m[i]]]
-        verts = tuple(np.union1d(chosen, T[:t[i]]).tolist())
-        if best is None or (len(verts), verts) < (len(best), best):
-            best = verts
-    dens = density_report(g, best).average_degree
-    return SolveResult(vertices=best, density=dens, provenance=provenance)
+    gamma = np.flatnonzero(deg > 0)                     # row * n + vertex
+    # by row, then degree into S descending, then id: one sort of a packed key
+    D = int(ns.max())
+    order = np.sort(gamma + (D * (gamma // n + 1) - deg[gamma]) * n)
+    order = order // ((D + 1) * n) * n + order % n
+    ng = np.bincount(order // n, minlength=B)           # |Gamma(S)| per row
+    rank = np.arange(len(order)) - (np.cumsum(ng) - ng)[order // n]
+    T, Trank = order[rank < k], rank[rank < k]          # T, as row * n + vertex
+    rk = np.full(B * n, k)
+    rk[T] = Trank
+    K = max(min(k, ng.max()), 1)
+    C = np.zeros((B, K, D), dtype=np.int32)
+    hit = np.flatnonzero(rk[key] < k)
+    C.reshape(-1)[(orow[hit] * K + rk[key[hit]]) * D + col[owner[hit]]] = 1
+    np.cumsum(C, axis=1, dtype=np.int32, out=C)
+    # top[r, t-1, m-1]: cross edges of row r's m best members of S against T[:t]
+    top = np.cumsum(np.sort(C, axis=2)[:, :, ::-1], axis=2, dtype=np.int32)
+    kp = np.arange(1, min(k, max(ng.max(), D)) + 1)
+    t = np.minimum(kp, ng[:, None])
+    m = np.minimum(kp, ns[:, None])
+    e = top[rows[:, None], np.maximum(t, 1) - 1, m - 1]
+    avg = np.where((kp <= np.maximum(ng, ns)[:, None]) & (t > 0), 2.0 * e / (m + t), -np.inf)
+    best = avg.max(axis=1)
+    pick = avg.argmax(axis=1)
+    for r in np.flatnonzero(((avg == best[:, None]).sum(axis=1) > 1) & (ng > 0)).tolist():
+        Sr, Cr = S[row == r], C[r, :, :ns[r]]
+        Tr = T[T // n == r] % n
+        keyed = []
+        for i in np.flatnonzero(avg[r] == best[r]).tolist():
+            chosen = Sr[np.lexsort((Sr, -Cr[t[r, i] - 1]))[:m[r, i]]]
+            verts = tuple(np.union1d(chosen, Tr[:t[r, i]]).tolist())
+            keyed.append((len(verts), verts, i))
+        pick[r] = min(keyed)[2]
+    tw = t[rows, pick]                                  # 0 where Gamma(S) is empty
+    mw = np.where(ng > 0, m[rows, pick], ns)
+    # each row's members of S by neighbours in T[:t] descending, then id
+    cnt = C[row, np.maximum(tw, 1)[row] - 1, col]
+    ranked = np.sort((row * (K + 1) + K - cnt) * n + S)
+    chosen = ranked[col < mw[row]]                      # rows keep their places
+    chosen = chosen // ((K + 1) * n) * n + chosen % n
+    W = sorted_unique(np.concatenate([chosen, T[Trank < tw[T // n]]]))
+    wrow, wv = W // n, W % n
+    dens = np.where(ng > 0, best, 0.0)
+    count = ng > 0
+    if g.bipartition is not None:
+        left = np.zeros(n, dtype=bool)
+        left[np.fromiter(g.bipartition, dtype=np.int64, count=len(g.bipartition))] = True
+        in_left = np.bincount(row, weights=left[S], minlength=B)
+        count &= (in_left > 0) & (in_left < ns)
+    if count.any():
+        # the winners' induced edges in the host graph
+        inside = np.zeros(B * n, dtype=bool)
+        inside[W] = True
+        sel = count[wrow]
+        owner, nbr = g.rows(wv[sel])
+        orow = wrow[sel][owner]
+        edges = np.bincount(orow[inside[orow * n + nbr]], minlength=B) // 2
+        dens[count] = (2.0 * edges / np.bincount(wrow, minlength=B))[count]
+    return wrow, wv, dens
+
+
+# cells in a branch block's B x n arrays and in its scoring cube
+_CELLS = 1 << 16
 
 
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
@@ -109,57 +172,118 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     With cluster_size 1 this is the combinatorial caterpillar solver; larger
     clusters realize the subexponential hair step. Full enumeration is used
     when the branch space fits in `budget`, otherwise `budget` branches are
-    sampled deterministically from `seed`.
+    sampled deterministically from `seed`; every draw is made before the walk.
+
+    Branches are walked in blocks of rows (walk_step); in the enumerate
+    regime a row is a distinct prefix of the branch tree, so shared prefixes
+    are walked once. At each step t > 1 every row of the block is scored by
+    one _local_block call. The best candidate is the first by
+    SolveResult.better_than and, on a tie, by the depth-first pre-order of
+    the branch tree, so a tie keeps the provenance of the candidate that
+    pre-order meets first.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if cluster_size < 1:
+        raise ValueError("cluster_size must be >= 1")
     if g.n == 0:
         raise ValueError("empty graph")
-    cands = np.flatnonzero(g.degrees).tolist()
-    if not cands:
+    cands = np.flatnonzero(g.degrees)
+    if not len(cands):
         return None
+    if cluster_size > len(cands):
+        raise ValueError(f"cluster_size {cluster_size} exceeds the {len(cands)} "
+                         "non-isolated vertices")
     n_hairs = sched.num_leaves
-    best: Optional[SolveResult] = None
-
-    def walk(t: int, current: np.ndarray,
-             hairs: Sequence[Sequence[tuple[int, ...]]]) -> None:
-        """Run steps t..s from `current` (a sorted vertex array); hairs[i]
-        lists the clusters tried at the i-th hair step still ahead. Folds in
-        depth-first pre-order."""
-        nonlocal best
-        if t > 1:
-            best = _fold(best, dks_local(g, current, k, provenance=f"local@t={t}"))
-        if sched.steps[t - 1] == HAIR:
-            for J in hairs[0]:
-                nxt = hair_step(g, current, J)
-                if cluster_local and len(nxt):
-                    best = _fold(best, dks_local(
-                        g, J, k, universe=np.union1d(nxt, J),
-                        provenance=f"cluster-local@t={t}"))
-                if len(nxt) and t < sched.s:
-                    walk(t + 1, nxt, hairs[1:])
-        else:
-            nxt = g.neighbors(current)
-            if len(nxt) and t < sched.s:
-                walk(t + 1, nxt, hairs)
-
-    everyone = np.arange(g.n)
-    if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
-        walk(1, everyone, [list(combinations(cands, cluster_size))] * n_hairs)
+    width = max(1, _CELLS // g.n)                       # rows per block of sets
+    enumerate_all = math.comb(len(cands), cluster_size) ** n_hairs <= budget
+    if enumerate_all:
+        combos = np.array(list(combinations(cands.tolist(), cluster_size)),
+                          dtype=np.int64).reshape(-1, cluster_size)
     else:
         rng = np.random.default_rng(seed)
+        draws = np.array([np.sort(rng.choice(len(cands), size=cluster_size, replace=False))
+                          for _ in range(budget * n_hairs)])
+        draws = cands[draws].reshape(budget, n_hairs, cluster_size)
+    # best candidate so far, as (-density, size, vertices, path key, provenance);
+    # a path key encodes child j as 2j+1, and the cluster-local candidate of
+    # child j as a trailing 2j, so tuple order is depth-first pre-order
+    best: list[tuple] = []
 
-        def draw() -> tuple[int, ...]:
-            pick = rng.choice(len(cands), size=cluster_size, replace=False)
-            return tuple(sorted(cands[i] for i in pick))
+    def fold(wrow, wv, dens, keys, prov):
+        size = np.bincount(wrow, minlength=len(dens))
+        top = np.flatnonzero(dens == dens.max())
+        for r in top[size[top] == size[top].min()].tolist():
+            cand = (-float(dens[r]), int(size[r]), tuple(wv[wrow == r].tolist()),
+                    keys(r), prov)
+            if not best or cand < best[0]:
+                best[:] = [cand]
 
-        for _ in range(budget):
-            walk(1, everyone, [[draw()] for _ in range(n_hairs)])
-    # walk reaches itself through its closure; breaking that cycle frees g
-    # (often a whole union round's graph) now rather than at the next
-    # cyclic garbage collection
-    del walk
-    return best
+    def children(path, hair):
+        """(parent row, child index, cluster) of each child, in chunks."""
+        if enumerate_all:
+            parent = np.repeat(np.arange(len(path)), len(combos))
+            j = np.tile(np.arange(len(combos)), len(path))
+            for lo in range(0, len(parent), width):
+                sl = slice(lo, lo + width)
+                yield parent[sl], j[sl], combos[j[sl]]
+        elif hair == 0:                                 # the root: one child per branch
+            for lo in range(0, budget, width):
+                j = np.arange(lo, min(lo + width, budget))
+                yield np.zeros(len(j), dtype=np.int64), j, draws[j, 0]
+        else:
+            branch = (path[:, 0] - 1) // 2
+            yield np.arange(len(path)), np.zeros(len(path), dtype=np.int64), draws[branch, hair]
+
+    def walk(t, path, hair, row, vert):
+        """Score a block holding S(t-1), then take step t; path[i] is row i's
+        path key, and `hair` counts the hair steps before t."""
+        if t > 1:
+            fold(*_local_block(g, row, vert, len(path), k),
+                 lambda r: tuple(path[r].tolist()), f"local@t={t}")
+        last = t == sched.s
+        if sched.steps[t - 1] != HAIR:
+            # no row empties: S(t-1) is nonempty and none of its members is isolated
+            if not last:
+                descend(t, np.column_stack([path, np.ones(len(path), dtype=np.int64)]),
+                        hair, *walk_step(g, row, vert))
+            return
+        if last and not cluster_local:
+            return                                      # S(s) is never scored
+        for parent, j, J in children(path, hair):
+            nrow, nvert = walk_step(g, row, vert, J, parent)
+            live = np.flatnonzero(np.bincount(nrow, minlength=len(J)))   # S(t) nonempty
+            idx = np.zeros(len(J), dtype=np.int64)
+            idx[live] = np.arange(len(live))
+            nrow, parent, j, J = idx[nrow], parent[live], j[live], J[live]
+            if cluster_local and len(live):
+                Jrow = np.repeat(np.arange(len(live)), cluster_size)
+                uni = (np.concatenate([nrow, Jrow]), np.concatenate([nvert, J.ravel()]))
+                fold(*_local_block(g, Jrow, J.ravel(), len(live), k, uni),
+                     lambda r: tuple(path[parent[r]].tolist()) + (2 * int(j[r]),),
+                     f"cluster-local@t={t}")
+            if not last:
+                descend(t, np.column_stack([path[parent], 2 * j + 1]), hair + 1, nrow, nvert)
+
+    def descend(t, path, hair, row, vert):
+        """Walk step t + 1 on a block, cut into parts whose B x min(k, n) x
+        max|S| scoring cube fits _CELLS too."""
+        size = int(np.bincount(row).max(initial=0))
+        step = max(1, _CELLS // max(g.n, min(k, g.n) * size))
+        for lo in range(0, len(path), step):
+            a, b = np.searchsorted(row, [lo, lo + step])
+            walk(t + 1, path[lo:lo + step], hair, row[a:b] - lo, vert[a:b])
+
+    walk(1, np.zeros((1, 0), dtype=np.int64), 0,
+         np.zeros(g.n, dtype=np.int64), np.arange(g.n))
+    # walk and descend reach each other through their closures; breaking that
+    # cycle frees g (often a whole union round's graph) now rather than at the
+    # next cyclic garbage collection
+    del walk, descend
+    if not best:
+        return None
+    neg, _, verts, _, prov = best[0]
+    return SolveResult(vertices=verts, density=-neg, provenance=prov)
 
 
 def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
@@ -194,7 +318,8 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
 
     C defaults to round(n^(2*beta*eps/(2*beta*eps+alpha))) with beta = log_n k
     and alpha = 1 - beta. With C = 1 the cluster-local pass is skipped and the
-    result matches dks_cat_combinatorial exactly.
+    result matches dks_cat_combinatorial exactly. A C below 1, or above the
+    number of non-isolated vertices of a graph with edges, raises ValueError.
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -264,7 +389,8 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
                               density=weighted_average_degree(g, res.vertices),
                               provenance=f"bucket{i}:{res.provenance}",
                               gamma=res.gamma)
-            best = _fold(best, res)
+            if res.better_than(best):
+                best = res
         return best or _edgeless(g.n, k)
     if k == g.n:
         verts = tuple(range(g.n))

@@ -1,12 +1,16 @@
 """Property tests: Graph canonical form, its lazy edge and weight views,
 derived structures, edge-list round trip, the batched caterpillar walker
 against brute force, density_report against a plain count,
-peel_to_min_degree against brute force, resize_to_k, and the exact LP
-check against a per-row Fraction evaluation."""
+peel_to_min_degree against brute force, resize_to_k, dks_local's density
+against density_report, the block branch search against the recursive
+per-branch walk, and the exact LP check against a per-row Fraction
+evaluation."""
+import math
 import os
 import tempfile
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +20,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
-from catdks.graphs import (Graph, density_report, load_graph,  # noqa: E402
+from catdks.graphs import (Graph, density_report, load_graph, neighborhood,  # noqa: E402
                            peel_to_min_degree, save_graph, weighted_average_degree)
 from catdks.lp import build_lp, check_feasible  # noqa: E402
+from catdks import solvers  # noqa: E402
 from catdks.reductions import bipartite_double_cover  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
 from test_lp import reference_violations  # noqa: E402
+from test_solvers import reference_branch_best  # noqa: E402
 
 SCHEDULES = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 5), (3, 5)]
 
@@ -171,6 +177,60 @@ def test_resize_to_k_returns_exactly_k(ne, data):
         assert set(s) <= set(out)
     else:
         assert set(out) <= set(s)
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=12), st.booleans(), st.data())
+def test_dks_local_density_is_induced_density(ne, cover, data):
+    """dks_local's density is density_report's on its winner, also when S
+    meets both sides of a double cover, where Gamma(S) can meet S."""
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    if cover:
+        g = bipartite_double_cover(g)
+    s = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    universe = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
+    res = solvers.dks_local(g, s, data.draw(st.integers(1, g.n)), universe=universe)
+    gamma = set(neighborhood(g, s)) & (set(range(g.n)) if universe is None else universe)
+    if gamma:
+        assert res.density == density_report(g, res.vertices).average_degree
+    else:
+        assert (res.vertices, res.density) == (tuple(sorted(s)), 0.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists(max_n=16), st.booleans(),
+       st.sampled_from([(r, s) for s in range(2, 6) for r in range(1, s)
+                        if math.gcd(r, s) == 1]),
+       st.integers(1, 2), st.booleans(), st.integers(1, 4), st.data())
+def test_block_branch_search_matches_recursive_walk(ne, cover, rs, cluster_size,
+                                                     cluster_local, width, data):
+    """_branch_best (block walker) == the recursive per-branch reference on
+    (vertices, density, provenance), with blocks of `width` rows so that
+    most budgets span several blocks."""
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    if cover:
+        g = bipartite_double_cover(g)
+    sched = build_schedule(*rs)
+    k = data.draw(st.integers(1, g.n))
+    cands = int((g.degrees > 0).sum())
+    space = math.comb(cands, cluster_size) ** sched.num_leaves
+    if 0 < cands < cluster_size:
+        return                                  # rejected: tested in test_solvers
+    if 0 < space <= 1000 and data.draw(st.booleans()):
+        budget = data.draw(st.integers(space, space + 5))   # enumerate
+    else:
+        budget = data.draw(st.integers(1, 40))             # sampled, when space > budget
+    seed = data.draw(st.integers(0, 3))
+    with mock.patch.object(solvers, "_CELLS", width * g.n):
+        got = solvers._branch_best(g, k, sched, budget, seed, cluster_size, cluster_local)
+    ref = reference_branch_best(g, k, sched, budget, seed, cluster_size, cluster_local)
+    if ref is None:
+        assert got is None
+    else:
+        assert (got.vertices, got.density, got.provenance) == \
+            (ref.vertices, ref.density, ref.provenance)
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,10 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from catdks.graphs import Graph, brute_force_dks, density_report, load_graph, save_graph
+from catdks.caterpillar import HAIR, build_schedule
+from catdks.graphs import (Graph, brute_force_dks, density_report, load_graph,
+                           neighborhood, save_graph)
 from catdks.models import plant
-from catdks.solvers import (SolverConfig, approximate, dks_cat_combinatorial,
-                            dks_exp, dks_local, resize_to_k)
+from catdks.reductions import bipartite_double_cover
+from catdks.solvers import (SolverConfig, _branch_best, _local_block, approximate,
+                            dks_cat_combinatorial, dks_exp, dks_local, resize_to_k)
 
 
 def clique(k, n=None):
@@ -120,6 +123,34 @@ def test_local_golden_small(graph, S, k, vertices, density):
     assert (res.vertices, res.density, res.provenance) == (vertices, density, "local")
 
 
+def test_local_block_matches_single_calls():
+    # every golden set as a row of one block per k (a block shares its k):
+    # ties, an empty Gamma(S) and universes side by side. Rows live on a
+    # disjoint union of the golden graphs, so each row's set and universe are
+    # shifted into its part.
+    cases = [(random_graph(*spec), S, k, universe)
+             for spec, S, k, universe, _, _ in LOCAL_GOLDEN]
+    cases += [(Graph.from_edges(*graph), S, k, None)
+              for graph, S, k, _, _ in LOCAL_GOLDEN_SMALL]
+    for k in sorted({case[2] for case in cases}):
+        parts = [c for c in cases if c[2] == k]
+        offsets = np.cumsum([0] + [g.n for g, *_ in parts])
+        union = Graph.from_edges(offsets[-1], np.concatenate(
+            [g.edge_array + off for (g, *_), off in zip(parts, offsets)]))
+        row = np.concatenate([np.full(len(S), r) for r, (_, S, _, _) in enumerate(parts)])
+        verts = np.concatenate([np.array(S) + off for (_, S, _, _), off in zip(parts, offsets)])
+        # a part without a universe takes its whole part of the union
+        uni = [np.arange(g.n) if u is None else np.array(sorted(u))
+               for g, _, _, u in parts]
+        urow = np.concatenate([np.full(len(u), r) for r, u in enumerate(uni)])
+        uvert = np.concatenate([u + off for u, off in zip(uni, offsets)])
+        wrow, wv, dens = _local_block(union, row, verts, len(parts), k, (urow, uvert))
+        for r, (g, S, _, u) in enumerate(parts):
+            single = dks_local(g, S, k, universe=u)
+            assert tuple((wv[wrow == r] - offsets[r]).tolist()) == single.vertices
+            assert dens[r] == single.density
+
+
 # ---------------------------------------------------------------------------
 # dks_cat_combinatorial
 
@@ -189,6 +220,69 @@ EXP_GOLDEN = [
     ((24, 60, 22, 5, 0.25, 40, 2), (8, 10, 16, 19, 22), 2.8, 'local@t=2'),  # sampled
     ((30, 90, 23, 6, 0.3, 30, 3), (0, 2, 11, 13, 25, 28), 3.0, 'local@t=3'),  # sampled
 ]
+
+
+def reference_branch_best(g, k, sched, budget, seed, cluster_size=1,
+                          cluster_local=False):
+    """Reference: the branch search as a recursive walk of one branch at a
+    time, one dks_local call per candidate, folded in depth-first pre-order."""
+    cands = np.flatnonzero(g.degrees).tolist()
+    if not cands:
+        return None
+    n_hairs = sched.num_leaves
+    best = None
+
+    def fold(cand):
+        nonlocal best
+        if cand.better_than(best):
+            best = cand
+
+    def walk(t, current, hairs):
+        if t > 1:
+            fold(dks_local(g, current, k, provenance=f"local@t={t}"))
+        if sched.steps[t - 1] == HAIR:
+            for J in hairs[0]:
+                nxt = sorted(set(neighborhood(g, J)).intersection(current))
+                if cluster_local and nxt:
+                    fold(dks_local(g, J, k, universe=set(nxt) | set(J),
+                                   provenance=f"cluster-local@t={t}"))
+                if nxt and t < sched.s:
+                    walk(t + 1, nxt, hairs[1:])
+        else:
+            nxt = neighborhood(g, current)
+            if nxt and t < sched.s:
+                walk(t + 1, nxt, hairs)
+
+    everyone = list(range(g.n))
+    if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
+        walk(1, everyone, [list(combinations(cands, cluster_size))] * n_hairs)
+    else:
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            pick = rng.choice(len(cands), size=cluster_size, replace=False)
+            return tuple(sorted(cands[i] for i in pick))
+
+        for _ in range(budget):
+            walk(1, everyone, [[draw()] for _ in range(n_hairs)])
+    return best
+
+
+def test_branch_best_matches_reference_at_solve_planted_scale():
+    # the solve-planted shape: the double cover of a planted instance, k=32
+    # (64 on the cover), 300 sampled branches under the (1,2) schedule
+    cover = bipartite_double_cover(plant(1000, 0.5, 32, 0.8, seed=5).graph)
+    sched = build_schedule(1, 2)
+    got = _branch_best(cover, 64, sched, 300, seed=3)
+    assert got == reference_branch_best(cover, 64, sched, 300, seed=3)
+
+
+def test_exp_rejects_bad_cluster_size():
+    k5 = clique(5, n=8)
+    for size in (0, -1, 6):
+        with pytest.raises(ValueError, match="cluster_size"):
+            dks_exp(k5, 3, 0.25, 100, cluster_size=size)
+    assert dks_exp(k5, 3, 0.25, 100, cluster_size=5).density == 2.0
 
 
 @pytest.mark.parametrize("params,vertices,density,provenance", CAT_GOLDEN)
