@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, sorted_unique
+from .graphs import Graph, in_range, sorted_unique
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -115,11 +115,18 @@ def count_caterpillars(g: Graph, sched: CaterpillarSchedule,
     With injective=True, internal vertices must be distinct from each other
     and from the leaves (brute force; small graphs only).
     """
+    leaves = _leaf_array(g, sched, leaves)
+    if injective:
+        return _count_injective(g, sched, leaves.tolist())
+    return _count_batch(g, sched, leaves[None])[0]
+
+
+def _leaf_array(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> np.ndarray:
+    """The leaves as an int64 array, in order and with repeats; raises
+    ValueError on a wrong count or an id outside [0, n)."""
     if len(leaves) != sched.num_leaves:
         raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
-    if injective:
-        return _count_injective(g, sched, leaves)
-    return _count_batch(g, sched, np.array([leaves], dtype=np.int64))[0]
+    return in_range(g, np.asarray(leaves, dtype=np.int64))
 
 
 # leaf tuples per block: the walker's count matrix is at most _BLOCK x n
@@ -230,16 +237,13 @@ def candidate_trace(g: Graph, sched: CaterpillarSchedule,
                     leaves: Sequence[int]) -> CandidateTrace:
     """Replay the candidate sets S(t) of one branch: hair intersects with the
     next leaf's neighborhood, backbone expands to the full neighborhood."""
-    if len(leaves) != sched.num_leaves:
-        raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
+    clusters = iter(_leaf_array(g, sched, leaves).reshape(-1, 1, 1))   # (1, 1) per hair
     row, vert = np.zeros(g.n, dtype=np.int64), np.arange(g.n)
     sets = [tuple(range(g.n))]
-    leaf_iter = iter(leaves)
     exps = []
     for t, kind in enumerate(sched.steps, start=1):
         if kind == HAIR:
-            leaf = np.array([[next(leaf_iter)]], dtype=np.int64)
-            row, vert = walk_step(g, row, vert, leaf, np.zeros(1, dtype=np.int64))
+            row, vert = walk_step(g, row, vert, next(clusters), np.zeros(1, dtype=np.int64))
         else:
             row, vert = walk_step(g, row, vert)
         sets.append(tuple(vert.tolist()))

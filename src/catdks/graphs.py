@@ -343,7 +343,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
     """s as a sorted, duplicate-free int64 array; raises ValueError on an id
     outside [0, n)."""
-    vs = sorted_unique(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64))
+    return in_range(g, sorted_unique(np.asarray(s if isinstance(s, np.ndarray) else list(s),
+                                                dtype=np.int64)))
+
+
+def in_range(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """vs, unchanged; raises ValueError naming its first id outside [0, n)."""
     bad = (vs < 0) | (vs >= g.n)
     if bad.any():
         raise ValueError(f"vertex {vs[bad.argmax()]} out of range [0,{g.n})")

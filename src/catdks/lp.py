@@ -211,18 +211,16 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
     return LPInstance(graph=g, k=k, d=d, t=t, variables=variables, constraints=rows)
 
 
-def indicator_solution(inst: LPInstance, h_set: Iterable[int],
-                       g: Optional[Graph] = None) -> dict[Path, int]:
+def indicator_solution(inst: LPInstance, h_set: Iterable[int]) -> dict[Path, int]:
     """Canonical integral assignment: y(p) = 1 iff every vertex of p is in h_set.
 
     Requires |h_set| <= k and induced minimum degree of h_set >= d; the
     offending vertex is named otherwise.
     """
-    g = g or inst.graph
-    vs = vertex_array(g, h_set)
+    vs = vertex_array(inst.graph, h_set)
     if len(vs) > inst.k:
         raise ValueError(f"|h_set| = {len(vs)} exceeds k = {inst.k}")
-    for v, deg in zip(vs.tolist(), induced_degrees(g, vs).tolist()):
+    for v, deg in zip(vs.tolist(), induced_degrees(inst.graph, vs).tolist()):
         if deg < inst.d:
             raise ValueError(
                 f"vertex {v} has induced degree {deg} < d = {inst.d}")

@@ -258,12 +258,12 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
     return {"dual_value": dual_value, "psd_margin": margin, "lambda2": lam2}
 
 
-def _dense_subset_heuristic(g: Graph, k: int, rounds: int = 4) -> tuple[int, ...]:
-    """Top-k degrees followed by a few rounds of degree-into-set refinement."""
+def _dense_subset_heuristic(g: Graph, k: int) -> tuple[int, ...]:
+    """Top-k degrees followed by four rounds of degree-into-set refinement."""
     ids = np.arange(g.n)
     current = np.sort(np.lexsort((ids, -g.degrees))[:k])   # ties by smaller id
     best, best_edges = current, g.edge_count_within(current)
-    for _ in range(rounds):
+    for _ in range(4):
         score = np.bincount(g.rows(current)[1], minlength=g.n)   # degree into current
         current = np.sort(np.lexsort((ids, -score))[:k])
         e = g.edge_count_within(current)

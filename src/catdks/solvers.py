@@ -1,19 +1,20 @@
 """The densest-k-subgraph solver family.
 
 dks_local extracts a dense bipartite candidate from (S, Gamma(S)) by
-top-degree selection over all sizes k' <= k. The branch engine enumerates (or
-samples) leaf choices at each hair step of a caterpillar schedule and walks
-the branches in blocks of rows, scoring every row of a block with one batched
-dks_local (_local_block) at every step; cluster mode generalizes leaves to
-C-subsets for the subexponential variant. The top-level approximate() driver
-assembles the preprocessing pipeline: weight buckets, greedy degree cap,
-bipartite double cover, caterpillar search, collapse, and resize to exactly k.
+top-degree selection over all sizes k' <= k. The branch engine walks an
+array of leaf choices, one per hair step of a caterpillar schedule (every
+choice in lexicographic order, or a seeded sample), in blocks of rows and
+scores each block with one batched dks_local (_local_block) per step; ties
+go to the lowest (branch, step). Cluster mode generalizes leaves to
+C-subsets. The top-level approximate() driver assembles the preprocessing
+pipeline: weight buckets, greedy degree cap, bipartite double cover,
+caterpillar search, collapse, and resize to exactly k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -65,19 +66,22 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
         raise ValueError("k must be >= 1")
     zeros = np.zeros(len(S), dtype=np.int64)
     if universe is not None:
-        universe = vertex_array(g, universe)
-        universe = (np.zeros(len(universe), dtype=np.int64), universe)
+        universe = vertex_array(g, universe)            # row 0's keys
     _, verts, dens = _local_block(g, zeros, S, 1, k, universe)
     return SolveResult(vertices=tuple(verts.tolist()), density=float(dens[0]),
                        provenance=provenance)
 
 
+# cells in a block's B x n arrays and in its B x min(k, n) x max|S| scoring cube
+_CELLS = 1 << 16
+
+
 def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
-                 universe: Optional[tuple[np.ndarray, np.ndarray]] = None):
+                 universe: Optional[np.ndarray] = None):
     """dks_local on B nonempty sets at once, each row's set given by flat
     (row, vertex) pairs sorted by row and then vertex; `universe`, when
-    given, is (row, vertex) pairs in any order. Returns each row's winner as
-    sorted flat (row, vertex) pairs, and its density per row.
+    given, is keys row * n + vertex in any order. Returns each row's winner
+    as sorted flat (row, vertex) pairs, and its density per row.
 
     Per row it computes what dks_local describes: Gamma(S) and its degrees
     into S come from one bincount over B x n, the rankings from one sort,
@@ -85,11 +89,23 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     whose best bipartite average is reached by several k' go through the
     per-row tie loop. When S lies on one side of g.bipartition, Gamma(S)
     lies on the other, so the winner's induced edges are its cross edges
-    and its density is its bipartite average; other rows count them.
+    and its density is its bipartite average; other rows count them. Rows
+    are scored in parts whose arrays fit _CELLS.
     """
     n = g.n
-    rows = np.arange(B)
     ns = np.bincount(row, minlength=B)                  # |S| per row
+    D = int(ns.max())
+    step = max(1, _CELLS // max(n, min(k, n) * D))
+    if B > step:
+        parts = []
+        for lo in range(0, B, step):
+            a, b = np.searchsorted(row, [lo, lo + step])
+            uni = None if universe is None else \
+                universe[(universe >= lo * n) & (universe < (lo + step) * n)] - lo * n
+            wrow, wv, dens = _local_block(g, row[a:b] - lo, S[a:b], min(step, B - lo), k, uni)
+            parts.append((wrow + lo, wv, dens))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    rows = np.arange(B)
     col = np.arange(len(S)) - (np.cumsum(ns) - ns)[row]  # place within its row
     owner, nbr = g.rows(S)
     orow = row[owner]
@@ -97,11 +113,10 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     deg = np.bincount(key, minlength=B * n)             # degree into S, per row
     if universe is not None:
         keep = np.zeros(B * n, dtype=bool)
-        keep[universe[0] * n + universe[1]] = True
+        keep[universe] = True
         deg[~keep] = 0
     gamma = np.flatnonzero(deg > 0)                     # row * n + vertex
     # by row, then degree into S descending, then id: one sort of a packed key
-    D = int(ns.max())
     order = np.sort(gamma + (D * (gamma // n + 1) - deg[gamma]) * n)
     order = order // ((D + 1) * n) * n + order % n
     ng = np.bincount(order // n, minlength=B)           # |Gamma(S)| per row
@@ -160,34 +175,27 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     return wrow, wv, dens
 
 
-# cells in a branch block's B x n arrays and in its scoring cube
-_CELLS = 1 << 16
-
-
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
-                 seed: int, cluster_size: int = 1,
-                 cluster_local: bool = False) -> Optional[SolveResult]:
+                 seed: int, cluster_size: int = 1) -> Optional[SolveResult]:
     """Best subgraph over enumerated or sampled branches of the schedule.
 
     With cluster_size 1 this is the combinatorial caterpillar solver; larger
-    clusters realize the subexponential hair step. Full enumeration is used
-    when the branch space fits in `budget`, otherwise `budget` branches are
-    sampled deterministically from `seed`; every draw is made before the walk.
+    clusters realize the subexponential hair step and are also scored against
+    their candidate sets (cluster-local). Full enumeration is used when the
+    branch space fits in `budget`, otherwise `budget` branches are sampled
+    deterministically from `seed`, all before the walk.
 
-    Branches are walked in blocks of rows (walk_step); in the enumerate
-    regime a row is a distinct prefix of the branch tree, so shared prefixes
-    are walked once. At each step t > 1 every row of the block is scored by
-    one _local_block call. The best candidate is the first by
-    SolveResult.better_than and, on a tie, by the depth-first pre-order of
-    the branch tree, so a tie keeps the provenance of the candidate that
-    pre-order meets first.
+    A branch holds one cluster per hair step walked; the last one only for
+    cluster-local scoring, as S(s) is never scored otherwise. Blocks of
+    branches are walked from the root (walk_step) and every row is scored by
+    one _local_block call at each step t > 1. Ties on SolveResult.better_than
+    go to the lowest (branch, step, local before cluster-local): the
+    depth-first pre-order, as enumerated branches are lexicographic.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
-    if g.n == 0:
-        raise ValueError("empty graph")
     cands = np.flatnonzero(g.degrees)
     if not len(cands):
         return None
@@ -195,95 +203,60 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         raise ValueError(f"cluster_size {cluster_size} exceeds the {len(cands)} "
                          "non-isolated vertices")
     n_hairs = sched.num_leaves
-    width = max(1, _CELLS // g.n)                       # rows per block of sets
-    enumerate_all = math.comb(len(cands), cluster_size) ** n_hairs <= budget
-    if enumerate_all:
-        combos = np.array(list(combinations(cands.tolist(), cluster_size)),
-                          dtype=np.int64).reshape(-1, cluster_size)
+    hairs = n_hairs if cluster_size > 1 else n_hairs - 1
+    if math.comb(len(cands), cluster_size) ** n_hairs <= budget:
+        combos = list(combinations(cands.tolist(), cluster_size))
+        branches = np.array(list(product(combos, repeat=hairs)), dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
         draws = np.array([np.sort(rng.choice(len(cands), size=cluster_size, replace=False))
                           for _ in range(budget * n_hairs)])
-        draws = cands[draws].reshape(budget, n_hairs, cluster_size)
-    # best candidate so far, as (-density, size, vertices, path key, provenance);
-    # a path key encodes child j as 2j+1, and the cluster-local candidate of
-    # child j as a trailing 2j, so tuple order is depth-first pre-order
-    best: list[tuple] = []
-
-    def fold(wrow, wv, dens, keys, prov):
-        size = np.bincount(wrow, minlength=len(dens))
-        top = np.flatnonzero(dens == dens.max())
-        for r in top[size[top] == size[top].min()].tolist():
-            cand = (-float(dens[r]), int(size[r]), tuple(wv[wrow == r].tolist()),
-                    keys(r), prov)
-            if not best or cand < best[0]:
-                best[:] = [cand]
-
-    def children(path, hair):
-        """(parent row, child index, cluster) of each child, in chunks."""
-        if enumerate_all:
-            parent = np.repeat(np.arange(len(path)), len(combos))
-            j = np.tile(np.arange(len(combos)), len(path))
-            for lo in range(0, len(parent), width):
-                sl = slice(lo, lo + width)
-                yield parent[sl], j[sl], combos[j[sl]]
-        elif hair == 0:                                 # the root: one child per branch
-            for lo in range(0, budget, width):
-                j = np.arange(lo, min(lo + width, budget))
-                yield np.zeros(len(j), dtype=np.int64), j, draws[j, 0]
-        else:
-            branch = (path[:, 0] - 1) // 2
-            yield np.arange(len(path)), np.zeros(len(path), dtype=np.int64), draws[branch, hair]
-
-    def walk(t, path, hair, row, vert):
-        """Score a block holding S(t-1), then take step t; path[i] is row i's
-        path key, and `hair` counts the hair steps before t."""
-        if t > 1:
-            fold(*_local_block(g, row, vert, len(path), k),
-                 lambda r: tuple(path[r].tolist()), f"local@t={t}")
-        last = t == sched.s
-        if sched.steps[t - 1] != HAIR:
-            # no row empties: S(t-1) is nonempty and none of its members is isolated
-            if not last:
-                descend(t, np.column_stack([path, np.ones(len(path), dtype=np.int64)]),
-                        hair, *walk_step(g, row, vert))
-            return
-        if last and not cluster_local:
-            return                                      # S(s) is never scored
-        for parent, j, J in children(path, hair):
-            nrow, nvert = walk_step(g, row, vert, J, parent)
-            live = np.flatnonzero(np.bincount(nrow, minlength=len(J)))   # S(t) nonempty
-            idx = np.zeros(len(J), dtype=np.int64)
-            idx[live] = np.arange(len(live))
-            nrow, parent, j, J = idx[nrow], parent[live], j[live], J[live]
-            if cluster_local and len(live):
-                Jrow = np.repeat(np.arange(len(live)), cluster_size)
-                uni = (np.concatenate([nrow, Jrow]), np.concatenate([nvert, J.ravel()]))
-                fold(*_local_block(g, Jrow, J.ravel(), len(live), k, uni),
-                     lambda r: tuple(path[parent[r]].tolist()) + (2 * int(j[r]),),
-                     f"cluster-local@t={t}")
-            if not last:
-                descend(t, np.column_stack([path[parent], 2 * j + 1]), hair + 1, nrow, nvert)
-
-    def descend(t, path, hair, row, vert):
-        """Walk step t + 1 on a block, cut into parts whose B x min(k, n) x
-        max|S| scoring cube fits _CELLS too."""
-        size = int(np.bincount(row).max(initial=0))
-        step = max(1, _CELLS // max(g.n, min(k, g.n) * size))
-        for lo in range(0, len(path), step):
-            a, b = np.searchsorted(row, [lo, lo + step])
-            walk(t + 1, path[lo:lo + step], hair, row[a:b] - lo, vert[a:b])
-
-    walk(1, np.zeros((1, 0), dtype=np.int64), 0,
-         np.zeros(g.n, dtype=np.int64), np.arange(g.n))
-    # walk and descend reach each other through their closures; breaking that
-    # cycle frees g (often a whole union round's graph) now rather than at the
-    # next cyclic garbage collection
-    del walk, descend
-    if not best:
+        branches = cands[draws].reshape(budget, n_hairs, cluster_size)[:, :hairs]
+    found: list[tuple] = []                             # each scored block's best
+    width = max(1, _CELLS // g.n)                       # rows per block
+    for lo in range(0, len(branches), width):
+        branch = np.arange(lo, min(lo + width, len(branches)))
+        row, vert = np.zeros(g.n, dtype=np.int64), np.arange(g.n)   # the root, S(0)
+        parent = np.zeros(len(branch), dtype=np.int64)  # each branch's row
+        for t, kind in enumerate(sched.steps, start=1):
+            if t > 1:
+                found.append(_block_best(*_local_block(g, row, vert, len(branch), k),
+                                         branch, t, 0, f"local@t={t}"))
+            if kind != HAIR:
+                # no row empties: S(t-1) is nonempty and none of its members is isolated
+                row, vert = walk_step(g, row, vert)
+                continue
+            hair = sched.steps[:t - 1].count(HAIR)      # this step's column of branches
+            if hair == hairs:
+                break                                   # S(s) is never scored
+            row, vert = walk_step(g, row, vert, branches[branch, hair], parent)
+            live = np.bincount(row, minlength=len(branch)) > 0  # S(t) nonempty
+            row = (np.cumsum(live) - 1)[row]
+            branch = branch[live]
+            parent = np.arange(len(branch))
+            if not len(branch):
+                break
+            if cluster_size > 1:
+                J = branches[branch, hair]
+                Jrow = np.repeat(parent, cluster_size)
+                uni = np.concatenate([row * g.n + vert, Jrow * g.n + J.ravel()])
+                found.append(_block_best(*_local_block(g, Jrow, J.ravel(), len(branch), k, uni),
+                                         branch, t, 1, f"cluster-local@t={t}"))
+    if not found:
         return None
-    neg, _, verts, _, prov = best[0]
+    neg, _, verts, *_, prov = min(found)
     return SolveResult(vertices=verts, density=-neg, provenance=prov)
+
+
+def _block_best(wrow, wv, dens, branch, t, cluster, prov) -> tuple:
+    """The first of a scored block's candidates as (-density, size, vertices,
+    branch, step t, 0 for local / 1 for cluster-local, provenance)."""
+    size = np.bincount(wrow, minlength=len(dens))
+    end = np.cumsum(size)                               # wrow is sorted
+    top = np.flatnonzero(dens == dens.max())
+    return min((-float(dens[r]), int(size[r]), tuple(wv[end[r] - size[r]:end[r]].tolist()),
+                int(branch[r]), t, cluster, prov)
+               for r in top[size[top] == size[top].min()].tolist())
 
 
 def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
@@ -335,8 +308,7 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     if cluster_size == 1:
         return dks_cat_combinatorial(g, k, r, s, cluster_budget, seed)
     sched = build_schedule(r, s)
-    best = _branch_best(g, k, sched, cluster_budget, seed,
-                        cluster_size=cluster_size, cluster_local=True)
+    best = _branch_best(g, k, sched, cluster_budget, seed, cluster_size=cluster_size)
     if best is None:
         return _edgeless(n, k)
     if len(best.vertices) > k:

@@ -180,6 +180,21 @@ def test_count_injective_variant():
     assert hom >= inj
 
 
+def test_leaves_are_range_checked_in_order():
+    # a leaf outside [0, n) is named, never wrapped round to n + v or left to
+    # scipy; leaves keep their order and may repeat
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    sched = build_schedule(1, 2)
+    for fn in (count_caterpillars, candidate_trace):
+        for leaves, bad in [((-1, 1), -1), ((-4, 0), -4), ((0, 4), 4), ((5, -2), 5)]:
+            with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0,4\)"):
+                fn(c4, sched, leaves)
+    assert count_caterpillars(c4, sched, (0, 0)) == 2
+    assert count_caterpillars(c4, sched, np.array([1, 1])) == 2
+    assert candidate_trace(c4, sched, (1, 0)).sets[1:] == ((0, 2), ())
+    assert candidate_trace(c4, sched, (0, 1)).sets[1:] == ((1, 3), ())
+
+
 # ---------------------------------------------------------------------------
 # candidate traces
 

@@ -202,12 +202,12 @@ def test_dks_local_density_is_induced_density(ne, cover, data):
 @given(edge_lists(max_n=16), st.booleans(),
        st.sampled_from([(r, s) for s in range(2, 6) for r in range(1, s)
                         if math.gcd(r, s) == 1]),
-       st.integers(1, 2), st.booleans(), st.integers(1, 4), st.data())
+       st.integers(1, 2), st.integers(1, 4), st.data())
 def test_block_branch_search_matches_recursive_walk(ne, cover, rs, cluster_size,
-                                                     cluster_local, width, data):
+                                                     width, data):
     """_branch_best (block walker) == the recursive per-branch reference on
     (vertices, density, provenance), with blocks of `width` rows so that
-    most budgets span several blocks."""
+    most budgets span several blocks; cluster size 2 scores cluster-local."""
     n, edges = ne
     g = Graph.from_edges(n, edges)
     if cover:
@@ -224,8 +224,9 @@ def test_block_branch_search_matches_recursive_walk(ne, cover, rs, cluster_size,
         budget = data.draw(st.integers(1, 40))             # sampled, when space > budget
     seed = data.draw(st.integers(0, 3))
     with mock.patch.object(solvers, "_CELLS", width * g.n):
-        got = solvers._branch_best(g, k, sched, budget, seed, cluster_size, cluster_local)
-    ref = reference_branch_best(g, k, sched, budget, seed, cluster_size, cluster_local)
+        got = solvers._branch_best(g, k, sched, budget, seed, cluster_size)
+    ref = reference_branch_best(g, k, sched, budget, seed, cluster_size,
+                                cluster_local=cluster_size > 1)
     if ref is None:
         assert got is None
     else:

@@ -1,9 +1,11 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from catdks import solvers
 from catdks.caterpillar import HAIR, build_schedule
 from catdks.graphs import (Graph, brute_force_dks, density_report, load_graph,
                            neighborhood, save_graph)
@@ -127,7 +129,8 @@ def test_local_block_matches_single_calls():
     # every golden set as a row of one block per k (a block shares its k):
     # ties, an empty Gamma(S) and universes side by side. Rows live on a
     # disjoint union of the golden graphs, so each row's set and universe are
-    # shifted into its part.
+    # shifted into its part. Each block is scored whole, then cut into parts
+    # of about two rows and of one row by a smaller _CELLS.
     cases = [(random_graph(*spec), S, k, universe)
              for spec, S, k, universe, _, _ in LOCAL_GOLDEN]
     cases += [(Graph.from_edges(*graph), S, k, None)
@@ -144,11 +147,14 @@ def test_local_block_matches_single_calls():
                for g, _, _, u in parts]
         urow = np.concatenate([np.full(len(u), r) for r, u in enumerate(uni)])
         uvert = np.concatenate([u + off for u, off in zip(uni, offsets)])
-        wrow, wv, dens = _local_block(union, row, verts, len(parts), k, (urow, uvert))
-        for r, (g, S, _, u) in enumerate(parts):
-            single = dks_local(g, S, k, universe=u)
-            assert tuple((wv[wrow == r] - offsets[r]).tolist()) == single.vertices
-            assert dens[r] == single.density
+        for cells in (solvers._CELLS, 2 * union.n, 1):
+            with mock.patch.object(solvers, "_CELLS", cells):
+                wrow, wv, dens = _local_block(union, row, verts, len(parts), k,
+                                              urow * union.n + uvert)
+            for r, (g, S, _, u) in enumerate(parts):
+                single = dks_local(g, S, k, universe=u)
+                assert tuple((wv[wrow == r] - offsets[r]).tolist()) == single.vertices
+                assert dens[r] == single.density
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +281,16 @@ def test_branch_best_matches_reference_at_solve_planted_scale():
     sched = build_schedule(1, 2)
     got = _branch_best(cover, 64, sched, 300, seed=3)
     assert got == reference_branch_best(cover, 64, sched, 300, seed=3)
+
+
+def test_branch_best_tie_keeps_local_before_cluster_local():
+    # k=1: one sampled branch's local@t=3 and cluster-local@t=3 candidates are
+    # the same edge (0, 2); depth-first pre-order meets the local one first
+    g = Graph.from_edges(6, [(0, 2), (1, 3), (2, 3), (2, 5), (1, 4), (4, 5)])
+    sched = build_schedule(2, 3)
+    got = _branch_best(g, 1, sched, 30, 0, cluster_size=2)
+    assert got == reference_branch_best(g, 1, sched, 30, 0, 2, cluster_local=True)
+    assert (got.vertices, got.provenance) == ((0, 2), "local@t=3")
 
 
 def test_exp_rejects_bad_cluster_size():
