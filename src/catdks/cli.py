@@ -1,8 +1,14 @@
 """Command-line front end: generators, solver, distinguishers, LP export, bench.
 
 Subcommands: gen, plant, solve, distinguish, lp-export, bench.
-Global flags: --seed, --out, --config <json>, --budget.
+Global flags: --seed, --out, --config <json>, --budget (>= 1).
 Exit codes: 0 ok, 1 usage, 2 runtime, 3 budget-exceeded.
+
+Each parameter in _PARAMS comes from its flag, else from the --config key of
+the same name (--s-max <-> s_max), else from its default. Bad input writes no
+output file: a config that is not an object with "schema_version": 1 and its
+subcommand's keys exits 1; a value of the wrong type, --trials or --budget < 1,
+or a solve <input>.json sidecar that is not an object exits 2.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -17,66 +23,113 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .graphs import (BudgetExceededError, Graph, GraphFormatError,
-                     brute_force_dks, density_report, load_graph, save_graph)
+from .graphs import (BudgetExceededError, GraphFormatError, brute_force_dks,
+                     load_graph, save_graph)
 from .lp import build_lp, export_lp
-from .models import (DistinguishVerdict, caterpillar_distinguisher,
-                     degree_distinguisher, gen_gnp, intersection_distinguisher,
-                     null_instance, plant, sdp_dual_distinguisher,
-                     spectral_distinguisher)
+from .models import (caterpillar_distinguisher, degree_distinguisher, gen_gnp,
+                     intersection_distinguisher, null_instance, plant,
+                     sdp_dual_distinguisher, spectral_distinguisher)
 from .solvers import SolverConfig, approximate
 
 CONFIG_SCHEMA_VERSION = 1
-
-# keys accepted from a --config file, per subcommand
-_CONFIG_KEYS = {
-    "gen": {"n", "p", "alpha"},
-    "plant": {"n", "alpha", "k", "beta"},
-    "solve": {"input", "k", "s_max", "leaf_budget"},
-    "distinguish": {"test", "n", "alpha", "k", "beta", "trials", "c",
-                    "r", "s", "rho"},
-    "lp-export": {"input", "k", "d", "t"},
-    "bench": {"n", "alphas", "trials"},
-}
 
 
 class UsageError(ValueError):
     pass
 
 
-def _load_config(path: Optional[str], subcommand: str) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
-    if cfg.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise UsageError(
-            f"config schema_version must be {CONFIG_SCHEMA_VERSION}, "
-            f"got {cfg.get('schema_version')!r}")
-    allowed = _CONFIG_KEYS[subcommand] | {"schema_version"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise UsageError(f"unknown config keys for {subcommand}: {sorted(unknown)}")
-    cfg.pop("schema_version")
-    return cfg
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
 
 
-def _merge(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """CLI flag wins over config file, which wins over the default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+def _floats(value) -> list[float]:
+    """A list of floats, or one comma-separated string of them."""
+    return [float(x) for x in
+            (value.split(",") if isinstance(value, str) else value)]
 
 
-def _require(value, name: str):
-    if value is None:
-        raise UsageError(f"missing required parameter: {name}")
-    return value
+REQUIRED = object()
+
+# subcommand -> parameter -> (type, default or REQUIRED); a default of None
+# means "not given" and is resolved by the subcommand
+_PARAMS = {
+    "gen": {"n": (int, REQUIRED), "p": (float, None), "alpha": (float, None)},
+    "plant": {"n": (int, REQUIRED), "alpha": (float, REQUIRED),
+              "k": (int, REQUIRED), "beta": (float, REQUIRED)},
+    "solve": {"input": (str, REQUIRED), "k": (int, REQUIRED),
+              "s_max": (int, 4), "leaf_budget": (int, None)},
+    "distinguish": {"test": (str, REQUIRED), "n": (int, 400),
+                    "alpha": (float, 0.5), "k": (int, 20),
+                    "beta": (float, 1.0), "trials": (_count, 20),
+                    "c": (float, None), "r": (int, 2), "s": (int, 3),
+                    "rho": (float, None)},
+    "lp-export": {"input": (str, REQUIRED), "k": (int, REQUIRED),
+                  "d": (str, REQUIRED), "t": (int, 1)},
+    "bench": {"n": (int, 60), "alphas": (_floats, "0.4,0.5,0.6"),
+              "trials": (_count, 5)},
+}
+# flags parse as these types; _params runs the full check, whose failure exits 2
+_FLAG_TYPE = {_count: int, _floats: str}
+
+# distinguisher -> (default threshold constant c, call(graph, params, seed))
+_TESTS = {
+    "degree": (1.0, lambda g, q, seed: degree_distinguisher(
+        g, q["k"], q["null_degree"], c=q["c"])),
+    "intersection": (3.0, lambda g, q, seed: intersection_distinguisher(
+        g, q["pair_budget"], seed=seed, c=q["c"])),
+    "spectral": (2.0, lambda g, q, seed: spectral_distinguisher(
+        g, q["k"], q["rho"], c=q["c"], seed=seed)),
+    "sdp": (1.0, lambda g, q, seed: sdp_dual_distinguisher(
+        g, q["k"], c=q["c"])),
+    "caterpillar": (4.0, lambda g, q, seed: caterpillar_distinguisher(
+        g, q["r"], q["s"], q["budget"], seed=seed, c=q["c"])),
+}
+
+
+def _params(args: argparse.Namespace) -> argparse.Namespace:
+    """Resolve each parameter of args.subcommand in place: flag, else config
+    file, else default, converted to its type. Checks --out and --budget."""
+    table = _PARAMS[args.subcommand]
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as f:
+            cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise UsageError("config must be a JSON object")
+        version = cfg.pop("schema_version", None)
+        if isinstance(version, bool) or version != CONFIG_SCHEMA_VERSION:
+            raise UsageError(
+                f"config schema_version must be {CONFIG_SCHEMA_VERSION}, "
+                f"got {version!r}")
+        unknown = set(cfg) - set(table)
+        if unknown:
+            raise UsageError(
+                f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
+    for name, (typ, default) in table.items():
+        flag = "--" + name.replace("_", "-")
+        value = getattr(args, name)
+        if value is None:
+            value = cfg.get(name)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise UsageError(f"missing required parameter: {flag}")
+        if value is not None:
+            try:
+                value = typ(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{flag}: {value!r}: {exc}") from None
+        setattr(args, name, value)
+    if args.out is None:
+        raise UsageError("missing required parameter: --out")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    return args
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -93,212 +146,135 @@ def _write_json(path: str, obj) -> None:
         f.write(text + "\n")
 
 
-def _write_timing(out: str, timings: dict) -> None:
-    _write_json(out + ".timing.json", timings)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gen(args, cfg) -> int:
-    n = int(_require(_merge(args, cfg, "n"), "--n"))
-    alpha = _merge(args, cfg, "alpha")
-    p = _merge(args, cfg, "p")
-    if p is None and alpha is not None:
-        p = float(n) ** (float(alpha) - 1)
-    p = float(_require(p, "--p or --alpha"))
-    out = _require(args.out, "--out")
-    g = gen_gnp(n, p, args.seed)
-    save_graph(g, out)
-    _write_json(out + ".json", {"model": "gnp",
-                                "params": {"n": n, "p": p, "seed": args.seed}})
+def cmd_gen(a) -> int:
+    if a.p is None and a.alpha is None:
+        raise UsageError("missing required parameter: --p or --alpha")
+    p = a.p if a.p is not None else float(a.n) ** (a.alpha - 1)
+    g = gen_gnp(a.n, p, a.seed)
+    save_graph(g, a.out)
+    _write_json(a.out + ".json", {"model": "gnp",
+                                  "params": {"n": a.n, "p": p, "seed": a.seed}})
     return 0
 
 
-def cmd_plant(args, cfg) -> int:
-    n = int(_require(_merge(args, cfg, "n"), "--n"))
-    alpha = float(_require(_merge(args, cfg, "alpha"), "--alpha"))
-    k = int(_require(_merge(args, cfg, "k"), "--k"))
-    beta = float(_require(_merge(args, cfg, "beta"), "--beta"))
-    out = _require(args.out, "--out")
-    inst = plant(n, alpha, k, beta, args.seed)
-    save_graph(inst.graph, out)
-    _write_json(out + ".json", {"model": inst.model, "params": inst.params,
-                                "planted": list(inst.planted),
-                                "ground_truth_density": inst.ground_truth_density})
+def cmd_plant(a) -> int:
+    inst = plant(a.n, a.alpha, a.k, a.beta, a.seed)
+    save_graph(inst.graph, a.out)
+    _write_json(a.out + ".json", {"model": inst.model, "params": inst.params,
+                                  "planted": list(inst.planted),
+                                  "ground_truth_density": inst.ground_truth_density})
     return 0
 
 
-def cmd_solve(args, cfg) -> int:
-    path = _require(_merge(args, cfg, "input"), "--input")
-    k = int(_require(_merge(args, cfg, "k"), "--k"))
-    out = _require(args.out, "--out")
-    g = load_graph(path)
-    config = SolverConfig(s_max=int(_merge(args, cfg, "s_max", 4)),
-                          leaf_budget=int(_merge(args, cfg, "leaf_budget",
-                                                 args.budget or 2000)),
-                          seed=args.seed)
+def cmd_solve(a) -> int:
+    g = load_graph(a.input)
+    leaf_budget = a.leaf_budget
+    if leaf_budget is None:
+        leaf_budget = a.budget or 2000
+    config = SolverConfig(s_max=a.s_max, leaf_budget=leaf_budget, seed=a.seed)
     t0 = time.perf_counter()
-    res = approximate(g, k, config)
+    res = approximate(g, a.k, config)
     elapsed = time.perf_counter() - t0
 
     record = {"vertices": list(res.vertices), "density": res.density,
               "provenance": res.provenance, "gamma": res.gamma,
-              "k": k, "n": g.n, "seed": args.seed}
+              "k": a.k, "n": g.n, "seed": a.seed}
     # ratio vs planted ground truth (sidecar) or brute force at desk scale;
     # brute_force_dks counts edges, so weighted input gets no brute-force ratio
     try:
-        with open(path + ".json", "r", encoding="utf-8") as f:
+        with open(a.input + ".json", "r", encoding="utf-8") as f:
             sidecar = json.load(f)
     except OSError:
-        sidecar = None
-    if sidecar and sidecar.get("ground_truth_density"):
+        sidecar = {}
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{a.input}.json: sidecar must be a JSON object")
+    if sidecar.get("ground_truth_density"):
         gt = float(sidecar["ground_truth_density"])
         record["ratio"] = gt / res.density if res.density > 0 else None
         record["ratio_vs"] = "planted"
     elif g.n <= 18 and g.weight_array is None:
-        opt = brute_force_dks(g, k)
+        opt = brute_force_dks(g, a.k)
         record["ratio"] = opt.density / res.density if res.density > 0 else None
         record["ratio_vs"] = "brute-force"
-    _write_json(out, record)
-    _write_timing(out, {"solve_seconds": elapsed})
+    _write_json(a.out, record)
+    _write_json(a.out + ".timing.json", {"solve_seconds": elapsed})
     return 0
 
 
-_DISTINGUISHERS = {"degree", "intersection", "spectral", "sdp", "caterpillar"}
-
-
-def _run_distinguisher(test: str, g: Graph, params: dict,
-                       seed: int) -> DistinguishVerdict:
-    if test == "degree":
-        return degree_distinguisher(g, params["k"], params["null_degree"],
-                                    c=params["c"])
-    if test == "intersection":
-        return intersection_distinguisher(g, params["pair_budget"], seed=seed,
-                                          c=params["c"])
-    if test == "spectral":
-        return spectral_distinguisher(g, params["k"], params["rho"],
-                                      c=params["c"], seed=seed)
-    if test == "sdp":
-        return sdp_dual_distinguisher(g, params["k"], c=params["c"])
-    if test == "caterpillar":
-        return caterpillar_distinguisher(g, params["r"], params["s"],
-                                         params["budget"], seed=seed,
-                                         c=params["c"])
-    raise UsageError(f"unknown test {test!r}")
-
-
-def cmd_distinguish(args, cfg) -> int:
-    test = _require(_merge(args, cfg, "test"), "--test")
-    if test not in _DISTINGUISHERS:
-        raise UsageError(f"--test must be one of {sorted(_DISTINGUISHERS)}")
-    n = int(_merge(args, cfg, "n", 400))
-    alpha = float(_merge(args, cfg, "alpha", 0.5))
-    k = int(_merge(args, cfg, "k", 20))
-    beta = float(_merge(args, cfg, "beta", 1.0))
-    trials = int(_merge(args, cfg, "trials", 20))
-    c = _merge(args, cfg, "c")
-    out = _require(args.out, "--out")
-    budget = args.budget or 2000
-    params = {"k": k, "null_degree": n ** alpha, "pair_budget": budget,
-              "rho": float(_merge(args, cfg, "rho", alpha)),
-              "r": int(_merge(args, cfg, "r", 2)),
-              "s": int(_merge(args, cfg, "s", 3)),
-              "budget": budget,
-              "c": float(c) if c is not None else
-              {"degree": 1.0, "intersection": 3.0, "spectral": 2.0,
-               "sdp": 1.0, "caterpillar": 4.0}[test]}
-
-    jobs = []
-    for i in range(trials):
-        jobs.append(("null", args.seed + 2 * i))
-        jobs.append(("planted", args.seed + 2 * i + 1))
+def cmd_distinguish(a) -> int:
+    if a.test not in _TESTS:
+        raise UsageError(f"--test must be one of {sorted(_TESTS)}")
+    default_c, call = _TESTS[a.test]
+    budget = a.budget or 2000
+    params = {"k": a.k, "null_degree": a.n ** a.alpha, "pair_budget": budget,
+              "rho": a.rho if a.rho is not None else a.alpha,
+              "r": a.r, "s": a.s, "budget": budget,
+              "c": a.c if a.c is not None else default_c}
 
     t0 = time.perf_counter()
-
-    def run(job):
-        truth, seed = job
-        if truth == "null":
-            inst = null_instance(n, alpha, seed)
-        else:
-            inst = plant(n, alpha, k, beta, seed)
-        v = _run_distinguisher(test, inst.graph, params, seed)
-        return [inst.model, n, alpha, k, beta, seed, v.statistic,
-                repr(v.value), repr(v.threshold), v.decision, truth]
-
-    rows = [run(j) for j in jobs]
+    rows = []
+    for i in range(a.trials):
+        for truth, seed in (("null", a.seed + 2 * i),
+                            ("planted", a.seed + 2 * i + 1)):
+            inst = (null_instance(a.n, a.alpha, seed) if truth == "null"
+                    else plant(a.n, a.alpha, a.k, a.beta, seed))
+            v = call(inst.graph, params, seed)
+            rows.append([inst.model, a.n, a.alpha, a.k, a.beta, seed,
+                         v.statistic, repr(v.value), repr(v.threshold),
+                         v.decision, truth])
+            del inst  # free this graph before the next one is built
     elapsed = time.perf_counter() - t0
 
     header = ["model", "n", "alpha", "k", "beta", "seed", "statistic",
               "value", "threshold", "decision", "truth"]
-    _write_csv(out, header, rows)
+    _write_csv(a.out, header, rows)
     correct = sum(1 for r in rows
                   if (r[-1] == "planted") == (r[-2] == "planted"))
-    _write_json(out + ".summary.json",
-                {"test": test, "trials": len(rows),
+    _write_json(a.out + ".summary.json",
+                {"test": a.test, "trials": len(rows),
                  "accuracy": correct / len(rows), "params": {
                      kk: params[kk] for kk in sorted(params)}})
-    _write_timing(out, {"distinguish_seconds": elapsed})
+    _write_json(a.out + ".timing.json", {"distinguish_seconds": elapsed})
     return 0
 
 
-def cmd_lp_export(args, cfg) -> int:
-    path = _require(_merge(args, cfg, "input"), "--input")
-    k = int(_require(_merge(args, cfg, "k"), "--k"))
-    d = _require(_merge(args, cfg, "d"), "--d")
-    t = int(_merge(args, cfg, "t", 1))
-    out = _require(args.out, "--out")
-    g = load_graph(path)
-    inst = build_lp(g, k, Fraction(str(d)), t,
-                    budget=args.budget or 2_000_000)
-    export_lp(inst, out)
+def cmd_lp_export(a) -> int:
+    g = load_graph(a.input)
+    inst = build_lp(g, a.k, Fraction(a.d), a.t, budget=a.budget or 2_000_000)
+    export_lp(inst, a.out)
     return 0
 
 
-def cmd_bench(args, cfg) -> int:
+def cmd_bench(a) -> int:
     """Sweep alpha: empirical planted-vs-null density ratio per grid point.
 
     For each alpha, k = round(n^alpha); the planted density is the clique
     density k-1 and the null density is what approximate() finds on
     G(n, n^(alpha-1)). The ratio curve peaks near alpha = 1/2.
     """
-    n = int(_merge(args, cfg, "n", 60))
-    alphas_raw = _merge(args, cfg, "alphas", "0.4,0.5,0.6")
-    if isinstance(alphas_raw, str):
-        alphas = [float(x) for x in alphas_raw.split(",")]
-    else:
-        alphas = [float(x) for x in alphas_raw]
-    trials = int(_merge(args, cfg, "trials", 5))
-    out = _require(args.out, "--out")
-
-    jobs = [(gi, a, args.seed + ti)
-            for gi, a in enumerate(alphas) for ti in range(trials)]
-
     t0 = time.perf_counter()
-
-    def run(job):
-        gi, a, seed = job
-        k = max(2, round(n ** a))
-        g = null_instance(n, a, seed).graph
-        res = approximate(g, k, SolverConfig(seed=seed,
-                                             leaf_budget=args.budget or 500))
-        null_d = max(res.density, 1.0)
-        ratio = (k - 1) / null_d
-        return [gi, a, n, k, seed, repr(res.density), repr(ratio)]
-
-    rows = [run(j) for j in jobs]
+    rows, summary = [], []
+    for gi, alpha in enumerate(a.alphas):
+        k = max(2, round(a.n ** alpha))
+        ratios = []
+        for seed in range(a.seed, a.seed + a.trials):
+            res = approximate(null_instance(a.n, alpha, seed).graph, k,
+                              SolverConfig(seed=seed, leaf_budget=a.budget or 500))
+            ratios.append((k - 1) / max(res.density, 1.0))
+            rows.append([gi, alpha, a.n, k, seed, repr(res.density),
+                         repr(ratios[-1])])
+        summary.append({"alpha": alpha, "mean_ratio": sum(ratios) / len(ratios),
+                        "trials": len(ratios)})
     elapsed = time.perf_counter() - t0
 
-    _write_csv(out, ["grid", "alpha", "n", "k", "seed", "null_density",
-                     "ratio"], rows)
-    summary = []
-    for gi, a in enumerate(alphas):
-        rs = [float(r[6]) for r in rows if r[0] == gi]
-        summary.append({"alpha": a, "mean_ratio": sum(rs) / len(rs),
-                        "trials": len(rs)})
-    _write_json(out + ".summary.json", {"n": n, "grid": summary})
-    _write_timing(out, {"bench_seconds": elapsed})
+    _write_csv(a.out, ["grid", "alpha", "n", "k", "seed", "null_density",
+                       "ratio"], rows)
+    _write_json(a.out + ".summary.json", {"n": a.n, "grid": summary})
+    _write_json(a.out + ".timing.json", {"bench_seconds": elapsed})
     return 0
 
 
@@ -314,71 +290,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON config file (schema_version %d)" % CONFIG_SCHEMA_VERSION)
-    p.add_argument("--budget", type=int, default=None)
+_COMMANDS = {
+    "gen": (cmd_gen, "write a G(n,p) edge-list file; --alpha sets "
+                     "p = n^(alpha-1)"),
+    "plant": (cmd_plant, "planted instance + ground-truth sidecar"),
+    "solve": (cmd_solve, "approximate densest k-subgraph"),
+    "distinguish": (cmd_distinguish, "planted-vs-null test battery; --c "
+                                     "overrides the threshold constant"),
+    "lp-export": (cmd_lp_export, "write the depth-t LP in LP format"),
+    "bench": (cmd_bench, "alpha-grid ratio sweep"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="catdks",
                 description="caterpillar-based densest-k-subgraph toolkit")
     sub = p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    sp = sub.add_parser("gen", help="write a G(n,p) edge-list file")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--alpha", type=float, help="use p = n^(alpha-1)")
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("plant", help="planted instance + ground-truth sidecar")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--beta", type=float)
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_plant)
-
-    sp = sub.add_parser("solve", help="approximate densest k-subgraph")
-    sp.add_argument("--input", type=str)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--s-max", type=int, dest="s_max")
-    sp.add_argument("--leaf-budget", type=int, dest="leaf_budget")
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("distinguish", help="planted-vs-null test battery")
-    sp.add_argument("--test", type=str,
-                    choices=sorted(_DISTINGUISHERS))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--c", type=float, help="threshold constant override")
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--rho", type=float)
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_distinguish)
-
-    sp = sub.add_parser("lp-export", help="write the depth-t LP in LP format")
-    sp.add_argument("--input", type=str)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--d", type=str)
-    sp.add_argument("--t", type=int)
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_lp_export)
-
-    sp = sub.add_parser("bench", help="alpha-grid ratio sweep")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--alphas", type=str)
-    sp.add_argument("--trials", type=int)
-    _add_global_flags(sp)
-    sp.set_defaults(func=cmd_bench)
+    for name, (func, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for param, (typ, _) in _PARAMS[name].items():
+            sp.add_argument("--" + param.replace("_", "-"),
+                            type=_FLAG_TYPE.get(typ, typ))
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", type=str, default=None)
+        sp.add_argument("--config", type=str, default=None,
+                        help="JSON config file (schema_version %d)"
+                        % CONFIG_SCHEMA_VERSION)
+        sp.add_argument("--budget", type=int, default=None)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -389,8 +328,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config, args.subcommand)
-        return args.func(args, cfg)
+        return args.func(_params(args))
     except UsageError as exc:
         print(f"catdks: usage error: {exc}", file=sys.stderr)
         return 1

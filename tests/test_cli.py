@@ -206,3 +206,72 @@ def test_cli_flag_overrides_config(tmp_path):
     out = tmp_path / "g.el"
     assert run("gen", "--config", str(cfg), "--p", "0", "--out", str(out)) == 0
     assert out.read_text() == "10 0\n"
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["distinguish", "--test", "degree", "--trials", "0"], None, 2),
+    (["bench", "--trials", "0"], None, 2),
+    (["gen"], [{"schema_version": 1, "n": 10, "p": 0}], 1),
+    (["gen"], {"schema_version": 1, "n": [10], "p": 0}, 2),
+    (["gen"], {"schema_version": True, "n": 10, "p": 0}, 1),
+    (["solve", "--input", "{graph}", "--k", "2"], None, 2),
+], ids=["distinguish-trials-0", "bench-trials-0", "config-not-object",
+        "config-value-wrong-type", "schema-version-bool", "sidecar-not-object"])
+def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
+    graph = tmp_path / "g.el"
+    graph.write_text("3 1\n0 1\n")
+    (tmp_path / "g.el.json").write_text("[1]\n")
+    argv = [str(graph) if a == "{graph}" else a for a in argv]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert run(*argv, "--out", str(tmp_path / "out")) == code
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_exits_2(tmp_path, budget):
+    graph = tmp_path / "g.el"
+    graph.write_text("5 0\n")
+    out = tmp_path / "sol.json"
+    assert run("solve", "--input", str(graph), "--k", "2", "--budget", budget,
+               "--out", str(out)) == 2
+    assert not out.exists()
+
+
+# every parameter of each subcommand, as its config value; {graph} is a
+# planted graph with a ground-truth sidecar
+_EVERY_PARAM = {
+    "gen": {"n": 30, "p": 0.2, "alpha": 0.5},
+    "plant": {"n": 40, "alpha": 0.5, "k": 6, "beta": 0.9},
+    "solve": {"input": "{graph}", "k": 6, "s_max": 3, "leaf_budget": 100},
+    "distinguish": {"test": "spectral", "n": 80, "alpha": 0.5, "k": 10,
+                    "beta": 1.0, "trials": 2, "c": 1.5, "r": 2, "s": 3,
+                    "rho": 0.4},
+    "lp-export": {"input": "{graph}", "k": 2, "d": "1/2", "t": 1},
+    "bench": {"n": 30, "alphas": [0.4, 0.5], "trials": 1},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_EVERY_PARAM))
+def test_flags_and_config_give_the_same_run(tmp_path, sub):
+    graph = tmp_path / "p.el"
+    assert run("plant", "--n", "12", "--alpha", "0.5", "--k", "4", "--beta",
+               "1.0", "--seed", "2", "--out", str(graph)) == 0
+    params = {key: str(graph) if value == "{graph}" else value
+              for key, value in _EVERY_PARAM[sub].items()}
+    flags = []
+    for key, value in params.items():
+        flags += ["--" + key.replace("_", "-"),
+                  ",".join(map(str, value)) if isinstance(value, list)
+                  else str(value)]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **params}))
+    outputs = []
+    for source in (flags, ["--config", str(cfg)]):
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        assert run(sub, *source, "--seed", "3", "--out", str(out / "o")) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()
+                        if not f.name.endswith(".timing.json")})
+    assert outputs[0] == outputs[1] and outputs[0]
