@@ -8,7 +8,9 @@ Each parameter in _PARAMS comes from its flag, else from the --config key of
 the same name (--s-max <-> s_max), else from its default. Bad input writes no
 output file: a config that is not an object with "schema_version": 1 and its
 subcommand's keys exits 1; a value of the wrong type, --trials or --budget < 1,
-or a solve <input>.json sidecar that is not an object exits 2.
+an --n below 1 where p = n^(alpha-1), or a solve <input>.json sidecar that is
+not an object or whose ground_truth_density is not a number exits 2; solve
+checks the sidecar before it solves.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -29,7 +31,7 @@ from .graphs import (BudgetExceededError, GraphFormatError, brute_force_dks,
                      load_graph, save_graph)
 from .lp import build_lp, export_lp
 from .models import (caterpillar_distinguisher, degree_distinguisher, gen_gnp,
-                     intersection_distinguisher, null_instance, plant,
+                     gnp_probability, intersection_distinguisher, null_instance, plant,
                      sdp_dual_distinguisher, spectral_distinguisher)
 from .solvers import SolverConfig, approximate
 
@@ -153,7 +155,7 @@ def _write_json(path: str, obj) -> None:
 def cmd_gen(a) -> int:
     if a.p is None and a.alpha is None:
         raise UsageError("missing required parameter: --p or --alpha")
-    p = a.p if a.p is not None else float(a.n) ** (a.alpha - 1)
+    p = a.p if a.p is not None else gnp_probability(a.n, a.alpha)
     g = gen_gnp(a.n, p, a.seed)
     save_graph(g, a.out)
     _write_json(a.out + ".json", {"model": "gnp",
@@ -170,8 +172,30 @@ def cmd_plant(a) -> int:
     return 0
 
 
+def _ground_truth(path: str) -> Optional[float]:
+    """The ground_truth_density of the solve input's <path>.json sidecar, or
+    None when there is no sidecar or it gives none; a sidecar that is not a
+    JSON object, or a value that is not a number, is an error."""
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as f:
+            sidecar = json.load(f)
+    except OSError:
+        return None
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}.json: sidecar must be a JSON object")
+    gt = sidecar.get("ground_truth_density")
+    if not gt:
+        return None
+    try:
+        return float(gt)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}.json: ground_truth_density {gt!r} "
+                         "is not a number") from None
+
+
 def cmd_solve(a) -> int:
     g = load_graph(a.input)
+    gt = _ground_truth(a.input)
     leaf_budget = a.leaf_budget
     if leaf_budget is None:
         leaf_budget = a.budget or 2000
@@ -185,15 +209,7 @@ def cmd_solve(a) -> int:
               "k": a.k, "n": g.n, "seed": a.seed}
     # ratio vs planted ground truth (sidecar) or brute force at desk scale;
     # brute_force_dks counts edges, so weighted input gets no brute-force ratio
-    try:
-        with open(a.input + ".json", "r", encoding="utf-8") as f:
-            sidecar = json.load(f)
-    except OSError:
-        sidecar = {}
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"{a.input}.json: sidecar must be a JSON object")
-    if sidecar.get("ground_truth_density"):
-        gt = float(sidecar["ground_truth_density"])
+    if gt is not None:
         record["ratio"] = gt / res.density if res.density > 0 else None
         record["ratio_vs"] = "planted"
     elif g.n <= 18 and g.weight_array is None:

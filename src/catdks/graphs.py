@@ -259,53 +259,118 @@ class SolveResult:
                (-other.density, len(other.vertices), other.vertices)
 
 
-def load_graph(path) -> Graph:
-    """Read the edge-list text format: header "n m", then "u v" or "u v w" lines.
+# byte classes of the edge-list format: 0 in a token, 1 blank, 2 line break
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\v\f")] = 1
+_BYTE_CLASS[list(b"\r\n")] = 2
 
-    Lines starting with '#' are comments. Repeated edges are deduplicated;
-    self-loops, non-positive or non-finite weights, repeated edges with
-    different weights, and files mixing weighted and unweighted lines are
-    rejected.
+# load_graph's per-line checks, in the order they are applied to a line
+_LINE_CHECKS = ("malformed edge line", "self-loop", "endpoint out of range",
+                "malformed weight", "non-positive weight",
+                "weighted and unweighted edge lines mixed")
+
+
+def load_graph(path) -> Graph:
+    """Read the edge-list text format: header "n m", then m "u v" or "u v w" lines.
+
+    The file must be UTF-8. Lines end at \\n, \\r or \\r\\n; fields are
+    separated by runs of spaces, tabs, \\v or \\f. Blank lines and lines whose
+    first field starts with '#' are skipped. The header's two fields are read
+    with int(). A vertex id is an optional sign and ASCII decimal digits (so
+    "+0" and "007" are ids; "1_0", non-ASCII digits and fields joined by
+    non-ASCII whitespace are malformed lines); a weight is what float()
+    accepts. Only the first m lines after the header are parsed; any further
+    lines are counted, and the count must equal m.
+
+    Repeated edges are deduplicated; self-loops, out-of-range ids,
+    non-positive or non-finite weights, repeated edges with different
+    weights, and files mixing weighted and unweighted lines are rejected. The
+    error names the first bad line; a line is checked for width, ids,
+    self-loop, range, weight syntax, weight sign and weightedness, in that
+    order.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    with open(path, "rb") as f:
+        data = f.read()
+    data.decode("utf-8")                                # only checks the encoding
+    buf = np.frombuffer(data, dtype=np.uint8)
+    start, end, head, width = _content_lines(buf)
+
+    def text(i):                                        # content line i, outer blanks cut
+        return data[start[head[i]]:end[head[i] + width[i] - 1]].decode()
+
+    if not len(head):
         raise GraphFormatError("empty graph file")
     try:
-        n, m = map(int, lines[0].split())
+        n, m = map(int, text(0).split())
     except ValueError as exc:
-        raise GraphFormatError(f"bad header line: {lines[0]!r}") from exc
-    edges, weights = [], []
-    for ln in lines[1:1 + m]:
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise GraphFormatError(f"malformed edge line: {ln!r}")
+        raise GraphFormatError(f"bad header line: {text(0)!r}") from exc
+    first, w = head[1:1 + m], width[1:1 + m]            # the edge lines
+    # a line of one field reads it twice; its width check fails first
+    ids = (first[:, None] + np.minimum(w[:, None] - 1, [0, 1])).ravel()
+    uv, is_id = _decimal(data, buf, start[ids], end[ids])
+    uv, is_id = uv.reshape(-1, 2), is_id.reshape(-1, 2)
+    weighted = w == 3
+    wt = np.ones(len(w))
+    bad_wt = np.zeros(len(w), dtype=bool)
+    for i in np.flatnonzero(weighted).tolist():
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"malformed edge line: {ln!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"self-loop: {ln!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"endpoint out of range: {ln!r}")
-        edges.append((u, v))
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"malformed weight: {ln!r}") from exc
-            if not w > 0:
-                raise GraphFormatError(f"non-positive weight: {ln!r}")
-            weights.append(w)
-        if 0 < len(weights) < len(edges):
-            raise GraphFormatError(f"weighted and unweighted edge lines mixed: {ln!r}")
-    uv, w, clash = _merge(n, _edge_array(edges), np.array(weights) if weights else None)
+            wt[i] = float(data[start[first[i] + 2]:end[first[i] + 2]].decode())
+        except ValueError:
+            bad_wt[i] = True
+    fails = np.array([(w < 2) | (w > 3) | ~is_id.all(axis=1), uv[:, 0] == uv[:, 1],
+                      ((uv < 0) | (uv >= n)).any(axis=1), bad_wt, ~(wt > 0),
+                      weighted != weighted[:1]])
+    bad = fails.any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise GraphFormatError(f"{_LINE_CHECKS[fails[:, i].argmax()]}: {text(1 + i)!r}")
+    uv, wt, clash = _merge(n, uv, wt if weighted.any() else None)
     if clash is not None:
-        raise GraphFormatError(f"conflicting duplicate weight: {lines[1 + clash[1]]!r}")
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
-    return _graph(n, uv, w)
+        raise GraphFormatError(f"conflicting duplicate weight: {text(1 + clash[1])!r}")
+    if len(head) - 1 != m:
+        raise GraphFormatError(f"header declares {m} edges, file has {len(head) - 1}")
+    return _graph(n, uv, wt)
+
+
+def _content_lines(buf: np.ndarray):
+    """Tokenize the bytes buf of an edge-list file: (start, end), the byte
+    span of each token, and for each line that is neither blank nor a
+    comment, head, its first token, and width, its number of tokens."""
+    cls = _BYTE_CLASS[buf]
+    bounds = np.flatnonzero(np.diff(cls == 0, prepend=False, append=False))
+    bounds = bounds.astype(np.int32 if len(buf) < 2 ** 31 else np.int64)
+    start, end = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(np.flatnonzero(cls == 2), start)   # line of each token
+    del cls
+    head = np.flatnonzero(np.diff(line, prepend=-1))
+    width = np.diff(head, append=len(start))
+    keep = buf[start[head]] != ord("#")
+    return start, end, head[keep], width[keep]
+
+
+def _decimal(data: bytes, buf: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The tokens data[a:b] read as an optional sign and ASCII decimal digits:
+    (int64 values, whether each token is of that form). Magnitudes of more
+    than 18 digits saturate at 2**62."""
+    sign = buf[a]
+    neg = sign == ord("-")
+    a = a + (neg | (sign == ord("+")))
+    ndig = b - a
+    ok = ndig > 0
+    val = np.zeros(len(a), dtype=np.int64)
+    at = np.empty_like(a)                               # byte j of each token
+    for j in range(min(int(ndig.max(initial=0)), 18)):
+        on = j < ndig
+        np.minimum(np.add(a, j, out=at), len(buf) - 1, out=at)
+        d = buf[at] - np.uint8(48)                      # wraps: a digit iff < 10
+        ok &= (d < 10) | ~on
+        np.multiply(val, 10, out=val, where=on)
+        np.add(val, d, out=val, where=on)
+    for i in np.flatnonzero(ndig > 18).tolist():
+        digits = data[a[i]:b[i]]
+        ok[i] = digits.isdigit()                        # ASCII digits only
+        val[i] = min(int(digits), 2 ** 62) if ok[i] else 0
+    return np.negative(val, out=val, where=neg), ok
 
 
 def save_graph(g: Graph, path) -> None:

@@ -65,6 +65,14 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, np.stack([i, k - starts[i] + i + 1], axis=1))
 
 
+def gnp_probability(n: int, alpha: float) -> float:
+    """p = n^(alpha - 1), the edge probability that gives G(n, p) an average
+    degree of about n^alpha; n must be >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return float(n) ** (alpha - 1)
+
+
 def _replace_induced(base: Graph, location: tuple[int, ...], h: Graph) -> Graph:
     inside = np.zeros(base.n, dtype=bool)
     inside[list(location)] = True
@@ -80,7 +88,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
     if k > n:
         raise ValueError("k > n")
     rng = np.random.default_rng(seed)
-    base = gen_gnp(n, n ** (alpha - 1), int(rng.integers(0, 2**63 - 1)))
+    base = gen_gnp(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
     location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
     h = gen_gnp(k, k ** (beta - 1), int(rng.integers(0, 2**63 - 1)))
     g = _replace_induced(base, location, h)
@@ -105,7 +113,7 @@ def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
 
 
 def null_instance(n: int, alpha: float, seed: int) -> PlantedInstance:
-    g = gen_gnp(n, n ** (alpha - 1), seed)
+    g = gen_gnp(n, gnp_probability(n, alpha), seed)
     return PlantedInstance(graph=g, planted=None, model="null",
                            params={"n": n, "alpha": alpha, "seed": seed})
 

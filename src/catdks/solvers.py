@@ -209,8 +209,12 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         branches = np.array(list(product(combos, repeat=hairs)), dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        draws = np.array([np.sort(rng.choice(len(cands), size=cluster_size, replace=False))
-                          for _ in range(budget * n_hairs)])
+        if cluster_size == 1:
+            # the same stream as one choice(N, 1, replace=False) call per leaf
+            draws = rng.integers(0, len(cands), size=(budget * n_hairs, 1))
+        else:
+            draws = np.array([np.sort(rng.choice(len(cands), size=cluster_size, replace=False))
+                              for _ in range(budget * n_hairs)])
         branches = cands[draws].reshape(budget, n_hairs, cluster_size)[:, :hairs]
     found: list[tuple] = []                             # each scored block's best
     width = max(1, _CELLS // g.n)                       # rows per block

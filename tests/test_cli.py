@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from catdks import cli
 from catdks.cli import _write_json, main
 from catdks.graphs import load_graph
 
@@ -215,8 +216,12 @@ def test_cli_flag_overrides_config(tmp_path):
     (["gen"], {"schema_version": 1, "n": [10], "p": 0}, 2),
     (["gen"], {"schema_version": True, "n": 10, "p": 0}, 1),
     (["solve", "--input", "{graph}", "--k", "2"], None, 2),
+    (["distinguish", "--test", "degree", "--n", "0", "--trials", "1"], None, 2),
+    (["bench", "--n", "0", "--trials", "1"], None, 2),
+    (["gen", "--n", "0", "--alpha", "0.5"], None, 2),
 ], ids=["distinguish-trials-0", "bench-trials-0", "config-not-object",
-        "config-value-wrong-type", "schema-version-bool", "sidecar-not-object"])
+        "config-value-wrong-type", "schema-version-bool", "sidecar-not-object",
+        "distinguish-n-0", "bench-n-0", "gen-alpha-n-0"])
 def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
     graph = tmp_path / "g.el"
     graph.write_text("3 1\n0 1\n")
@@ -226,6 +231,21 @@ def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
         (tmp_path / "c.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "c.json")]
     assert run(*argv, "--out", str(tmp_path / "out")) == code
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("density", [[5], {"x": 1}, "five"])
+def test_bad_sidecar_density_fails_before_solve(tmp_path, monkeypatch, density):
+    graph = tmp_path / "g.el"
+    graph.write_text("3 1\n0 1\n")
+    (tmp_path / "g.el.json").write_text(json.dumps({"ground_truth_density": density}))
+
+    def solve_must_not_run(*args):
+        raise AssertionError("approximate ran before the sidecar was checked")
+
+    monkeypatch.setattr(cli, "approximate", solve_must_not_run)
+    assert run("solve", "--input", str(graph), "--k", "2",
+               "--out", str(tmp_path / "out")) == 2
     assert list(tmp_path.glob("out*")) == []
 
 

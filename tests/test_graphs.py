@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -362,3 +363,120 @@ def test_load_rejects_weight_on_one_duplicate_only(tmp_path):
     p.write_text("2 2\n0 1\n1 0 5\n")
     with pytest.raises(GraphFormatError):
         load_graph(p)
+
+
+# each bad file's exact message: the first bad line wins, and within a line
+# the checks run in the order width, ids, self-loop, range, weight syntax,
+# weight sign, weighted/unweighted; then duplicates, then the header count
+LOAD_ERRORS = [
+    ("3 1\n0\n", "malformed edge line: '0'"),
+    ("3 1\n0 1 2 3\n", "malformed edge line: '0 1 2 3'"),
+    ("3 1\n0 x\n", "malformed edge line: '0 x'"),
+    ("3 1\n  0\t\tx \r\n", "malformed edge line: '0\\t\\tx'"),
+    ("3 1\n0 1 abc\n", "malformed weight: '0 1 abc'"),
+    ("3 1\n1 1\n", "self-loop: '1 1'"),
+    ("3 1\n0 3\n", "endpoint out of range: '0 3'"),
+    ("3 1\n0 -1\n", "endpoint out of range: '0 -1'"),
+    ("3 1\n0 99999999999999999999999\n",
+     "endpoint out of range: '0 99999999999999999999999'"),
+    ("3 1\n0 1 0\n", "non-positive weight: '0 1 0'"),
+    ("3 1\n0 1 -2.5\n", "non-positive weight: '0 1 -2.5'"),
+    ("3 1\n0 1 nan\n", "non-positive weight: '0 1 nan'"),
+    ("3 2\n1 2 inf\n0 1 1\n", "non-finite weight inf on edge (1, 2)"),
+    ("3 2\n0 1\n1 2 5\n", "weighted and unweighted edge lines mixed: '1 2 5'"),
+    ("3 2\n0 1 5\n1 2\n", "weighted and unweighted edge lines mixed: '1 2'"),
+    ("3 3\n0 1 5\n1 2 1\n1 0 7\n", "conflicting duplicate weight: '1 0 7'"),
+    ("3 3\n0 1\n1 2\n", "header declares 3 edges, file has 2"),
+    ("3 1\n0 1\n1 2 3 4 x\n", "header declares 1 edges, file has 2"),
+    ("3 0\n# c\n0 1\n\n", "header declares 0 edges, file has 1"),
+    ("3 x\n", "bad header line: '3 x'"),
+    ("3 1 1\n0 1\n", "bad header line: '3 1 1'"),
+    ("# nothing\n\n  \n", "empty graph file"),
+    ("", "empty graph file"),
+    ("3 2\n0 0\n0 9\n", "self-loop: '0 0'"),
+    ("3 2\n0 9\n1 1\n", "endpoint out of range: '0 9'"),
+    ("3 2\n0 1\n2 2 x\n", "self-loop: '2 2 x'"),
+    ("3 2\n0 5 x\n0 1\n", "endpoint out of range: '0 5 x'"),
+    ("3 3\n0 1 1\n1 2\n0 0 1\n", "weighted and unweighted edge lines mixed: '1 2'"),
+    ("3 3\n0 1\n1 2 x\n1 0\n", "malformed weight: '1 2 x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", LOAD_ERRORS)
+def test_load_error_messages(tmp_path, text, message):
+    p = tmp_path / "g.el"
+    p.write_bytes(text.encode())
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(p)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\r\n0 1\r\n1 2\r\n",                     # CRLF
+    "3 2\r0 1\r1 2\r",                           # lone CR
+    "3\t 2\n0\t1\n  1   2  \n",                  # tabs and repeated spaces
+    "\n\n3 2\n\n0 1\n\n\n1 2",                   # blank lines, no final newline
+    "# a\n  # b\n3 2\n# c\n0 1\n#d\n1 2\n# e\n",  # comments around the header
+    "3 2\n0 1\n1 2\n# trailing comment",
+])
+def test_load_accepts_layout(tmp_path, text):
+    p = tmp_path / "g.el"
+    p.write_bytes(text.encode())
+    g = load_graph(p)
+    assert (g.n, g.edges, g.weights) == (3, frozenset({(0, 1), (1, 2)}), None)
+
+
+
+# a vertex id is an optional sign and ASCII decimal digits; the header keeps
+# int(), and a weight is what float() accepts
+@pytest.mark.parametrize("text, outcome", [
+    ("3 1\n+0 1\n", {(0, 1)}),
+    ("3 1\n007 -0002\n", "endpoint out of range: '007 -0002'"),
+    ("3 1\n-0 00000000000000000000001\n", {(0, 1)}),
+    ("11 1\n1_0 1\n", "malformed edge line: '1_0 1'"),
+    ("3 1\n0 \u0661\n", "malformed edge line: '0 \u0661'"),
+    ("3 1\n0\u00a01\n", "malformed edge line: '0\\xa01'"),
+    ("3 1\n0 1\u2003\n", "malformed edge line: '0 1\\u2003'"),
+    ("3 1\n\u00a0\n", "malformed edge line: '\\xa0'"),
+    ("+3 0_1\n0 1\n", {(0, 1)}),
+    ("3 1\n0 1 1_5\n", {(0, 1)}),
+])
+def test_load_id_syntax(tmp_path, text, outcome):
+    p = tmp_path / "g.el"
+    p.write_bytes(text.encode())
+    if isinstance(outcome, str):
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(p)
+        assert str(exc.value) == outcome
+    else:
+        assert load_graph(p).edges == outcome
+
+def test_load_weighted_layout(tmp_path):
+    p = tmp_path / "g.el"
+    p.write_bytes(b"# w\r\n4 3\r\n0 1 2.5\r\n1\t2  1e-3\r\n3 2 7\r\n2 1 0.001\r\n")
+    with pytest.raises(GraphFormatError, match="header declares 3 edges, file has 4"):
+        load_graph(p)
+    p.write_bytes(b"# w\r\n4 4\r\n0 1 2.5\r\n1\t2  1e-3\r\n3 2 7\r\n2 1 0.001\r\n")
+    assert load_graph(p).weights == {(0, 1): 2.5, (1, 2): 0.001, (2, 3): 7.0}
+
+
+# tracemalloc peak of load_graph on the gen_gnp(1000, 0.03, 0) file (14,845
+# edges, 115,503 bytes), measured on the line-by-line parser this one replaced
+LOAD_PEAK_BYTES = 3_239_255
+
+
+def test_load_graph_peak_memory(tmp_path):
+    from catdks.models import gen_gnp
+
+    g = gen_gnp(1000, 0.03, 0)
+    p = tmp_path / "g.el"
+    save_graph(g, p)
+    load_graph(p)                                # warm imports and caches
+    tracemalloc.start()
+    try:
+        back = load_graph(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak <= LOAD_PEAK_BYTES

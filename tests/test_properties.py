@@ -1,5 +1,6 @@
 """Property tests: Graph canonical form, its lazy edge and weight views,
-derived structures, edge-list round trip, the batched caterpillar walker
+derived structures, edge-list round trip, load_graph against a
+line-by-line parser, the batched caterpillar walker
 against brute force, density_report against a plain count,
 peel_to_min_degree against brute force, resize_to_k, dks_local's density
 against density_report, the block branch search against the recursive
@@ -7,6 +8,7 @@ per-branch walk, and the exact LP check against a per-row Fraction
 evaluation."""
 import math
 import os
+import re
 import tempfile
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +22,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
-from catdks.graphs import (Graph, density_report, load_graph, neighborhood,  # noqa: E402
+from catdks.graphs import (Graph, GraphFormatError, density_report,  # noqa: E402
+                           load_graph, neighborhood,
                            peel_to_min_degree, save_graph, weighted_average_degree)
 from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks import solvers  # noqa: E402
@@ -107,6 +110,98 @@ def test_save_load_round_trip(ne, data):
         path = os.path.join(d, "g.el")
         save_graph(g, path)
         assert load_graph(path) == g
+
+
+_ID = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_load(path) -> Graph:
+    """load_graph's rules, one line at a time: the file must be UTF-8; lines
+    end at \\r\\n, \\r or \\n and fields are split on runs of ASCII
+    blanks; ids match _ID, the header uses int() and weights float()."""
+    with open(path, "rb") as f:
+        data = f.read()
+    data.decode("utf-8")
+    lines = [ln.strip(b" \t\v\f").decode() for ln in re.split(rb"\r\n|\r|\n", data)]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphFormatError("empty graph file")
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError as exc:
+        raise GraphFormatError(f"bad header line: {lines[0]!r}") from exc
+    edges = []                                   # (u, v, weight or None, line)
+    for ln in lines[1:1 + m]:
+        parts = re.split(r"[ \t\v\f]+", ln)
+        if len(parts) not in (2, 3) or not all(map(_ID.fullmatch, parts[:2])):
+            raise GraphFormatError(f"malformed edge line: {ln!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u == v:
+            raise GraphFormatError(f"self-loop: {ln!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"endpoint out of range: {ln!r}")
+        w = None
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError as exc:
+                raise GraphFormatError(f"malformed weight: {ln!r}") from exc
+            if not w > 0:
+                raise GraphFormatError(f"non-positive weight: {ln!r}")
+        edges.append((min(u, v), max(u, v), w, ln))
+        if (w is None) != (edges[0][2] is None):
+            raise GraphFormatError(f"weighted and unweighted edge lines mixed: {ln!r}")
+    first = {}
+    for u, v, w, ln in edges:
+        if first.setdefault((u, v), w) != w:
+            raise GraphFormatError(f"conflicting duplicate weight: {ln!r}")
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
+    return Graph.from_edges(n, list(first), first if edges and edges[0][2] else None)
+
+
+@st.composite
+def edge_list_files(draw):
+    """Edge-list file bytes, mostly well formed: header, edge lines (all
+    weighted or all not, with rare exceptions), comments, blank lines, mixed
+    line ends and separators, and some malformed fields."""
+    ids = st.sampled_from([str(v) for v in range(6)] * 8 + [
+        "+1", "-1", "007", "-0", "6", "x", "1_0", "-", "\u0661", "99999999999999999999"])
+    weights = st.sampled_from(["1", "2.5", "1e-3"] * 4 + ["0", "-2", "nan", "inf", "x", "1_5"])
+    weighted = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        fields = [draw(ids), draw(ids)]
+        if weighted != (draw(st.integers(0, 19)) == 0):
+            fields.append(draw(weights))
+        fields = draw(st.sampled_from([fields] * 40 + [
+            [], ["#", "x"], ["#0", "1"], fields[:1], fields + ["7"], ["0\u00a01"]]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\v", "\f"]))
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(pad + sep.join(fields) + pad)
+    m = sum(bool(ln.strip()) and not ln.strip().startswith("#") for ln in lines)
+    m += draw(st.sampled_from([0] * 6 + [-1, 1, -m - 2]))
+    header = draw(st.sampled_from(["6 {}"] * 5 + ["6\t{}", "5 {}", "+6 {}", "6 {} 1", "x {}"]))
+    lines = draw(st.lists(st.sampled_from(["# c", "", " #", "\t"]), max_size=2)) + \
+        [header.format(m)] + lines
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+    return "".join(ln + draw(ends) for ln in lines).encode()
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_list_files())
+def test_load_graph_matches_line_parser(data):
+    outcome = []
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.el")
+        with open(path, "wb") as f:
+            f.write(data)
+        for parse in (load_graph, reference_load):
+            try:
+                outcome.append(parse(path))
+            except GraphFormatError as exc:
+                outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
 
 
 @settings(deadline=None)

@@ -473,3 +473,19 @@ def test_approximate_deterministic():
     g = random_graph(40, 150, 9)
     cfg = SolverConfig(seed=4, leaf_budget=200)
     assert approximate(g, 8, cfg) == approximate(g, 8, cfg)
+
+
+@pytest.mark.parametrize("N", [1, 2, 1968, 10**6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integers_matches_single_choice_draws(N, seed):
+    """_branch_best draws C = 1 branches with one rng.integers call where it
+    once made one rng.choice(N, 1, replace=False) call per leaf. That the two
+    give the same values and leave the generator in the same state rests on
+    numpy internals (choice runs one Floyd step, the same bounded draw as
+    integers); the seeded goldens rest on it, so a numpy upgrade that breaks
+    it fails here, on the installed numpy."""
+    M = 600
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = np.array([a.choice(N, 1, replace=False) for _ in range(M)])
+    assert np.array_equal(b.integers(0, N, size=(M, 1)), stacked)
+    assert a.bit_generator.state == b.bit_generator.state
