@@ -1,10 +1,10 @@
 """Immutable undirected graph with degree/density queries and small exact oracles.
 
-Vertices are dense integer ids in [0, n). A graph is stored as arrays: the
-sorted (m, 2) int64 edge array, an aligned float64 weight array when
-weighted, and an optional bipartition; every constructor ends in one array
-path. Degrees and a sorted CSR (indptr / indices) are numpy-built from the
-edge array, and graph walks (Gamma(S), induced degrees, peeling) read the CSR
+Vertices are dense integer ids in [0, n). A graph is three fields: n, the
+sorted (m, 2) int64 edge array, and an aligned float64 weight array when
+weighted (else None); every constructor ends in one array path. Degrees and
+a sorted CSR (indptr / indices) are numpy-built from the edge array, and
+graph walks (Gamma(S), induced degrees, peeling) read the CSR
 rows. The tuple views `edges`, `weights` and `adj` are built only when read:
 `adj` serves the brute-force injective caterpillar count and per-pair
 neighbourhood intersections, and no library code reads the other two.
@@ -55,6 +55,9 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     carrying w (a weight per row, or None) along. Returns (uv, w, clash):
     clash is None, or rows (i, j) where j is the first row whose weight
     differs from that of row i, the earliest row on the same edge."""
+    if n > 3_037_000_499:                               # isqrt(2**63 - 1)
+        raise GraphFormatError(f"n = {n} exceeds 3037000499, the most vertices "
+                               "whose edge codes u * n + v fit an int64")
     code = uv.min(axis=1) * n + uv.max(axis=1)
     clash = None
     if w is None:
@@ -104,25 +107,22 @@ class Graph:
 
     Stored as arrays: `edge_array`, the (m, 2) int64 edges u < v, sorted,
     deduplicated, no self-loops; `weight_array`, their positive, finite
-    float64 weights, or None; `bipartition`, an optional frozenset of "left"
-    vertices that every edge must cross. Graph(n, edges, weights, bipartition)
-    takes canonical pairs and weights keyed by exactly them; from_edges
-    canonicalizes. The views `edges` (a frozenset of (u, v) tuples), `weights`
-    (a dict keyed by them), `csr`, `degrees`, `adj` and `adjacency_matrix`
-    are built when first read and cached. Graphs are equal when n, edges,
-    weights and bipartition are; they are not hashable.
+    float64 weights, or None. Graph(n, edges, weights) takes canonical pairs
+    and weights keyed by exactly them; from_edges canonicalizes. The views
+    `edges` (a frozenset of (u, v) tuples), `weights` (a dict keyed by them),
+    `csr`, `degrees`, `adj` and `adjacency_matrix` are built when first read
+    and cached. Graphs are equal when n, edges and weights are; they are not
+    hashable.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 weights: Optional[dict[tuple[int, int], float]] = None,
-                 bipartition: Optional[Iterable[int]] = None):
+                 weights: Optional[dict[tuple[int, int], float]] = None):
         n = int(n)
-        self._init(n, *_canonical(n, edges, weights, strict=True), bipartition)
+        self._init(n, *_canonical(n, edges, weights, strict=True))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   weights: Optional[dict[tuple[int, int], float]] = None,
-                   bipartition: Optional[Iterable[int]] = None) -> "Graph":
+                   weights: Optional[dict[tuple[int, int], float]] = None) -> "Graph":
         """Build a graph, canonicalizing and deduplicating edges; rejects self-loops.
 
         `edges` is an iterable of (u, v) pairs or an (m, 2) integer array.
@@ -130,9 +130,9 @@ class Graph:
         different weights are rejected.
         """
         n = int(n)
-        return _graph(n, *_canonical(n, edges, weights, strict=False), bipartition)
+        return _graph(n, *_canonical(n, edges, weights, strict=False))
 
-    def _init(self, n, uv, w, bipartition) -> "Graph":
+    def _init(self, n, uv, w) -> "Graph":
         """Check and store canonical arrays; every constructor ends here."""
         if w is not None:
             for bad, what in ((~(w > 0), "non-positive"), (~np.isfinite(w), "non-finite")):
@@ -140,14 +140,7 @@ class Graph:
                     i = int(bad.argmax())
                     raise GraphFormatError(
                         f"{what} weight {w[i].item()} on edge {tuple(uv[i].tolist())}")
-        bp = None if bipartition is None else frozenset(bipartition)
-        if bp is not None:
-            side = np.isin(uv, np.fromiter(bp, dtype=np.int64, count=len(bp)))
-            bad = side[:, 0] == side[:, 1]
-            if bad.any():
-                u, v = uv[bad.argmax()].tolist()
-                raise GraphFormatError(f"edge ({u},{v}) does not cross the bipartition")
-        self.__dict__.update(n=n, edge_array=uv, weight_array=w, bipartition=bp)
+        self.__dict__.update(n=n, edge_array=uv, weight_array=w)
         return self
 
     def __setattr__(self, name, value):
@@ -156,7 +149,6 @@ class Graph:
     def __eq__(self, other):
         w, x = self.weight_array, getattr(other, "weight_array", None)
         return (isinstance(other, Graph) and self.n == other.n
-                and self.bipartition == other.bipartition
                 and np.array_equal(self.edge_array, other.edge_array)
                 and (w is x or w is not None and x is not None and np.array_equal(w, x)))
 
@@ -382,9 +374,9 @@ def save_graph(g: Graph, path) -> None:
         f.writelines(f"{u} {v}{x}\n" for (u, v), x in zip(g.edge_array.tolist(), w))
 
 
-def _graph(n: int, uv: np.ndarray, w=None, bipartition=None) -> Graph:
+def _graph(n: int, uv: np.ndarray, w=None) -> Graph:
     """A Graph on arrays that are already canonical (see _canonical)."""
-    return object.__new__(Graph)._init(n, uv, w, bipartition)
+    return object.__new__(Graph)._init(n, uv, w)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -400,9 +392,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     uv = relabel[g.edge_array]
     inside = (uv >= 0).all(axis=1)
     w = None if g.weight_array is None else g.weight_array[inside]
-    bp = None if g.bipartition is None else \
-        [new for new, old in enumerate(members) if old in g.bipartition]
-    return _graph(len(members), uv[inside], w, bp), members
+    return _graph(len(members), uv[inside], w), members
 
 
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:

@@ -90,7 +90,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
     rng = np.random.default_rng(seed)
     base = gen_gnp(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
     location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-    h = gen_gnp(k, k ** (beta - 1), int(rng.integers(0, 2**63 - 1)))
+    h = gen_gnp(k, k ** (beta - 1) if k else 0.0, int(rng.integers(0, 2**63 - 1)))
     g = _replace_induced(base, location, h)
     gt = density_report(g, location).average_degree if k else None
     return PlantedInstance(graph=g, planted=location, model="random-planted",

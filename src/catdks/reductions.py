@@ -13,7 +13,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, _peel_order, induced_edge_mask, induced_subgraph, vertex_array
+from .graphs import (Graph, _graph, _peel_order, induced_edge_mask, induced_subgraph,
+                     vertex_array)
 
 
 class StallError(RuntimeError):
@@ -93,11 +94,9 @@ def union_until_k(g: Graph, k: int,
             while len(accum) < k:
                 accum.add(next(pad))
             break
-        # the first residual is g itself: no copy of its edges held alongside it;
-        # later ones keep its bipartition, so dks_local can read a winner's
-        # induced edges off its bipartite score
-        current = g if remaining.all() else \
-            Graph.from_edges(g.n, uv[remaining], bipartition=g.bipartition)
+        # the first residual is g itself: no copy of its edges held alongside
+        # it; later ones are rows of its canonical edge array, still canonical
+        current = g if remaining.all() else _graph(g.n, uv[remaining])
         found = vertex_array(g, inner(current))
         removed = remaining & induced_edge_mask(g, found)
         if not removed.any():
@@ -117,12 +116,13 @@ def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
 
 
 def bipartite_double_cover(g: Graph) -> Graph:
-    """Two vertex copies; edge (u, v) becomes (u, v+n) and (v, u+n)."""
+    """Two vertex copies, [0, n) and [n, 2n), and every edge joins them: edge
+    (u, v) becomes (u, v+n) and (v, u+n). This layout is the contract."""
     n = g.n
     u, v = g.edge_array.T
     edges = np.concatenate([np.stack([u, v + n], axis=1),
                             np.stack([v, u + n], axis=1)])
-    return Graph.from_edges(2 * n, edges, bipartition=range(n))
+    return Graph.from_edges(2 * n, edges)
 
 
 def collapse_double_cover(cover_set: Iterable[int], n: int) -> tuple[int, ...]:

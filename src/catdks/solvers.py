@@ -87,10 +87,10 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     into S come from one bincount over B x n, the rankings from one sort,
     and the prefix matrices are a zero-padded B x |T| x |S| cube. Only rows
     whose best bipartite average is reached by several k' go through the
-    per-row tie loop. When S lies on one side of g.bipartition, Gamma(S)
-    lies on the other, so the winner's induced edges are its cross edges
-    and its density is its bipartite average; other rows count them. Rows
-    are scored in parts whose arrays fit _CELLS.
+    per-row tie loop. When every edge joins the two _halves of g (a double
+    cover, or a residual of one), a row with S in one half has Gamma(S) in
+    the other, so its winner's density is its bipartite average; other rows
+    count the winner's induced edges. Rows are scored in parts that fit _CELLS.
     """
     n = g.n
     ns = np.bincount(row, minlength=B)                  # |S| per row
@@ -158,11 +158,9 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     wrow, wv = W // n, W % n
     dens = np.where(ng > 0, best, 0.0)
     count = ng > 0
-    if g.bipartition is not None:
-        left = np.zeros(n, dtype=bool)
-        left[np.fromiter(g.bipartition, dtype=np.int64, count=len(g.bipartition))] = True
-        in_left = np.bincount(row, weights=left[S], minlength=B)
-        count &= (in_left > 0) & (in_left < ns)
+    if _halves(g):
+        low = np.bincount(row, weights=S < n // 2, minlength=B)
+        count &= (low > 0) & (low < ns)
     if count.any():
         # the winners' induced edges in the host graph
         inside = np.zeros(B * n, dtype=bool)
@@ -173,6 +171,13 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
         edges = np.bincount(orow[inside[orow * n + nbr]], minlength=B) // 2
         dens[count] = (2.0 * edges / np.bincount(wrow, minlength=B))[count]
     return wrow, wv, dens
+
+
+def _halves(g: Graph) -> bool:
+    """Whether every edge joins [0, n // 2) to [n // 2, n); edge rows are
+    sorted, so the last has the largest u."""
+    uv, h = g.edge_array, g.n // 2
+    return not len(uv) or bool(uv[-1, 0] < h and uv[:, 1].min() >= h)
 
 
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
@@ -276,7 +281,7 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
 
     def inner(current: Graph) -> tuple[int, ...]:
         res = _branch_best(current, k, sched, leaf_budget, seed)
-        if res is not None and density_report(current, res.vertices).edge_count > 0:
+        if res is not None and res.density > 0:            # its density in current
             return res.vertices
         # residual has edges but no branch spans one: fall back to its first edge
         return tuple(current.edge_array[0].tolist())
@@ -289,12 +294,13 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
 
 
 def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
-            cluster_size: Optional[int] = None, s_max: int = 5) -> SolveResult:
+            cluster_size: Optional[int] = None) -> SolveResult:
     """Cluster-based hair steps: intersect with Gamma(J_t) for C-subsets J_t,
     additionally running dks_local on each cluster against its candidate set.
 
     C defaults to round(n^(2*beta*eps/(2*beta*eps+alpha))) with beta = log_n k
-    and alpha = 1 - beta. With C = 1 the cluster-local pass is skipped and the
+    and alpha = 1 - beta; the schedule is choose_rs(alpha + 2*beta*eps, 5),
+    capped at 0.999. With C = 1 the cluster-local pass is skipped and the
     result matches dks_cat_combinatorial exactly. A C below 1, or above the
     number of non-isolated vertices of a graph with edges, raises ValueError.
     """
@@ -306,7 +312,7 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     beta = math.log(max(k, 2)) / math.log(n)
     alpha = max(1.0 - beta, 1e-9)
     alpha_prime = min(alpha + 2 * beta * eps, 0.999)
-    r, s = choose_rs(alpha_prime, s_max)
+    r, s = choose_rs(alpha_prime, 5)
     if cluster_size is None:
         cluster_size = max(1, round(n ** (2 * beta * eps / (2 * beta * eps + alpha))))
     if cluster_size == 1:

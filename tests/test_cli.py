@@ -45,6 +45,15 @@ def test_plant_sidecar(tmp_path):
     assert sidecar["ground_truth_density"] == 5.0
 
 
+def test_plant_empty_planted_set(tmp_path):
+    # k = 0 with beta < 1 has no planted part to draw, not a zero division
+    out = tmp_path / "p.el"
+    assert run("plant", "--n", "10", "--alpha", "0.5", "--k", "0",
+               "--beta", "0.5", "--seed", "2", "--out", str(out)) == 0
+    sidecar = json.loads((tmp_path / "p.el.json").read_text())
+    assert sidecar["planted"] == [] and sidecar["ground_truth_density"] is None
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -87,13 +87,6 @@ def test_partial_weights_rejected():
         Graph.from_edges(3, [(0, 1), (1, 2)], weights={(0, 1): 1.0})
 
 
-def test_bipartition_validation():
-    with pytest.raises(GraphFormatError):
-        Graph.from_edges(4, [(0, 1)], bipartition=[0, 1])
-    g = Graph.from_edges(4, [(0, 2), (1, 3)], bipartition=[0, 1])
-    assert g.bipartition == frozenset({0, 1})
-
-
 # ---------------------------------------------------------------------------
 # induced subgraph / neighborhood
 
@@ -327,6 +320,28 @@ def test_from_edges_accepts_arrays():
         Graph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n", [3_037_000_500, 10 ** 10, 10 ** 20])
+def test_too_many_vertices_for_edge_codes(tmp_path, n):
+    # an edge is packed as u * n + v in an int64, which holds every edge only
+    # for n <= isqrt(2**63 - 1) = 3,037,000,499; no such graph is built
+    p = tmp_path / "g.el"
+    for edges in ([], [(1, 2)], [(3_000_000_000, 3_000_000_001)]):
+        for build in (Graph, Graph.from_edges):
+            with pytest.raises(GraphFormatError, match="3037000499"):
+                build(n, edges)
+        p.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        with pytest.raises(GraphFormatError, match="3037000499"):
+            load_graph(p)
+
+
+def test_largest_vertex_count_packs_its_last_edge(tmp_path):
+    n = 3_037_000_499
+    p = tmp_path / "g.el"
+    p.write_text(f"{n} 2\n{n - 1} {n - 2}\n0 {n - 1}\n")
+    for g in (Graph.from_edges(n, [(n - 1, n - 2), (0, n - 1)]), load_graph(p)):
+        assert g.n == n and g.edge_array.tolist() == [[0, n - 1], [n - 2, n - 1]]
+
+
 def test_constructor_checks():
     with pytest.raises(GraphFormatError, match="out of range"):
         Graph(n=3, edges=frozenset({(0, 5)}))
@@ -344,8 +359,6 @@ def test_constructor_checks():
         Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 1): 0.0})
     with pytest.raises(GraphFormatError, match="non-finite"):
         Graph(n=3, edges=frozenset({(0, 1)}), weights={(0, 1): math.inf})
-    with pytest.raises(GraphFormatError, match="bipartition"):
-        Graph(n=3, edges=frozenset({(0, 1)}), bipartition=frozenset())
 
 
 def test_from_edges_rejects_conflicting_weights():

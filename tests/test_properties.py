@@ -75,9 +75,9 @@ def test_lazy_views_match_canonical_input(ne, data):
     assert g.edges == frozenset(edges)
     assert g.weights == (None if weights is None else
                          {(min(e), max(e)): w for e, w in weights.items()})
-    assert Graph(g.n, g.edges, g.weights, g.bipartition) == g
+    assert Graph(g.n, g.edges, g.weights) == g
     cover = bipartite_double_cover(g)
-    assert Graph(cover.n, cover.edges, None, cover.bipartition) == cover
+    assert Graph(cover.n, cover.edges) == cover
 
 
 @settings(deadline=None)

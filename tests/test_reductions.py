@@ -170,7 +170,9 @@ def test_cover_single_edge():
     g = Graph.from_edges(2, [(0, 1)])
     cov = bipartite_double_cover(g)
     assert cov.edges == frozenset({(0, 3), (1, 2)})
-    assert cov.bipartition == frozenset({0, 1})
+    # copy one is [0, n), copy two [n, 2n); every edge row (u, v) has u < n <= v
+    assert cov.n == 4
+    assert (cov.edge_array[:, 0] < 2).all() and (cov.edge_array[:, 1] >= 2).all()
 
 
 def test_cover_triangle_is_c6():

@@ -11,8 +11,9 @@ from catdks.graphs import (Graph, brute_force_dks, density_report, load_graph,
                            neighborhood, save_graph)
 from catdks.models import plant
 from catdks.reductions import bipartite_double_cover
-from catdks.solvers import (SolverConfig, _branch_best, _local_block, approximate,
-                            dks_cat_combinatorial, dks_exp, dks_local, resize_to_k)
+from catdks.solvers import (SolverConfig, _branch_best, _halves, _local_block,
+                            approximate, dks_cat_combinatorial, dks_exp, dks_local,
+                            resize_to_k)
 
 
 def clique(k, n=None):
@@ -155,6 +156,32 @@ def test_local_block_matches_single_calls():
                 single = dks_local(g, S, k, universe=u)
                 assert tuple((wv[wrow == r] - offsets[r]).tolist()) == single.vertices
                 assert dens[r] == single.density
+
+
+def test_halves_shortcut_matches_counted_density():
+    # on a double cover the winner's density is read off its bipartite score;
+    # shifted by +1 into 2n + 1 vertices the halves check fails and the
+    # induced edges are counted. The shift keeps id order, so ties fall alike.
+    assert _halves(Graph.from_edges(4, [(0, 2), (1, 3)]))
+    assert not _halves(Graph.from_edges(4, [(0, 1), (0, 3)]))   # (0, 1) in one half
+    for seed in range(4):
+        g = random_graph(30, 70, seed)
+        g = Graph.from_edges(g.n, np.concatenate([g.edge_array, [[0, g.n - 1]]]))
+        cover = bipartite_double_cover(g)
+        shifted = Graph.from_edges(cover.n + 1, cover.edge_array + 1)
+        assert _halves(cover) and not _halves(shifted)
+        rng = np.random.default_rng(seed)
+        sets = [rng.choice(g.n, 5, replace=False),           # in copy one
+                rng.choice(g.n, 5, replace=False) + g.n,     # in copy two
+                rng.choice(cover.n, 8, replace=False)]       # in both
+        for S in sets:
+            for k in (3, 10):
+                a, b = dks_local(cover, S, k), dks_local(shifted, S + 1, k)
+                assert b.vertices == tuple(v + 1 for v in a.vertices)
+                assert b.density == a.density
+        a = dks_cat_combinatorial(cover, 12, 1, 2, 50, seed)
+        b = dks_cat_combinatorial(shifted, 12, 1, 2, 50, seed)
+        assert (b.vertices, b.density) == (tuple(v + 1 for v in a.vertices), a.density)
 
 
 # ---------------------------------------------------------------------------
