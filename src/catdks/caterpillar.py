@@ -7,9 +7,11 @@ vertices. Counting walks the schedule on a batch of leaf tuples at once: row
 j of a sparse count matrix holds, per vertex, the number of ways to realize
 the current prefix for tuple j with that vertex as the rightmost backbone
 vertex. A hair step keeps the entries adjacent to the row's leaf and a
-backbone step multiplies by the adjacency matrix. This counts homomorphisms
-(internal vertices may collide); the injective count is available as a
-brute-force variant flag for small graphs.
+backbone step multiplies by the adjacency matrix. A schedule of hair steps
+only counts common neighbours on bit-packed adjacency rows instead, on
+graphs small enough. This counts homomorphisms (internal vertices may
+collide); the injective count is available as a brute-force variant flag
+for small graphs.
 """
 from __future__ import annotations
 
@@ -131,15 +133,26 @@ def _leaf_array(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> 
 
 # leaf tuples per block: the walker's count matrix is at most _BLOCK x n
 _BLOCK = 256
+# bytes of packed adjacency rows, and of ANDed tuple rows, held at once
+_PACKED = 1 << 21
 
 
 def _count_batch(g: Graph, sched: CaterpillarSchedule,
                  leaves: np.ndarray) -> list[int]:
     """Homomorphism counts for every row of a (B, r+1) array of leaf tuples.
 
-    Counts are int64 while max_degree^(s-r), which bounds every count and
-    every partial count, stays below 2^63, and exact Python ints otherwise.
+    A schedule of hair steps only, (r, r+1), counts the common neighbours of
+    each tuple's leaves on bit-packed rows (_common_neighbours) when all n
+    packed adjacency rows fit _PACKED bytes. Otherwise the sparse walker
+    counts, in int64 while max_degree^(s-r), which bounds every count and
+    every partial count, stays below 2^63, and in exact Python ints
+    otherwise.
     """
+    words = max(1, -(-g.n // 64))                       # uint64 words per packed row
+    if BACKBONE not in sched.steps and g.n * 8 * words <= _PACKED:
+        # past the budget a row would be packed again for each block of
+        # tuples, which measured slower than the walker
+        return _common_neighbours(g, leaves, words)
     from scipy.sparse import csr_matrix
 
     indptr, indices = g.csr
@@ -149,6 +162,29 @@ def _count_batch(g: Graph, sched: CaterpillarSchedule,
     out: list[int] = []
     for lo in range(0, len(leaves), _BLOCK):
         out.extend(_walk(A, sched.steps, leaves[lo:lo + _BLOCK], exact))
+    return out
+
+
+def _common_neighbours(g: Graph, leaves: np.ndarray, words: int) -> list[int]:
+    """Per row of `leaves`, the number of vertices adjacent to all of its
+    leaves: the popcount of the AND of their adjacency rows, each packed
+    once into `words` uint64 words (vertex v is bit v % 64 of word v // 64),
+    ANDed in blocks of tuples that fit _PACKED bytes."""
+    uniq, inv = np.unique(leaves, return_inverse=True)
+    inv = inv.reshape(leaves.shape)
+    owner, nbr = g.rows(uniq)
+    key = owner * words + (nbr >> 6)                    # sorted, as CSR rows are
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    packed = np.zeros((len(uniq), words), dtype=np.uint64)
+    packed.reshape(-1)[key[first]] = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), (nbr & 63).astype(np.uint64)), first)
+    step = _PACKED // (8 * words)
+    out: list[int] = []
+    for lo in range(0, len(inv), step):
+        X = packed[inv[lo:lo + step, 0]]
+        for col in inv[lo:lo + step, 1:].T:
+            X &= packed[col]
+        out.extend(np.bitwise_count(X).sum(axis=1).tolist())
     return out
 
 
@@ -253,6 +289,32 @@ def candidate_trace(g: Graph, sched: CaterpillarSchedule,
                           fractional_exponents=tuple(exps))
 
 
+def choice_rows(rng: np.random.Generator, N: int, C: int, T: int) -> np.ndarray:
+    """A (T, C) array whose rows are T successive rng.choice(N, C,
+    replace=False) calls, leaving rng in the same state, from one
+    rng.integers call.
+
+    choice draws by Floyd's algorithm, one bounded draw in [0, j] for
+    j = N-C .. N-1 (a value already taken becomes j), then shuffles with one
+    bounded draw in [0, i] for i = C-1 .. 1 (swap i with the draw); integers
+    with an array of bounds makes the same draws in row-major order.
+    """
+    if N > 10000 and C > N // 50:
+        # here choice shuffles the tail of arange(N) instead, a stream that
+        # integers does not reproduce
+        return np.array([rng.choice(N, C, replace=False) for _ in range(T)]).reshape(T, C)
+    j = np.arange(N - C, N)
+    d = rng.integers(0, np.broadcast_to(np.concatenate([j + 1, np.arange(C, 1, -1)]),
+                                        (T, 2 * C - 1)))
+    out = d[:, :C].copy()
+    for t in range(1, C):
+        out[(out[:, :t] == out[:, t:t + 1]).any(axis=1), t] = j[t]
+    rows = np.arange(T)
+    for i, swap in zip(range(C - 1, 0, -1), d[:, C:].T):
+        out[rows, i], out[rows, swap] = out[rows, swap], out[rows, i]
+    return out
+
+
 def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
                       seed: int = 0) -> tuple[tuple[int, ...], int]:
     """Distinct leaf tuple maximizing the caterpillar count.
@@ -260,28 +322,25 @@ def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
     Leaves are ordered but pairwise distinct (a witness is a vertex *set*;
     repeated leaves degenerate into lower-order intersection counts). Full
     lexicographic enumeration when the tuple space fits in `budget`, otherwise
-    seeded uniform sampling of `budget` tuples. Ties resolved by
+    `budget` seeded uniform samples, the stream of one
+    rng.choice(#candidates, r+1, replace=False) call per tuple (choice_rows).
+    All tuples are counted by one _count_batch call. Ties resolved by
     (count, lexicographically smallest tuple). Returns (leaves, count).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    cands = np.flatnonzero(g.degrees).tolist()
-    if not cands:
+    cands = np.flatnonzero(g.degrees)
+    if not len(cands):
         return tuple([0] * sched.num_leaves), 0
     arity = sched.num_leaves
     if len(cands) < arity:
         # degenerate: not enough distinct non-isolated vertices for a witness
-        return tuple((cands * arity)[:arity]), 0
-    space = math.perm(len(cands), arity)
-    if space <= budget:
-        tuples = np.array(list(permutations(cands, arity)), dtype=np.int64)
+        return tuple((cands.tolist() * arity)[:arity]), 0
+    if math.perm(len(cands), arity) <= budget:
+        tuples = np.array(list(permutations(cands.tolist(), arity)), dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        tuples = np.asarray(cands, dtype=np.int64)[np.stack(
-            [rng.choice(len(cands), size=arity, replace=False)
-             for _ in range(budget)])]
+        tuples = cands[choice_rows(np.random.default_rng(seed), len(cands), arity, budget)]
     counts = _count_batch(g, sched, tuples)
     best_count = max(counts)
-    best_tuple = min(tuple(t) for t, c in zip(tuples.tolist(), counts)
-                     if c == best_count)
-    return best_tuple, best_count
+    top = tuples[np.array(counts, dtype=object) == best_count]
+    return tuple(top[np.lexsort(top.T[::-1])[0]].tolist()), best_count

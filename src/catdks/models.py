@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .caterpillar import build_schedule, max_witness_count
+from .caterpillar import _count_batch, build_schedule, max_witness_count
 from .graphs import Graph, density_report, vertex_array
 
 
@@ -138,7 +138,9 @@ def degree_distinguisher(g: Graph, k: int, expected_null_degree: float,
 
 def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
                                c: float = 3.0) -> DistinguishVerdict:
-    """Max neighborhood-intersection size over enumerated or sampled pairs.
+    """Max neighborhood-intersection size |Gamma(u) & Gamma(v)|, the (1,2)
+    caterpillar count, over every pair u < v when there are at most
+    `pair_budget`, else over `pair_budget` seeded pairs of distinct vertices.
 
     The null mean n*p^2 and binomial deviation are estimated from the realized
     edge density.
@@ -150,21 +152,14 @@ def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
     mean = n * p_hat * p_hat
     sigma = math.sqrt(max(mean, 1.0))
     thr = mean + c * math.sqrt(max(math.log(n), 1.0)) * sigma
-    adj = g.adj
-    total_pairs = n * (n - 1) // 2
-    best = 0
-    if total_pairs <= pair_budget:
-        for u in range(n):
-            for v in range(u + 1, n):
-                best = max(best, len(adj[u] & adj[v]))
+    if n * (n - 1) // 2 <= pair_budget:
+        pairs = np.stack(np.triu_indices(n, 1), axis=1)
     else:
         rng = np.random.default_rng(seed)
         us = rng.integers(0, n, size=pair_budget)
         vs = rng.integers(0, n - 1, size=pair_budget)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if v >= u:
-                v += 1
-            best = max(best, len(adj[u] & adj[v]))
+        pairs = np.stack([us, vs + (vs >= us)], axis=1)
+    best = max(_count_batch(g, build_schedule(1, 2), pairs), default=0)
     return DistinguishVerdict.decide("max-pair-intersection", float(best), thr,
                                      notes=f"c={c}")
 

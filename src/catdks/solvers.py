@@ -19,7 +19,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .caterpillar import HAIR, CaterpillarSchedule, build_schedule, choose_rs, walk_step
+from .caterpillar import (HAIR, CaterpillarSchedule, build_schedule, choice_rows, choose_rs,
+                          walk_step)
 from .graphs import (Graph, SolveResult, density_report, sorted_unique, vertex_array,
                      weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
@@ -213,14 +214,9 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         combos = list(combinations(cands.tolist(), cluster_size))
         branches = np.array(list(product(combos, repeat=hairs)), dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        if cluster_size == 1:
-            # the same stream as one choice(N, 1, replace=False) call per leaf
-            draws = rng.integers(0, len(cands), size=(budget * n_hairs, 1))
-        else:
-            draws = np.array([np.sort(rng.choice(len(cands), size=cluster_size, replace=False))
-                              for _ in range(budget * n_hairs)])
-        branches = cands[draws].reshape(budget, n_hairs, cluster_size)[:, :hairs]
+        draws = choice_rows(np.random.default_rng(seed), len(cands), cluster_size,
+                            budget * n_hairs)
+        branches = cands[np.sort(draws, axis=1)].reshape(budget, n_hairs, cluster_size)[:, :hairs]
     found: list[tuple] = []                             # each scored block's best
     width = max(1, _CELLS // g.n)                       # rows per block
     for lo in range(0, len(branches), width):

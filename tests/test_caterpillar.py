@@ -8,6 +8,7 @@ import pytest
 
 from catdks.caterpillar import (BACKBONE, HAIR, build_schedule, candidate_trace,
                                 choose_rs, count_caterpillars, max_witness_count)
+from catdks.caterpillar import choice_rows
 from catdks.graphs import Graph
 
 
@@ -337,3 +338,53 @@ def test_count_overflows_int64_exactly():
     assert type(got) is int and got == expected
     k6 = Graph.from_edges(6, combinations(range(6), 2))
     assert count_caterpillars(k6, sched, (0, 1)) == (5 ** 13 + 1) // 6
+
+
+# ---------------------------------------------------------------------------
+# one-call draws and bounded packing
+
+
+CHOICE_CASES = [(N, C) for N in (1, 2, 7, 1968, 10000, 10**6) for C in range(1, 6) if C <= N]
+# both sides of numpy's switch to a tail shuffle (N > 10000 and C > N // 50)
+CHOICE_CASES += [(10001, 200), (10001, 201), (20000, 400), (20000, 401)]
+
+
+@pytest.mark.parametrize("N,C", CHOICE_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_choice_rows_matches_choice_loop(N, C, seed):
+    """choice_rows reproduces one rng.choice(N, C, replace=False) call per
+    row from one rng.integers call. That rests on numpy internals (choice's
+    Floyd draws and shuffle are the same bounded draws as integers with an
+    array of bounds), and the seeded goldens rest on it, so a numpy upgrade
+    that breaks it fails here."""
+    T = 200 if C < 100 else 20
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    loop = np.array([a.choice(N, C, replace=False) for _ in range(T)])
+    assert np.array_equal(choice_rows(b, N, C, T), loop)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+# tracemalloc peak of max_witness_count(g, (2,3), budget 2000, seed 1) on the
+# graph below (n = 20000, 59,989 edges), measured on the per-tuple
+# rng.choice loop and scipy walker that the one-call draws and the packed
+# counter replaced; packing all n adjacency rows at once would take
+# 20000 x 2504 bytes, about 50 MB
+WITNESS_PEAK_BYTES = 1_903_278
+
+
+def test_witness_search_peak_memory():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    uv = rng.integers(0, 20000, size=(60000, 2))
+    g = Graph.from_edges(20000, uv[uv[:, 0] != uv[:, 1]])
+    sched = build_schedule(2, 3)
+    max_witness_count(g, sched, 50, seed=1)      # warm imports and caches
+    tracemalloc.start()
+    try:
+        got = max_witness_count(g, sched, 2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ((7, 16361, 7745), 0)
+    assert peak <= WITNESS_PEAK_BYTES

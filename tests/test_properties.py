@@ -27,6 +27,7 @@ from catdks.graphs import (Graph, GraphFormatError, density_report,  # noqa: E40
                            peel_to_min_degree, save_graph, weighted_average_degree)
 from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks import solvers  # noqa: E402
+from catdks import caterpillar  # noqa: E402
 from catdks.reductions import bipartite_double_cover  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count  # noqa: E402
@@ -219,6 +220,43 @@ def test_batched_counts_match_brute_force(ne, rs, data):
     assert _walk(A, sched.steps, leaves, exact=True) == _walk(A, sched.steps, leaves)
     for t, c in zip(tuples, counts):
         assert c >= count_caterpillars(g, sched, t, injective=True)
+
+
+def reference_walk(g, sched, leaves):
+    """Reference: the sparse walker over every step of the schedule, one
+    scipy row per leaf at each hair step, int64 counts."""
+    A = g.adjacency_matrix.astype(np.int64)
+    X = None
+    hair = 0
+    for kind in sched.steps:
+        if kind == "hair":
+            rows = A[leaves[:, hair]]
+            hair += 1
+            X = rows if X is None else X.multiply(rows).tocsr()
+        else:
+            X = X @ A
+    return np.asarray(X.sum(axis=1)).ravel().tolist()
+
+
+ALL_SCHEDULES = [(r, s) for s in range(2, 6) for r in range(1, s) if math.gcd(r, s) == 1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists(max_n=16), st.sampled_from(ALL_SCHEDULES),
+       st.sampled_from([8, 16, 24, 64, 1 << 19]), st.data())
+def test_packed_counts_match_sparse_walk(ne, rs, packed_bytes, data):
+    # packed_bytes, the packing budget: small ones send the larger graphs to
+    # the walker and AND one or a few tuples per block; leaves may repeat
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    sched = build_schedule(*rs)
+    tuples = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * (rs[0] + 1)),
+                                min_size=1, max_size=40))
+    leaves = np.array(tuples, dtype=np.int64)
+    expected = reference_walk(g, sched, leaves)
+    with mock.patch.object(caterpillar, "_PACKED", packed_bytes):
+        assert _count_batch(g, sched, leaves) == expected
+        assert [count_caterpillars(g, sched, t) for t in tuples] == expected
 
 
 @settings(deadline=None)
