@@ -167,22 +167,21 @@ def _count_batch(g: Graph, sched: CaterpillarSchedule,
 
 def _common_neighbours(g: Graph, leaves: np.ndarray, words: int) -> list[int]:
     """Per row of `leaves`, the number of vertices adjacent to all of its
-    leaves: the popcount of the AND of their adjacency rows, each packed
-    once into `words` uint64 words (vertex v is bit v % 64 of word v // 64),
-    ANDed in blocks of tuples that fit _PACKED bytes."""
-    uniq, inv = np.unique(leaves, return_inverse=True)
-    inv = inv.reshape(leaves.shape)
-    owner, nbr = g.rows(uniq)
-    key = owner * words + (nbr >> 6)                    # sorted, as CSR rows are
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    packed = np.zeros((len(uniq), words), dtype=np.uint64)
-    packed.reshape(-1)[key[first]] = np.bitwise_or.reduceat(
-        np.left_shift(np.uint64(1), (nbr & 63).astype(np.uint64)), first)
+    leaves: the popcount of the AND of their adjacency rows. All n rows are
+    packed from the edge array, no CSR, into `words` little-endian uint64
+    words each (vertex v is bit v % 64 of word v // 64), and ANDed in blocks
+    of tuples that fit _PACKED bytes."""
+    width = 64 * words
+    bits = np.zeros(g.n * width, dtype=bool)
+    u, v = g.edge_array.T
+    bits[u * width + v] = bits[v * width + u] = True
+    packed = np.packbits(bits, bitorder="little").view("<u8").reshape(g.n, words)
+    del bits
     step = _PACKED // (8 * words)
     out: list[int] = []
-    for lo in range(0, len(inv), step):
-        X = packed[inv[lo:lo + step, 0]]
-        for col in inv[lo:lo + step, 1:].T:
+    for lo in range(0, len(leaves), step):
+        X = packed[leaves[lo:lo + step, 0]]
+        for col in leaves[lo:lo + step, 1:].T:
             X &= packed[col]
         out.extend(np.bitwise_count(X).sum(axis=1).tolist())
     return out

@@ -6,8 +6,8 @@ weighted (else None); every constructor ends in one array path. Degrees and
 a sorted CSR (indptr / indices) are numpy-built from the edge array, and
 graph walks (Gamma(S), induced degrees, peeling) read the CSR
 rows. The tuple views `edges`, `weights` and `adj` are built only when read:
-`adj` serves the brute-force injective caterpillar count and per-pair
-neighbourhood intersections, and no library code reads the other two.
+`adj` serves only the brute-force injective caterpillar count, and no library
+code reads the other two.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     if n > 3_037_000_499:                               # isqrt(2**63 - 1)
         raise GraphFormatError(f"n = {n} exceeds 3037000499, the most vertices "
                                "whose edge codes u * n + v fit an int64")
-    code = uv.min(axis=1) * n + uv.max(axis=1)
+    code = np.minimum(*uv.T) * n + np.maximum(*uv.T)
     clash = None
     if w is None:
         code = sorted_unique(code)
@@ -309,9 +309,9 @@ def load_graph(path) -> Graph:
             wt[i] = float(data[start[first[i] + 2]:end[first[i] + 2]].decode())
         except ValueError:
             bad_wt[i] = True
-    fails = np.array([(w < 2) | (w > 3) | ~is_id.all(axis=1), uv[:, 0] == uv[:, 1],
-                      ((uv < 0) | (uv >= n)).any(axis=1), bad_wt, ~(wt > 0),
-                      weighted != weighted[:1]])
+    fails = np.array([(w < 2) | (w > 3) | ~np.logical_and(*is_id.T), uv[:, 0] == uv[:, 1],
+                      (np.minimum(*uv.T) < 0) | (np.maximum(*uv.T) >= n), bad_wt,
+                      ~(wt > 0), weighted != weighted[:1]])
     bad = fails.any(axis=0)
     if bad.any():
         i = int(bad.argmax())
@@ -386,13 +386,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     """
     vs = vertex_array(g, s)
     members = tuple(vs.tolist())
-    relabel = np.full(g.n, -1, dtype=np.int64)
+    relabel = np.zeros(g.n, dtype=np.int64)
     relabel[vs] = np.arange(len(vs))
-    # relabelling is increasing on s, so the kept rows stay canonical and sorted
-    uv = relabel[g.edge_array]
-    inside = (uv >= 0).all(axis=1)
+    inside = induced_edge_mask(g, vs)
     w = None if g.weight_array is None else g.weight_array[inside]
-    return _graph(len(members), uv[inside], w), members
+    # relabelling is increasing on s, so the kept rows stay canonical and sorted
+    return _graph(len(members), relabel[g.edge_array[inside]], w), members
 
 
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -451,7 +450,7 @@ def induced_edge_mask(g: Graph, vs: np.ndarray) -> np.ndarray:
     """Boolean mask over g.edge_array of the edges induced on the vertex array vs."""
     inside = np.zeros(g.n, dtype=bool)
     inside[vs] = True
-    return inside[g.edge_array].all(axis=1)
+    return inside[g.edge_array[:, 0]] & inside[g.edge_array[:, 1]]
 
 
 def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:

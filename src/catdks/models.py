@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .caterpillar import _count_batch, build_schedule, max_witness_count
-from .graphs import Graph, density_report, vertex_array
+from .graphs import Graph, induced_edge_mask, vertex_array
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class DistinguishVerdict:
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), each pair an edge independently with probability p."""
+    """Erdos-Renyi G(n, p), each pair an edge independently with probability p:
+    one rng.random draw per pair, in row-major upper-triangle order."""
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} out of [0,1]")
     if n < 0:
@@ -55,13 +56,13 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         return Graph.from_edges(n, [])
     rng = np.random.default_rng(seed)
     # pair k of the row-major upper triangle is (i, j): row i starts at
-    # starts[i] and holds j = i+1 .. n-1; mapping the kept k back avoids
-    # materialising all n(n-1)/2 index pairs
+    # starts[i] and holds j = i+1 .. n-1; k is sorted, so row i keeps the
+    # kept pairs from searchsorted(k, starts[i]) up to row i+1's
     pairs = n * (n - 1) // 2
     k = np.arange(pairs) if p == 1 else np.flatnonzero(rng.random(pairs) < p)
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(starts, k, side="right") - 1
+    i = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=len(k)))
     return Graph.from_edges(n, np.stack([i, k - starts[i] + i + 1], axis=1))
 
 
@@ -74,15 +75,14 @@ def gnp_probability(n: int, alpha: float) -> float:
 
 
 def _replace_induced(base: Graph, location: tuple[int, ...], h: Graph) -> Graph:
-    inside = np.zeros(base.n, dtype=bool)
-    inside[list(location)] = True
-    kept = base.edge_array[~inside[base.edge_array].all(axis=1)]
-    mapped = np.asarray(location, dtype=np.int64)[h.edge_array]
-    return Graph.from_edges(base.n, np.concatenate([kept, mapped]))
+    loc = np.asarray(location, dtype=np.int64)
+    kept = base.edge_array[~induced_edge_mask(base, loc)]
+    return Graph.from_edges(base.n, np.concatenate([kept, loc[h.edge_array]]))
 
 
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
-    """Plant G(k, k^(beta-1)) on a random k-set inside G(n, n^(alpha-1))."""
+    """Plant h = G(k, k^(beta-1)) on a random k-set inside G(n, n^(alpha-1));
+    the set's edges are exactly h's, so ground_truth_density is 2 h.m / k."""
     if not (0 < alpha < 1 and 0 < beta <= 1):
         raise ValueError("alpha in (0,1) and beta in (0,1] required")
     if k > n:
@@ -92,7 +92,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
     location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
     h = gen_gnp(k, k ** (beta - 1) if k else 0.0, int(rng.integers(0, 2**63 - 1)))
     g = _replace_induced(base, location, h)
-    gt = density_report(g, location).average_degree if k else None
+    gt = 2.0 * h.m / k if k else None
     return PlantedInstance(graph=g, planted=location, model="random-planted",
                            params={"n": n, "alpha": alpha, "k": k, "beta": beta,
                                    "seed": seed},
@@ -101,12 +101,13 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
 
 def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
                     seed: int = 0) -> PlantedInstance:
-    """Replace the induced subgraph on `location` by an arbitrary graph h."""
+    """Replace the induced subgraph on `location` by an arbitrary graph h;
+    ground_truth_density, the location's average degree, is 2 h.m / |location|."""
     loc = tuple(vertex_array(g_base, location).tolist())
     if len(loc) != h.n:
         raise ValueError(f"location size {len(loc)} != |V(h)| = {h.n}")
     g = _replace_induced(g_base, loc, h)
-    gt = density_report(g, loc).average_degree if loc else None
+    gt = 2.0 * h.m / len(loc) if loc else None
     return PlantedInstance(graph=g, planted=loc, model="dense-in-random",
                            params={"n": g_base.n, "k": len(loc), "seed": seed},
                            ground_truth_density=gt)
@@ -222,9 +223,9 @@ def planted_rayleigh(g: Graph, h_set: Iterable[int]) -> float:
     neg = Fraction(-k, n - k)
     assert k * Fraction(1) + (n - k) * neg == 0  # x ⟂ 1 exactly
     # edges with 0, 1 and 2 endpoints in h_set contribute x_u x_v = neg^2, neg and 1
-    inside = np.isin(g.edge_array, members).sum(axis=1)
-    none, one, both = np.bincount(inside, minlength=3).tolist()
-    num = 2 * (none * neg * neg + one * neg + both)
+    both = g.edge_count_within(members)
+    one = int(g.degrees[members].sum()) - 2 * both     # an inside edge counts twice
+    num = 2 * ((g.m - one - both) * neg * neg + one * neg + both)
     den = Fraction(k) + Fraction(k * k, n - k)
     return float(num / den)
 

@@ -388,3 +388,66 @@ def test_witness_search_peak_memory():
         tracemalloc.stop()
     assert got == ((7, 16361, 7745), 0)
     assert peak <= WITNESS_PEAK_BYTES
+
+
+# tracemalloc peak of max_witness_count(g, (2,3), budget 10**4, seed 1) on
+# gen_gnp(4096, 4096^(-1/3), 0) (524,078 edges), measured with the leaves'
+# rows packed from the CSR rows; n = 4096 is the largest graph whose n packed
+# rows fit _PACKED, so this is the packed counter's worst case
+PACKED_PEAK_BYTES = 42_392_386
+
+
+def test_packed_witness_search_peak_memory():
+    import tracemalloc
+
+    from catdks.models import gen_gnp
+
+    g = gen_gnp(4096, 4096 ** (-1 / 3), 0)
+    sched = build_schedule(2, 3)
+    max_witness_count(g, sched, 50, seed=1)      # warm imports and caches
+    tracemalloc.start()
+    try:
+        got = max_witness_count(g, sched, 10 ** 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ((1752, 1784, 1626), 6)
+    assert peak <= PACKED_PEAK_BYTES
+
+
+def reference_common_neighbours(g, leaves, words):
+    """Reference: each distinct leaf's CSR row packed once into `words`
+    uint64 words (vertex v is bit v % 64 of word v // 64), then per tuple the
+    popcount of the AND of its leaves' rows."""
+    uniq, inv = np.unique(leaves, return_inverse=True)
+    inv = inv.reshape(leaves.shape)
+    owner, nbr = g.rows(uniq)
+    key = owner * words + (nbr >> 6)                    # sorted, as CSR rows are
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    packed = np.zeros((len(uniq), words), dtype=np.uint64)
+    packed.reshape(-1)[key[first]] = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), (nbr & 63).astype(np.uint64)), first)
+    X = packed[inv[:, 0]]
+    for col in inv[:, 1:].T:
+        X &= packed[col]
+    return np.bitwise_count(X).sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+def test_common_neighbours_match_csr_rows(n, density):
+    # density 0 is the edgeless graph; sparse ones leave isolated vertices;
+    # vertex n - 1 is always isolated, so the last word's top bit in use is
+    # never set
+    from catdks.caterpillar import _common_neighbours
+
+    rng = np.random.default_rng(n)
+    pairs = np.array([(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)],
+                     dtype=np.int64).reshape(-1, 2)
+    g = Graph.from_edges(n, pairs[rng.random(len(pairs)) < density])
+    assert n < 3 or g.degrees[-1] == 0
+    words = max(1, -(-n // 64))
+    for arity in (1, 2, 3, 4):
+        leaves = rng.integers(0, n, size=(50, arity))
+        assert _common_neighbours(g, leaves, words) == \
+            reference_common_neighbours(g, leaves, words)

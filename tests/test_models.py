@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -45,6 +46,57 @@ def test_gnp_degree_concentration():
 def test_gnp_validates_p():
     with pytest.raises(ValueError):
         gen_gnp(5, 1.5, 0)
+
+
+# SHA-256 of edge_array.tobytes() (int64, little-endian) per (n, p, seed),
+# with the edge count; the generators' output is part of every seeded result
+GNP_PINS = [
+    (2000, 2000 ** (-1 / 3), 0, 158567,
+     "b14bb4eb96341d613a9edb9152e8dc1965a44d018262c9ae0ac91d06fc5230fb"),
+    (2000, 2000 ** (-1 / 3), 1, 159062,
+     "039f46d87ccb164c63ca91db90cdf91e10a2d4e63289928650c7927732f5d532"),
+    (1000, 1000 ** (-1 / 2), 0, 15657,
+     "a891e9b7304cf6ef940d918f6c48055ef83451c531ab803cbad4cf6695027cad"),
+    (1000, 1000 ** (-1 / 2), 1, 15842,
+     "4118af2278d1d62884522a43aae99ccc596d8ef1c8149a5e1aa7da9934d9ecf7"),
+    (7, 1.0, 0, 21, "dc59c7e86713355ac567dde745362a3a68322b3b2f36c43b519fb1b5d9ae1b44"),
+    (7, 1.0, 1, 21, "dc59c7e86713355ac567dde745362a3a68322b3b2f36c43b519fb1b5d9ae1b44"),
+    (1, 0.5, 0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.5, 1, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (50, 0.0, 0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (50, 0.0, 1, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+# plant(n, alpha, k, beta, seed) -> (edge count, SHA-256 as above,
+# repr(ground_truth_density))
+PLANT_PINS = [
+    ((2000, 2 / 3, 159, 1.0, 0), 171093,
+     "f3bc5df029ccb67cc4ed4df29c93af31066931b9d038bebe3a473af66e517f13", "158.0"),
+    ((2000, 2 / 3, 159, 1.0, 1), 170419,
+     "72d453862444b6b46e5368f662e5bcb3764067f78b9a71bc77807d549ce3856c", "158.0"),
+    ((1000, .5, 32, .8, 0), 16147,
+     "7e5f90af1bf40ec1c1ae702308f600951b82193ee45f51f45520d56b81977ced", "16.25"),
+    ((1000, .5, 32, .8, 1), 15946,
+     "ae537080552e389e8dc45b765a5cd6ce9ccbac9c503f39fe623348ef3094f35d", "16.6875"),
+]
+
+
+def edge_digest(g):
+    assert g.edge_array.dtype == np.dtype("<i8")
+    return hashlib.sha256(g.edge_array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n,p,seed,m,digest", GNP_PINS)
+def test_gnp_bytes_pinned(n, p, seed, m, digest):
+    g = gen_gnp(n, p, seed)
+    assert (g.m, edge_digest(g)) == (m, digest)
+
+
+@pytest.mark.parametrize("args,m,digest,gt", PLANT_PINS)
+def test_plant_bytes_pinned(args, m, digest, gt):
+    inst = plant(*args)
+    assert (inst.graph.m, edge_digest(inst.graph)) == (m, digest)
+    assert repr(inst.ground_truth_density) == gt
 
 
 def test_plant_clique_when_beta_one():

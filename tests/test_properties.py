@@ -1,7 +1,8 @@
 """Property tests: Graph canonical form, its lazy edge and weight views,
 derived structures, edge-list round trip, load_graph against a
 line-by-line parser, the batched caterpillar walker
-against brute force, density_report against a plain count,
+against brute force, density_report against a plain count, the generators'
+canonical output and planted ground truth,
 peel_to_min_degree against brute force, resize_to_k, dks_local's density
 against density_report, the block branch search against the recursive
 per-branch walk, and the exact LP check against a per-row Fraction
@@ -26,6 +27,7 @@ from catdks.graphs import (Graph, GraphFormatError, density_report,  # noqa: E40
                            load_graph, neighborhood,
                            peel_to_min_degree, save_graph, weighted_average_degree)
 from catdks.lp import build_lp, check_feasible  # noqa: E402
+from catdks.models import gen_gnp, plant, plant_arbitrary  # noqa: E402
 from catdks import solvers  # noqa: E402
 from catdks import caterpillar  # noqa: E402
 from catdks.reductions import bipartite_double_cover  # noqa: E402
@@ -272,6 +274,33 @@ def test_density_report_matches_plain_count(ne, data):
     assert (rep.vertex_count, rep.edge_count, rep.min_degree) == (len(s), e, min(degs))
     assert rep.average_degree == 2.0 * e / len(s)
     assert weighted_average_degree(g, s) == rep.average_degree
+
+
+@settings(deadline=None)
+@given(st.integers(1, 60), st.floats(0.05, 0.95), st.floats(0.05, 1.0),
+       st.integers(0, 2 ** 32), st.data())
+def test_generated_graphs_are_canonical_with_exact_ground_truth(n, alpha, beta, seed, data):
+    """gen_gnp, plant and plant_arbitrary return graphs that from_edges
+    leaves unchanged, and ground_truth_density is the planted set's
+    density_report average degree, to the bit."""
+    k = data.draw(st.integers(0, n))
+    inst = plant(n, alpha, k, beta, seed)
+    for g in (gen_gnp(n, alpha, seed), inst.graph):
+        assert Graph.from_edges(g.n, g.edge_array) == g
+    if k:
+        assert inst.ground_truth_density == \
+            density_report(inst.graph, inst.planted).average_degree
+    else:
+        assert inst.ground_truth_density is None
+    loc = data.draw(st.sets(st.integers(0, n - 1)))
+    h = gen_gnp(len(loc), beta, seed + 1)
+    arb = plant_arbitrary(inst.graph, h, loc)
+    assert Graph.from_edges(n, arb.graph.edge_array) == arb.graph
+    if loc:
+        assert arb.ground_truth_density == \
+            density_report(arb.graph, arb.planted).average_degree
+    else:
+        assert arb.ground_truth_density is None
 
 
 @settings(deadline=None)
