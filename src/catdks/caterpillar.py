@@ -9,13 +9,11 @@ the current prefix for tuple j with that vertex as the rightmost backbone
 vertex. A hair step keeps the entries adjacent to the row's leaf and a
 backbone step multiplies by the adjacency matrix. A schedule of hair steps
 only counts common neighbours on bit-packed adjacency rows instead, on
-graphs small enough. This counts homomorphisms (internal vertices may
-collide); the injective count is available as a brute-force variant flag
-for small graphs.
+graphs small enough. This counts homomorphisms: internal vertices may
+collide with each other and with the leaves.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,21 +48,6 @@ class CandidateTrace:
     sets: tuple[tuple[int, ...], ...]          # S(0..s)
     kinds: tuple[str, ...]                     # step kind per t=1..s
     fractional_exponents: tuple[Fraction, ...] # fr(t*r/s) per t=1..s
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
-
-    def to_json(self, n: int) -> str:
-        rows = []
-        for t, kind in enumerate(self.kinds, start=1):
-            fr = self.fractional_exponents[t - 1]
-            rows.append({
-                "step": t,
-                "kind": kind,
-                "size": len(self.sets[t]),
-                "predicted": n ** float(fr),
-            })
-        return json.dumps(rows)
 
 
 def _interval_contains_integer(t: int, r: int, s: int) -> bool:
@@ -110,16 +93,12 @@ def choose_rs(alpha: float, s_max: int) -> tuple[int, int]:
 
 
 def count_caterpillars(g: Graph, sched: CaterpillarSchedule,
-                       leaves: Sequence[int], injective: bool = False) -> int:
+                       leaves: Sequence[int]) -> int:
     """Number of caterpillar copies whose ordered leaf sequence is `leaves`.
 
     Homomorphism count by the batched walker on a single tuple: O(s * |E|).
-    With injective=True, internal vertices must be distinct from each other
-    and from the leaves (brute force; small graphs only).
     """
     leaves = _leaf_array(g, sched, leaves)
-    if injective:
-        return _count_injective(g, sched, leaves.tolist())
     return _count_batch(g, sched, leaves[None])[0]
 
 
@@ -213,34 +192,6 @@ def _walk(A, steps: Sequence[str], block: np.ndarray,
         else:
             X = X @ A
     return np.asarray(X.sum(axis=1)).ravel().tolist()
-
-
-def _count_injective(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> int:
-    adj = g.adj
-
-    def extend(step: int, backbone_v: Optional[int], used: tuple[int, ...],
-               leaf_idx: int) -> int:
-        if step > sched.s:
-            return 1
-        kind = sched.steps[step - 1]
-        acc = 0
-        if kind == HAIR:
-            leaf = leaves[leaf_idx]
-            if backbone_v is None:
-                # initial backbone vertex chosen together with the first hair
-                for v in adj[leaf]:
-                    if v not in leaves:
-                        acc += extend(step + 1, v, (v,), leaf_idx + 1)
-            elif leaf in adj[backbone_v]:
-                acc = extend(step + 1, backbone_v, used, leaf_idx + 1)
-        else:
-            assert backbone_v is not None
-            for u in adj[backbone_v]:
-                if u not in used and u not in leaves:
-                    acc += extend(step + 1, u, used + (u,), leaf_idx)
-        return acc
-
-    return extend(1, None, (), 0)
 
 
 def walk_step(g: Graph, row: np.ndarray, vert: np.ndarray,

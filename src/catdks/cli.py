@@ -9,8 +9,8 @@ the same name (--s-max <-> s_max), else from its default. Bad input writes no
 output file: a config that is not an object with "schema_version": 1 and its
 subcommand's keys exits 1; a value of the wrong type, --trials or --budget < 1,
 an --n below 1 where p = n^(alpha-1), or a solve <input>.json sidecar that is
-not an object or whose ground_truth_density is not a number exits 2; solve
-checks the sidecar before it solves.
+not an object or whose ground_truth_density is neither null nor a finite
+number >= 0 exits 2; solve checks the sidecar before it solves.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -174,8 +175,9 @@ def cmd_plant(a) -> int:
 
 def _ground_truth(path: str) -> Optional[float]:
     """The ground_truth_density of the solve input's <path>.json sidecar, or
-    None when there is no sidecar or it gives none; a sidecar that is not a
-    JSON object, or a value that is not a number, is an error."""
+    None when there is no sidecar or its value is null or 0; a sidecar that
+    is not a JSON object, or a value that is not a finite JSON number >= 0,
+    is an error."""
     try:
         with open(path + ".json", "r", encoding="utf-8") as f:
             sidecar = json.load(f)
@@ -184,13 +186,17 @@ def _ground_truth(path: str) -> Optional[float]:
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}.json: sidecar must be a JSON object")
     gt = sidecar.get("ground_truth_density")
-    if not gt:
+    if gt is None:
         return None
     try:
-        return float(gt)
-    except (TypeError, ValueError):
+        # type(), not isinstance: JSON true is a bool, which is an int
+        ok = type(gt) in (int, float) and 0 <= float(gt) < math.inf
+    except OverflowError:                               # an int beyond float range
+        ok = False
+    if not ok:
         raise ValueError(f"{path}.json: ground_truth_density {gt!r} "
-                         "is not a number") from None
+                         "is not a finite number >= 0")
+    return float(gt) or None
 
 
 def cmd_solve(a) -> int:

@@ -4,10 +4,10 @@ Vertices are dense integer ids in [0, n). A graph is three fields: n, the
 sorted (m, 2) int64 edge array, and an aligned float64 weight array when
 weighted (else None); every constructor ends in one array path. Degrees and
 a sorted CSR (indptr / indices) are numpy-built from the edge array, and
-graph walks (Gamma(S), induced degrees, peeling) read the CSR
-rows. The tuple views `edges`, `weights` and `adj` are built only when read:
-`adj` serves only the brute-force injective caterpillar count, and no library
-code reads the other two.
+graph walks (Gamma(S), induced degrees, peeling) read the CSR rows. The
+views `edges` (tuples) and `adj` (neighbour sets) are built only when read;
+no library code reads them: tests compare against them, and the benchmark
+reads `edges` and times `adj`.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, takewhile
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -55,6 +55,8 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     carrying w (a weight per row, or None) along. Returns (uv, w, clash):
     clash is None, or rows (i, j) where j is the first row whose weight
     differs from that of row i, the earliest row on the same edge."""
+    if n < 0:
+        raise GraphFormatError(f"n = {n} is negative")
     if n > 3_037_000_499:                               # isqrt(2**63 - 1)
         raise GraphFormatError(f"n = {n} exceeds 3037000499, the most vertices "
                                "whose edge codes u * n + v fit an int64")
@@ -109,10 +111,10 @@ class Graph:
     deduplicated, no self-loops; `weight_array`, their positive, finite
     float64 weights, or None. Graph(n, edges, weights) takes canonical pairs
     and weights keyed by exactly them; from_edges canonicalizes. The views
-    `edges` (a frozenset of (u, v) tuples), `weights` (a dict keyed by them),
-    `csr`, `degrees`, `adj` and `adjacency_matrix` are built when first read
-    and cached. Graphs are equal when n, edges and weights are; they are not
-    hashable.
+    `edges` (a frozenset of (u, v) tuples), `csr`, `degrees`, `adj` (a
+    frozenset of neighbours per vertex) and `adjacency_matrix` are built when
+    first read and cached. Graphs are equal when n, edges and weights are;
+    they are not hashable.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -159,12 +161,6 @@ class Graph:
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(*self.edge_array.T.tolist()))
-
-    @cached_property
-    def weights(self) -> Optional[dict[tuple[int, int], float]]:
-        if self.weight_array is not None:
-            uv = map(tuple, self.edge_array.tolist())
-            return dict(zip(uv, self.weight_array.tolist()))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -409,12 +405,6 @@ def in_range(g: Graph, vs: np.ndarray) -> np.ndarray:
     return vs
 
 
-def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
-    """Gamma(s), the union of the neighbours of s (not excluding s itself), as
-    a sorted tuple."""
-    return tuple(sorted_unique(g.rows(vertex_array(g, s))[1]).tolist())
-
-
 def density_report(g: Graph, s: Iterable[int]) -> DensityReport:
     """Degree/density statistics of the subgraph induced on s.
 
@@ -483,17 +473,6 @@ def _peel_order(g: Graph, vs: np.ndarray) -> Iterator[tuple[int, int]]:
             if u in deg:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-
-
-def peel_to_min_degree(g: Graph, s: Iterable[int], threshold: float) -> tuple[int, ...]:
-    """Maximal subset of s whose induced minimum degree is >= threshold (may
-    be empty): peeling stops at the first vertex of degree >= threshold, so
-    what remains is that subset, the unique one."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    vs = vertex_array(g, s)
-    dropped = [v for v, _ in takewhile(lambda vd: vd[1] < threshold, _peel_order(g, vs))]
-    return tuple(np.setdiff1d(vs, dropped).tolist())
 
 
 def brute_force_dks(g: Graph, k: int, budget: int = 5_000_000) -> SolveResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -85,6 +84,8 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
     the set's edges are exactly h's, so ground_truth_density is 2 h.m / k."""
     if not (0 < alpha < 1 and 0 < beta <= 1):
         raise ValueError("alpha in (0,1) and beta in (0,1] required")
+    if k < 0:
+        raise ValueError(f"k={k} < 0")
     if k > n:
         raise ValueError("k > n")
     rng = np.random.default_rng(seed)
@@ -208,26 +209,6 @@ def lambda2_estimate(g: Graph, seed: int = 0) -> float:
         return y - y.mean()
 
     return abs(_extreme_eigenvalue(n, deflated, "LM", seed))
-
-
-def planted_rayleigh(g: Graph, h_set: Iterable[int]) -> float:
-    """Exact Rayleigh quotient of the +1 / -k/(n-k) test vector.
-
-    The vector is orthogonal to all-ones by construction; this is asserted in
-    exact rational arithmetic.
-    """
-    members = vertex_array(g, h_set)
-    k, n = len(members), g.n
-    if not 0 < k < n:
-        raise ValueError("need 0 < |h_set| < n")
-    neg = Fraction(-k, n - k)
-    assert k * Fraction(1) + (n - k) * neg == 0  # x ⟂ 1 exactly
-    # edges with 0, 1 and 2 endpoints in h_set contribute x_u x_v = neg^2, neg and 1
-    both = g.edge_count_within(members)
-    one = int(g.degrees[members].sum()) - 2 * both     # an inside edge counts twice
-    num = 2 * ((g.m - one - both) * neg * neg + one * neg + both)
-    den = Fraction(k) + Fraction(k * k, n - k)
-    return float(num / den)
 
 
 def spectral_distinguisher(g: Graph, k: int, rho: float, c: float = 2.0,

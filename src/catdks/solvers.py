@@ -41,8 +41,7 @@ def _edgeless(n: int, k: int) -> SolveResult:
 
 
 def dks_local(g: Graph, s_set: Iterable[int], k: int,
-              universe: Optional[Iterable[int]] = None,
-              provenance: str = "local") -> SolveResult:
+              universe: Optional[Iterable[int]] = None) -> SolveResult:
     """Densest bipartite candidate on (S, Gamma(S)).
 
     Gamma(S) is ordered by degree into S, descending (ties by id), and T is
@@ -70,7 +69,7 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
         universe = vertex_array(g, universe)            # row 0's keys
     _, verts, dens = _local_block(g, zeros, S, 1, k, universe)
     return SolveResult(vertices=tuple(verts.tolist()), density=float(dens[0]),
-                       provenance=provenance)
+                       provenance="local")
 
 
 # cells in a block's B x n arrays and in its B x min(k, n) x max|S| scoring cube

@@ -243,7 +243,9 @@ def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
     assert list(tmp_path.glob("out*")) == []
 
 
-@pytest.mark.parametrize("density", [[5], {"x": 1}, "five"])
+@pytest.mark.parametrize("density", [
+    [5], {"x": 1}, "five", True, "3.5", -1, float("nan"),
+    pytest.param(1e400, id="1e400"), pytest.param(10 ** 400, id="10**400")])
 def test_bad_sidecar_density_fails_before_solve(tmp_path, monkeypatch, density):
     graph = tmp_path / "g.el"
     graph.write_text("3 1\n0 1\n")
@@ -256,6 +258,30 @@ def test_bad_sidecar_density_fails_before_solve(tmp_path, monkeypatch, density):
     assert run("solve", "--input", str(graph), "--k", "2",
                "--out", str(tmp_path / "out")) == 2
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("density, ratio, ratio_vs", [
+    (None, 1.0, "brute-force"), (0, 1.0, "brute-force"), (0.0, 1.0, "brute-force"),
+    (2, 2.0, "planted"), (2.5, 2.5, "planted")])
+def test_sidecar_density_null_or_zero_means_no_planted_ratio(tmp_path, density, ratio,
+                                                             ratio_vs):
+    graph = tmp_path / "g.el"
+    graph.write_text("3 1\n0 1\n")
+    (tmp_path / "g.el.json").write_text(json.dumps({"ground_truth_density": density}))
+    out = tmp_path / "out"
+    assert run("solve", "--input", str(graph), "--k", "2", "--out", str(out)) == 0
+    record = json.loads(out.read_text())
+    assert (record["ratio"], record["ratio_vs"]) == (ratio, ratio_vs)
+
+
+def test_solve_negative_vertex_count_exits_2(tmp_path, capsys):
+    # rejected by load_graph, not by a later check that happens to fail on it
+    graph = tmp_path / "g.el"
+    graph.write_text("-3 0\n")
+    assert run("solve", "--input", str(graph), "--k", "2",
+               "--out", str(tmp_path / "out")) == 2
+    assert list(tmp_path.glob("out*")) == []
+    assert "n = -3 is negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -9,8 +9,7 @@ from catdks.graphs import Graph, density_report
 from catdks.models import (caterpillar_distinguisher, degree_distinguisher,
                            gen_gnp, intersection_distinguisher,
                            lambda2_estimate, null_instance, plant,
-                           plant_arbitrary, planted_rayleigh,
-                           sdp_dual_certificate, sdp_dual_distinguisher,
+                           plant_arbitrary, sdp_dual_certificate, sdp_dual_distinguisher,
                            spectral_distinguisher)
 
 
@@ -105,6 +104,12 @@ def test_plant_clique_when_beta_one():
     rep = density_report(inst.graph, inst.planted)
     assert rep.average_degree == 7  # k^(beta-1) = 1: a clique
     assert inst.ground_truth_density == 7
+
+
+def test_plant_rejects_negative_k():
+    # named here, not left to fail inside numpy on a negative dimension
+    with pytest.raises(ValueError, match="k=-1"):
+        plant(10, 0.5, -1, 0.5, seed=0)
 
 
 def test_plant_replaces_induced_edges():
@@ -208,39 +213,6 @@ def test_lambda2_matches_dense_eig():
     evs = np.linalg.eigvalsh(P @ A @ P)
     exact = max(abs(evs[0]), abs(evs[-1]))
     assert lambda2_estimate(g, seed=2) == pytest.approx(exact, rel=1e-3)
-
-
-def test_planted_rayleigh_orthogonal_and_exact():
-    g = gen_gnp(30, 0.3, 5)
-    h = list(range(7))
-    got = planted_rayleigh(g, h)
-    # independent dense-matrix oracle
-    n, k = 30, 7
-    x = np.full(n, -k / (n - k))
-    x[:k] = 1.0
-    A = g.adjacency_matrix.toarray()
-    assert abs(x.sum()) < 1e-12
-    assert got == pytest.approx((x @ A @ x) / (x @ x))
-
-
-def test_planted_rayleigh_clique_value():
-    n, k = 40, 8
-    g = clique(k, n=n)
-    got = planted_rayleigh(g, range(k))
-    expect = (k - 1) * k / (k + k * k / (n - k))
-    assert got == pytest.approx(expect)
-
-
-def test_planted_rayleigh_validates():
-    with pytest.raises(ValueError):
-        planted_rayleigh(clique(4), range(4))
-
-
-def test_planted_rayleigh_rejects_out_of_range_ids():
-    g = gen_gnp(10, 0.5, 1)
-    for bad in ([0, 1, 99], [-1, 0, 1]):
-        with pytest.raises(ValueError):
-            planted_rayleigh(g, bad)
 
 
 @pytest.mark.parametrize("partial", [[], [3.5]])

@@ -1,9 +1,8 @@
-"""Property tests: Graph canonical form, its lazy edge and weight views,
+"""Property tests: Graph canonical form, its lazy edge view,
 derived structures, edge-list round trip, load_graph against a
 line-by-line parser, the batched caterpillar walker
 against brute force, density_report against a plain count, the generators'
-canonical output and planted ground truth,
-peel_to_min_degree against brute force, resize_to_k, dks_local's density
+canonical output and planted ground truth, resize_to_k, dks_local's density
 against density_report, the block branch search against the recursive
 per-branch walk, and the exact LP check against a per-row Fraction
 evaluation."""
@@ -12,7 +11,6 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -24,15 +22,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
 from catdks.graphs import (Graph, GraphFormatError, density_report,  # noqa: E402
-                           load_graph, neighborhood,
-                           peel_to_min_degree, save_graph, weighted_average_degree)
+                           load_graph, save_graph, weighted_average_degree)
 from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks.models import gen_gnp, plant, plant_arbitrary  # noqa: E402
 from catdks import solvers  # noqa: E402
 from catdks import caterpillar  # noqa: E402
 from catdks.reductions import bipartite_double_cover  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
-from test_caterpillar import brute_count  # noqa: E402
+from test_caterpillar import brute_count, injective_count  # noqa: E402
+from test_graphs import neighborhood, weight_dict  # noqa: E402
 from test_lp import reference_violations  # noqa: E402
 from test_solvers import reference_branch_best  # noqa: E402
 
@@ -73,12 +71,12 @@ def test_lazy_views_match_canonical_input(ne, data):
                         allow_nan=False, allow_infinity=False)
         weights = {e: data.draw(pos) for e in messy}   # keys as given, (v, u) too
     g = Graph.from_edges(n, messy + [(v, u) for u, v in messy], weights)
-    assert "edges" not in g.__dict__ and "weights" not in g.__dict__
+    assert "edges" not in g.__dict__
     assert g.m == len(edges)
     assert g.edges == frozenset(edges)
-    assert g.weights == (None if weights is None else
-                         {(min(e), max(e)): w for e, w in weights.items()})
-    assert Graph(g.n, g.edges, g.weights) == g
+    assert weight_dict(g) == (None if weights is None else
+                              {(min(e), max(e)): w for e, w in weights.items()})
+    assert Graph(g.n, g.edges, weight_dict(g)) == g
     cover = bipartite_double_cover(g)
     assert Graph(cover.n, cover.edges) == cover
 
@@ -221,7 +219,7 @@ def test_batched_counts_match_brute_force(ne, rs, data):
     A = g.adjacency_matrix.astype(np.int64)
     assert _walk(A, sched.steps, leaves, exact=True) == _walk(A, sched.steps, leaves)
     for t, c in zip(tuples, counts):
-        assert c >= count_caterpillars(g, sched, t, injective=True)
+        assert c >= injective_count(g, sched, t)
 
 
 def reference_walk(g, sched, leaves):
@@ -301,28 +299,6 @@ def test_generated_graphs_are_canonical_with_exact_ground_truth(n, alpha, beta, 
             density_report(arb.graph, arb.planted).average_degree
     else:
         assert arb.ground_truth_density is None
-
-
-@settings(deadline=None)
-@given(edge_lists(max_n=10), st.data())
-def test_peel_to_min_degree_is_largest_qualifying_subset(ne, data):
-    n, edges = ne
-    g = Graph.from_edges(n, edges)
-    s = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-    threshold = data.draw(st.integers(0, 10)) / 2
-    nbrs = {v: set() for v in range(n)}
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    out = peel_to_min_degree(g, s, threshold)
-    for size in range(len(s), 0, -1):
-        found = [c for c in combinations(s, size)
-                 if all(len(nbrs[v] & set(c)) >= threshold for v in c)]
-        if found:
-            # the union of two qualifying subsets qualifies: the largest is unique
-            assert found == [out]
-            return
-    assert out == ()
 
 
 @settings(deadline=None)

@@ -257,12 +257,13 @@ def test_bucket_count_bound():
 
 
 def halving_loop_buckets(g):
-    """Reference: weight_buckets as a per-edge halving loop over the weights dict."""
-    wmax = max(g.weights.values())
+    """Reference: weight_buckets as a per-edge halving loop over (edge, weight) pairs."""
+    weights = list(zip(map(tuple, g.edge_array.tolist()), g.weight_array.tolist()))
+    wmax = max(w for _, w in weights)
     floor = wmax / (g.n * g.n)
     n_buckets = int(2 * math.log2(g.n)) + 1 if g.n > 1 else 1
     buckets = [[] for _ in range(n_buckets)]
-    for e, w in g.weights.items():
+    for e, w in weights:
         if w <= floor * (1 - 1e-12):
             continue
         i = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 from unittest import mock
@@ -7,13 +8,13 @@ import pytest
 
 from catdks import solvers
 from catdks.caterpillar import HAIR, build_schedule
-from catdks.graphs import (Graph, brute_force_dks, density_report, load_graph,
-                           neighborhood, save_graph)
+from catdks.graphs import Graph, brute_force_dks, density_report, load_graph, save_graph
 from catdks.models import plant
 from catdks.reductions import bipartite_double_cover
 from catdks.solvers import (SolverConfig, _branch_best, _halves, _local_block,
                             approximate, dks_cat_combinatorial, dks_exp, dks_local,
                             resize_to_k)
+from test_graphs import neighborhood
 
 
 def clique(k, n=None):
@@ -116,8 +117,8 @@ LOCAL_GOLDEN_SMALL = [
 @pytest.mark.parametrize("spec,S,k,universe,vertices,density", LOCAL_GOLDEN)
 def test_local_golden(spec, S, k, universe, vertices, density):
     uni = None if universe is None else set(universe)
-    res = dks_local(random_graph(*spec), S, k, universe=uni, provenance="p")
-    assert (res.vertices, res.density, res.provenance) == (vertices, density, "p")
+    res = dks_local(random_graph(*spec), S, k, universe=uni)
+    assert (res.vertices, res.density, res.provenance) == (vertices, density, "local")
 
 
 @pytest.mark.parametrize("graph,S,k,vertices,density", LOCAL_GOLDEN_SMALL)
@@ -272,13 +273,13 @@ def reference_branch_best(g, k, sched, budget, seed, cluster_size=1,
 
     def walk(t, current, hairs):
         if t > 1:
-            fold(dks_local(g, current, k, provenance=f"local@t={t}"))
+            fold(dataclasses.replace(dks_local(g, current, k), provenance=f"local@t={t}"))
         if sched.steps[t - 1] == HAIR:
             for J in hairs[0]:
                 nxt = sorted(set(neighborhood(g, J)).intersection(current))
                 if cluster_local and nxt:
-                    fold(dks_local(g, J, k, universe=set(nxt) | set(J),
-                                   provenance=f"cluster-local@t={t}"))
+                    fold(dataclasses.replace(dks_local(g, J, k, universe=set(nxt) | set(J)),
+                                             provenance=f"cluster-local@t={t}"))
                 if nxt and t < sched.s:
                     walk(t + 1, nxt, hairs[1:])
         else:
@@ -465,7 +466,8 @@ def test_approximate_weighted_density_is_host_weighted_density():
     g = k6_plus_heavy_matching()
     res = approximate(g, 6)
     inside = set(res.vertices)
-    w = sum(x for (u, v), x in g.weights.items() if u in inside and v in inside)
+    w = sum(x for (u, v), x in zip(g.edge_array.tolist(), g.weight_array.tolist())
+            if u in inside and v in inside)
     assert len(res.vertices) == 6
     assert res.density == pytest.approx(2 * w / 6)
     assert res.density >= 2 * 2000 / 6
@@ -473,15 +475,15 @@ def test_approximate_weighted_density_is_host_weighted_density():
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_approximate_leaves_tuple_views_unbuilt(tmp_path, weighted):
-    # the solver path reads the stored arrays only: neither the frozenset of
-    # edge tuples nor the weights dict is ever built
+    # the solver path reads the stored arrays only: the frozenset of edge
+    # tuples is never built
     path = tmp_path / "g.el"
     save_graph(k6_plus_heavy_matching() if weighted
                else plant(200, 0.5, 16, 0.8, seed=3).graph, path)
     g = load_graph(path)
     res = approximate(g, 6 if weighted else 16)
     assert len(res.vertices) == (6 if weighted else 16)
-    assert "edges" not in g.__dict__ and "weights" not in g.__dict__
+    assert "edges" not in g.__dict__
 
 
 def test_approximate_oracle_ratio_smoke():

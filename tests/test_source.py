@@ -1,0 +1,34 @@
+"""Static checks on the package source."""
+import ast
+from pathlib import Path
+
+import catdks
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "catdks"
+
+
+def module_imports(tree):
+    """(bound name, line) of each module-level import in `tree`, except
+    __future__ imports."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_module_imports():
+    # an import is used when some code in its module reads the name; the
+    # names that __init__ re-exports through __all__ count as read
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        if path.name == "__init__.py":
+            read |= set(catdks.__all__)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in module_imports(tree) if name not in read]
+    assert unused == []
