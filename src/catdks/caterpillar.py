@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, in_range, sorted_unique
+from .graphs import Graph, in_range
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -110,6 +110,9 @@ def _leaf_array(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> 
     return in_range(g, np.asarray(leaves, dtype=np.int64))
 
 
+# cells in a block's B x n arrays, in its B x min(k, n) x max|S| scoring cube,
+# and in the CSR rows that one part of a walk_step reads
+_CELLS = 1 << 16
 # leaf tuples per block: the walker's count matrix is at most _BLOCK x n
 _BLOCK = 256
 # bytes of packed adjacency rows, and of ANDed tuple rows, held at once
@@ -203,19 +206,25 @@ def walk_step(g: Graph, row: np.ndarray, vert: np.ndarray,
     and then vertex. A backbone step (no `clusters`) turns each row into its
     Gamma. A hair step makes one child per row of the (c, |J|) array
     `clusters`: child i is row parent[i] intersected with Gamma(clusters[i]).
-    Returns the new block's pairs, in the same sorted form.
+    Returns the new block's pairs, in the same sorted form. The CSR rows of
+    the pairs are read in parts of about _CELLS entries, not all at once.
     """
     n = g.n
     if clusters is None:
-        owner, nbr = g.rows(vert)
-        key = row[owner] * n + nbr
+        src, child = vert, row                          # each pair's Gamma joins its row
     else:
-        owner, nbr = g.rows(clusters.ravel())
-        child = owner // clusters.shape[1]
+        src, child = clusters.ravel(), np.arange(clusters.size) // clusters.shape[1]
         inside = np.zeros((max(row.max(initial=0), parent.max()) + 1) * n, dtype=bool)
         inside[row * n + vert] = True
-        key = (child * n + nbr)[inside[parent[child] * n + nbr]]
-    key = sorted_unique(key)
+    out = np.zeros((child.max(initial=-1) + 1) * n, dtype=bool)
+    step = max(1, _CELLS // max(g.max_degree(), 1))     # pairs whose rows fit _CELLS
+    for lo in range(0, len(src), step):
+        owner, nbr = g.rows(src[lo:lo + step])
+        key = child[lo + owner] * n + nbr
+        if clusters is not None:                        # stay inside the parent row
+            key = key[inside[parent[key // n] * n + nbr]]
+        out[key] = True
+    key = np.flatnonzero(out)
     return key // n, key % n
 
 

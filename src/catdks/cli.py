@@ -86,7 +86,7 @@ _TESTS = {
     "intersection": (3.0, lambda g, q, seed: intersection_distinguisher(
         g, q["pair_budget"], seed=seed, c=q["c"])),
     "spectral": (2.0, lambda g, q, seed: spectral_distinguisher(
-        g, q["k"], q["rho"], c=q["c"], seed=seed)),
+        g, q["rho"], c=q["c"], seed=seed)),
     "sdp": (1.0, lambda g, q, seed: sdp_dual_distinguisher(
         g, q["k"], c=q["c"])),
     "caterpillar": (4.0, lambda g, q, seed: caterpillar_distinguisher(

@@ -74,10 +74,14 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
 
 
 def _canonical(n: int, edges, weights, strict: bool):
-    """(uv, w): the canonical edge array of the pairs `edges`, and the weights
-    dict keyed by those pairs as an array aligned to it (or None). strict,
-    for Graph(): pairs and keys must already be canonical (u < v)."""
-    uv = _edge_array(edges)
+    """(n, uv, w): n as an int, the canonical edge array of the pairs `edges`,
+    and the weights dict keyed by those pairs as an array aligned to it (or
+    None). n must be an integer, numpy's included: int() would truncate a
+    float or take a bool. strict, for Graph(): pairs and keys must already be
+    canonical (u < v)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise GraphFormatError(f"n = {n!r} is not an integer")
+    n, uv = int(n), _edge_array(edges)
     if len(uv) and (uv.min() < 0 or uv.max() >= n):
         u, v = uv[((uv < 0) | (uv >= n)).any(axis=1).argmax()].tolist()
         raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{n})")
@@ -89,7 +93,7 @@ def _canonical(n: int, edges, weights, strict: bool):
         raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
     uv = _merge(n, uv)[0]
     if weights is None:
-        return uv, None
+        return n, uv, None
     keys = _edge_array(list(weights))
     x = np.fromiter(weights.values(), dtype=np.float64, count=len(keys))
     if not ((keys < 0) | (keys >= n) | (strict and keys[:, :1] > keys[:, 1:])).any():
@@ -100,7 +104,7 @@ def _canonical(n: int, edges, weights, strict: bool):
                 f"conflicting duplicate weight on edge {tuple(sorted(keys[j].tolist()))}: "
                 f"{x[i].item()!r} and {x[j].item()!r}")
         if np.array_equal(merged, uv):
-            return uv, w
+            return n, uv, w
     raise GraphFormatError("weights must cover exactly the edge set")
 
 
@@ -119,8 +123,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  weights: Optional[dict[tuple[int, int], float]] = None):
-        n = int(n)
-        self._init(n, *_canonical(n, edges, weights, strict=True))
+        self._init(*_canonical(n, edges, weights, strict=True))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -131,8 +134,7 @@ class Graph:
         Weight keys are canonicalized too; (u, v) and (v, u) keys with
         different weights are rejected.
         """
-        n = int(n)
-        return _graph(n, *_canonical(n, edges, weights, strict=False))
+        return _graph(*_canonical(n, edges, weights, strict=False))
 
     def _init(self, n, uv, w) -> "Graph":
         """Check and store canonical arrays; every constructor ends here."""

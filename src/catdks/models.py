@@ -211,7 +211,7 @@ def lambda2_estimate(g: Graph, seed: int = 0) -> float:
     return abs(_extreme_eigenvalue(n, deflated, "LM", seed))
 
 
-def spectral_distinguisher(g: Graph, k: int, rho: float, c: float = 2.0,
+def spectral_distinguisher(g: Graph, rho: float, c: float = 2.0,
                            seed: int = 0) -> DistinguishVerdict:
     """Deflated top-magnitude eigenvalue vs c * n^(rho/2)."""
     stat = lambda2_estimate(g, seed=seed)

@@ -19,8 +19,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .caterpillar import (HAIR, CaterpillarSchedule, build_schedule, choice_rows, choose_rs,
-                          walk_step)
+from .caterpillar import (_CELLS, HAIR, CaterpillarSchedule, build_schedule, choice_rows,
+                          choose_rs, walk_step)
 from .graphs import (Graph, SolveResult, density_report, sorted_unique, vertex_array,
                      weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover,
@@ -52,9 +52,10 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     C, whose row t-1 counts, for each member of S, its neighbours among the
     first t members of T (the cumulative sum over T of the T x S incidence
     matrix): a candidate's cross edges are the sum of the m largest entries
-    of its row. Candidates are compared by bipartite average degree (ties:
-    fewer vertices, then lexicographic); the returned density is the induced
-    average degree of the winning vertex set in the host graph.
+    of its row. Candidates are compared by bipartite average degree, ties
+    to the smallest k'; the returned density is the induced average degree
+    of the winning vertex set in the host graph. When S and Gamma(S) are
+    disjoint, the smallest tied k' is also the smallest tied set.
 
     `universe`, when given, restricts Gamma(S) to that subset. This is the
     one-row case of _local_block.
@@ -72,10 +73,6 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
                        provenance="local")
 
 
-# cells in a block's B x n arrays and in its B x min(k, n) x max|S| scoring cube
-_CELLS = 1 << 16
-
-
 def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
                  universe: Optional[np.ndarray] = None):
     """dks_local on B nonempty sets at once, each row's set given by flat
@@ -85,12 +82,12 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
 
     Per row it computes what dks_local describes: Gamma(S) and its degrees
     into S come from one bincount over B x n, the rankings from one sort,
-    and the prefix matrices are a zero-padded B x |T| x |S| cube. Only rows
-    whose best bipartite average is reached by several k' go through the
-    per-row tie loop. When every edge joins the two _halves of g (a double
-    cover, or a residual of one), a row with S in one half has Gamma(S) in
-    the other, so its winner's density is its bipartite average; other rows
-    count the winner's induced edges. Rows are scored in parts that fit _CELLS.
+    and the prefix matrices are a zero-padded B x |T| x |S| cube; one argmax
+    over k' picks every row's winner. When every edge joins the two _halves
+    of g (a double cover, or a residual of one), a row with S in one half has
+    Gamma(S) in the other, so its winner's density is its bipartite average;
+    other rows count the winner's induced edges. Rows are scored in parts
+    that fit _CELLS.
     """
     n = g.n
     ns = np.bincount(row, minlength=B)                  # |S| per row
@@ -137,16 +134,7 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     e = top[rows[:, None], np.maximum(t, 1) - 1, m - 1]
     avg = np.where((kp <= np.maximum(ng, ns)[:, None]) & (t > 0), 2.0 * e / (m + t), -np.inf)
     best = avg.max(axis=1)
-    pick = avg.argmax(axis=1)
-    for r in np.flatnonzero(((avg == best[:, None]).sum(axis=1) > 1) & (ng > 0)).tolist():
-        Sr, Cr = S[row == r], C[r, :, :ns[r]]
-        Tr = T[T // n == r] % n
-        keyed = []
-        for i in np.flatnonzero(avg[r] == best[r]).tolist():
-            chosen = Sr[np.lexsort((Sr, -Cr[t[r, i] - 1]))[:m[r, i]]]
-            verts = tuple(np.union1d(chosen, Tr[:t[r, i]]).tolist())
-            keyed.append((len(verts), verts, i))
-        pick[r] = min(keyed)[2]
+    pick = avg.argmax(axis=1)                           # ties: the smallest k'
     tw = t[rows, pick]                                  # 0 where Gamma(S) is empty
     mw = np.where(ng > 0, m[rows, pick], ns)
     # each row's members of S by neighbours in T[:t] descending, then id

@@ -144,7 +144,7 @@ def test_04_distinguisher_accuracy():
     accs["spectral"] = _accuracy(
         lambda s: null_instance(1000, 0.5, s).graph,
         lambda s: plant(1000, 0.5, 60, 1.0, 1000 + s).graph,
-        lambda g: spectral_distinguisher(g, 60, rho=0.5, c=2.5, seed=7))
+        lambda g: spectral_distinguisher(g, rho=0.5, c=2.5, seed=7))
 
     accs["sdp-dual"] = _accuracy(
         lambda s: null_instance(2000, 0.365, s).graph,

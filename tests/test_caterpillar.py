@@ -7,7 +7,7 @@ import pytest
 
 from catdks.caterpillar import (BACKBONE, HAIR, build_schedule, candidate_trace,
                                 choose_rs, count_caterpillars, max_witness_count)
-from catdks.caterpillar import choice_rows
+from catdks.caterpillar import choice_rows, walk_step
 from catdks.graphs import Graph
 
 
@@ -448,3 +448,28 @@ def test_common_neighbours_match_csr_rows(n, density):
         leaves = rng.integers(0, n, size=(50, arity))
         assert _common_neighbours(g, leaves, words) == \
             reference_common_neighbours(g, leaves, words)
+
+
+def test_walk_step_parts_match_one_pass():
+    # a step reads the CSR rows of its pairs in parts that fit _CELLS; parts
+    # of one pair, and of a few pairs that cut rows apart, give the same
+    # block as one part
+    from unittest import mock
+
+    from catdks import caterpillar
+
+    rng = np.random.default_rng(3)
+    uv = rng.integers(0, 40, size=(200, 2))
+    g = Graph.from_edges(40, uv[uv[:, 0] != uv[:, 1]])
+    row = np.repeat(np.arange(3), [40, 7, 12])
+    vert = np.concatenate([np.arange(40), np.sort(rng.choice(40, 7, replace=False)),
+                           np.sort(rng.choice(40, 12, replace=False))])
+    clusters = rng.integers(0, 40, size=(5, 2))
+    parent = np.array([0, 0, 1, 2, 2])
+    want = [walk_step(g, row, vert), walk_step(g, row, vert, clusters, parent)]
+    assert len(want[0][0]) > len(vert)
+    for cells in (1, 3 * g.max_degree()):
+        with mock.patch.object(caterpillar, "_CELLS", cells):
+            got = [walk_step(g, row, vert), walk_step(g, row, vert, clusters, parent)]
+        for (r, v), (wr, wv) in zip(got, want):
+            assert r.tolist() == wr.tolist() and v.tolist() == wv.tolist()

@@ -324,6 +324,20 @@ def test_negative_vertex_count_rejected(tmp_path, n):
             build()
 
 
+@pytest.mark.parametrize("n", [3.7, 3.0, True, False, "3"])
+def test_non_integer_vertex_count_rejected(n):
+    # int() would build n = 3 from 3.7 and n = 1 from True
+    for build in (Graph, Graph.from_edges):
+        with pytest.raises(GraphFormatError, match="is not an integer"):
+            build(n, [(0, 1)] if n else [])
+
+
+def test_numpy_integer_vertex_count_accepted():
+    for build in (Graph, Graph.from_edges):
+        g = build(np.int64(3), [(0, 1)])
+        assert type(g.n) is int and g == Graph(3, [(0, 1)])
+
+
 def test_largest_vertex_count_packs_its_last_edge(tmp_path):
     n = 3_037_000_499
     p = tmp_path / "g.el"

@@ -238,11 +238,11 @@ def test_spectral_distinguisher_null_vs_planted():
     rho = 0.5
     n = 400
     null = null_instance(n, rho, 11).graph
-    v0 = spectral_distinguisher(null, 20, rho, c=2.0, seed=1)
+    v0 = spectral_distinguisher(null, rho, c=2.0, seed=1)
     assert v0.decision == "null-model"
     # planted dense subgraph pushes an eigenvalue past 2 n^(rho/2)
     inst = plant(n, rho, 60, 1.0, seed=11)
-    v1 = spectral_distinguisher(inst.graph, 60, rho, c=2.0, seed=1)
+    v1 = spectral_distinguisher(inst.graph, rho, c=2.0, seed=1)
     assert v1.decision == "planted"
 
 

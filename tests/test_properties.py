@@ -3,7 +3,8 @@ derived structures, edge-list round trip, load_graph against a
 line-by-line parser, the batched caterpillar walker
 against brute force, density_report against a plain count, the generators'
 canonical output and planted ground truth, resize_to_k, dks_local's density
-against density_report, the block branch search against the recursive
+against density_report and its winner on a double cover's half against the
+per-k' tie rule, the block branch search against the recursive
 per-branch walk, and the exact LP check against a per-row Fraction
 evaluation."""
 import math
@@ -334,6 +335,42 @@ def test_dks_local_density_is_induced_density(ne, cover, data):
         assert res.density == density_report(g, res.vertices).average_degree
     else:
         assert (res.vertices, res.density) == (tuple(sorted(s)), 0.0)
+
+
+def reference_local(g, s, k):
+    """dks_local one k' at a time under the earlier tie rule: the best
+    bipartite average, ties to fewer vertices, then the lexicographically
+    smaller set; its density is the winner's bipartite average."""
+    adj, S = g.adj, sorted(s)
+    gamma = set().union(*(adj[v] for v in S))
+    if not gamma:
+        return tuple(S), 0.0
+    order = sorted(gamma, key=lambda j: (-len(adj[j] & set(S)), j))
+    keyed = []
+    for kp in range(1, min(k, max(len(order), len(S))) + 1):
+        T = order[:kp]
+        cnt = {v: len(adj[v] & set(T)) for v in S}
+        chosen = sorted(S, key=lambda v: (-cnt[v], v))[:kp]
+        verts = tuple(sorted(set(chosen) | set(T)))
+        keyed.append((-2.0 * sum(cnt[v] for v in chosen) / (len(chosen) + len(T)),
+                      len(verts), verts))
+    neg, _, verts = min(keyed)
+    return verts, -neg
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=12), st.booleans(), st.data())
+def test_dks_local_on_a_cover_half_matches_tie_reference(ne, upper, data):
+    """With S inside one half of a double cover, Gamma(S) lies in the other,
+    so the smallest tied k' is also the smallest tied set: dks_local's
+    argmax (ties to the smallest k') picks the reference's winner."""
+    n, edges = ne
+    g = bipartite_double_cover(Graph.from_edges(n, edges))
+    s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    s = {v + n * upper for v in s}
+    k = data.draw(st.integers(1, g.n))
+    res = solvers.dks_local(g, s, k)
+    assert (res.vertices, res.density) == reference_local(g, s, k)
 
 
 @settings(deadline=None, max_examples=200)

@@ -9,7 +9,7 @@ import pytest
 from catdks import solvers
 from catdks.caterpillar import HAIR, build_schedule
 from catdks.graphs import Graph, brute_force_dks, density_report, load_graph, save_graph
-from catdks.models import plant
+from catdks.models import gen_gnp, plant
 from catdks.reductions import bipartite_double_cover
 from catdks.solvers import (SolverConfig, _branch_best, _halves, _local_block,
                             approximate, dks_cat_combinatorial, dks_exp, dks_local,
@@ -80,6 +80,15 @@ def test_local_density_is_true_max_over_candidates():
         # the winning candidate's bipartite average is a lower bound on the
         # induced average degree of the returned vertex set
         assert got >= best_avg - 1e-9
+
+
+def test_local_ties_go_to_the_smallest_k():
+    # S is every vertex, so Gamma(S) meets S: k' = 2 pairs T = (0, 1) with
+    # S's members 2, 3 and k' = 3 pairs T = (0, 1, 2) with 0, 1, 2, both at
+    # bipartite average 2.0. The smaller k' wins, though its set is larger.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)])
+    res = dks_local(g, range(5), 3)
+    assert (res.vertices, res.density) == ((0, 1, 2, 3), 2.5)
 
 
 def test_local_rejects_empty_s():
@@ -309,6 +318,32 @@ def test_branch_best_matches_reference_at_solve_planted_scale():
     sched = build_schedule(1, 2)
     got = _branch_best(cover, 64, sched, 300, seed=3)
     assert got == reference_branch_best(cover, 64, sched, 300, seed=3)
+
+
+# tracemalloc peak of the call below: 25.3 MB when a backbone step read the
+# CSR rows of its whole block at once, about 4.3 MB when it reads them in
+# parts that fit _CELLS
+BACKBONE_PEAK_BYTES = 8 << 20
+
+
+def test_backbone_step_peak_memory():
+    # (1,3) walks hair, backbone, hair: the 60 branches share one block, and
+    # the backbone step expands each row's S(1), about 120 vertices of
+    # degree about 120, some 860k CSR entries in all
+    import tracemalloc
+
+    cover = bipartite_double_cover(gen_gnp(400, 0.3, 0))
+    sched = build_schedule(1, 3)
+    _branch_best(cover, 64, sched, 1, 0)            # warm imports and caches
+    tracemalloc.start()
+    try:
+        got = _branch_best(cover, 64, sched, 60, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_branch_best(cover, 64, sched, 60, 0)
+    assert (got.density, got.provenance) == (27.671875, "local@t=3")
+    assert peak <= BACKBONE_PEAK_BYTES
 
 
 def test_branch_best_tie_keeps_local_before_cluster_local():

@@ -32,3 +32,22 @@ def test_no_unused_module_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in module_imports(tree) if name not in read]
     assert unused == []
+
+
+def test_no_unused_parameters():
+    # a parameter is used when its function's body, nested code included,
+    # reads the name; dunder methods keep the signature their protocol gives
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                    node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            unused += [f"{path.name}:{node.lineno}: {node.name}({a.arg})"
+                       for a in params if a.arg not in read]
+    assert unused == []
