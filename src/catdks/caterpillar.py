@@ -104,10 +104,10 @@ def count_caterpillars(g: Graph, sched: CaterpillarSchedule,
 
 def _leaf_array(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> np.ndarray:
     """The leaves as an int64 array, in order and with repeats; raises
-    ValueError on a wrong count or an id outside [0, n)."""
+    ValueError on a wrong count, or as in_range."""
     if len(leaves) != sched.num_leaves:
         raise ValueError(f"expected {sched.num_leaves} leaves, got {len(leaves)}")
-    return in_range(g, np.asarray(leaves, dtype=np.int64))
+    return in_range(g, leaves)
 
 
 # cells in a block's B x n arrays, in its B x min(k, n) x max|S| scoring cube,

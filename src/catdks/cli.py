@@ -1,16 +1,18 @@
 """Command-line front end: generators, solver, distinguishers, LP export, bench.
 
 Subcommands: gen, plant, solve, distinguish, lp-export, bench.
-Global flags: --seed, --out, --config <json>, --budget (>= 1).
+Global flags: --seed, --out, --config <json>.
 Exit codes: 0 ok, 1 usage, 2 runtime, 3 budget-exceeded.
 
 Each parameter in _PARAMS comes from its flag, else from the --config key of
-the same name (--s-max <-> s_max), else from its default. Bad input writes no
-output file: a config that is not an object with "schema_version": 1 and its
-subcommand's keys exits 1; a value of the wrong type, --trials or --budget < 1,
-an --n below 1 where p = n^(alpha-1), or a solve <input>.json sidecar that is
-not an object or whose ground_truth_density is neither null nor a finite
-number >= 0 exits 2; solve checks the sidecar before it solves.
+the same name (--s-max <-> s_max), else from its default; besides --config,
+only --seed and --out have no config key. Bad input writes no output file: a
+config that is not an object with "schema_version": 1 and its subcommand's
+keys exits 1; a value of the wrong type, a --trials, --budget or
+--leaf-budget below 1, a --d with a zero denominator, an --n below 1 where
+p = n^(alpha-1), or a solve <input>.json sidecar that is not an object or
+whose ground_truth_density is neither null nor a finite number >= 0 exits 2;
+solve checks the sidecar before it solves.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -50,6 +52,14 @@ def _count(value) -> int:
     return n
 
 
+def _fraction(value) -> Fraction:
+    """A Fraction of str(value): JSON 0.1 reads as 1/10 and true fails."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
 def _floats(value) -> list[float]:
     """A list of floats, or one comma-separated string of them."""
     return [float(x) for x in
@@ -65,19 +75,20 @@ _PARAMS = {
     "plant": {"n": (int, REQUIRED), "alpha": (float, REQUIRED),
               "k": (int, REQUIRED), "beta": (float, REQUIRED)},
     "solve": {"input": (str, REQUIRED), "k": (int, REQUIRED),
-              "s_max": (int, 4), "leaf_budget": (int, None)},
+              "s_max": (int, 4), "leaf_budget": (_count, 2000)},
     "distinguish": {"test": (str, REQUIRED), "n": (int, 400),
                     "alpha": (float, 0.5), "k": (int, 20),
                     "beta": (float, 1.0), "trials": (_count, 20),
                     "c": (float, None), "r": (int, 2), "s": (int, 3),
-                    "rho": (float, None)},
+                    "rho": (float, None), "budget": (_count, 2000)},
     "lp-export": {"input": (str, REQUIRED), "k": (int, REQUIRED),
-                  "d": (str, REQUIRED), "t": (int, 1)},
+                  "d": (_fraction, REQUIRED), "t": (int, 1),
+                  "budget": (_count, 2_000_000)},
     "bench": {"n": (int, 60), "alphas": (_floats, "0.4,0.5,0.6"),
-              "trials": (_count, 5)},
+              "trials": (_count, 5), "budget": (_count, 500)},
 }
 # flags parse as these types; _params runs the full check, whose failure exits 2
-_FLAG_TYPE = {_count: int, _floats: str}
+_FLAG_TYPE = {_count: int, _floats: str, _fraction: str}
 
 # distinguisher -> (default threshold constant c, call(graph, params, seed))
 _TESTS = {
@@ -96,7 +107,7 @@ _TESTS = {
 
 def _params(args: argparse.Namespace) -> argparse.Namespace:
     """Resolve each parameter of args.subcommand in place: flag, else config
-    file, else default, converted to its type. Checks --out and --budget."""
+    file, else default, converted to its type. Checks --out."""
     table = _PARAMS[args.subcommand]
     cfg = {}
     if args.config is not None:
@@ -130,8 +141,6 @@ def _params(args: argparse.Namespace) -> argparse.Namespace:
         setattr(args, name, value)
     if args.out is None:
         raise UsageError("missing required parameter: --out")
-    if args.budget is not None and args.budget < 1:
-        raise ValueError(f"--budget must be >= 1, got {args.budget}")
     return args
 
 
@@ -202,10 +211,7 @@ def _ground_truth(path: str) -> Optional[float]:
 def cmd_solve(a) -> int:
     g = load_graph(a.input)
     gt = _ground_truth(a.input)
-    leaf_budget = a.leaf_budget
-    if leaf_budget is None:
-        leaf_budget = a.budget or 2000
-    config = SolverConfig(s_max=a.s_max, leaf_budget=leaf_budget, seed=a.seed)
+    config = SolverConfig(s_max=a.s_max, leaf_budget=a.leaf_budget, seed=a.seed)
     t0 = time.perf_counter()
     res = approximate(g, a.k, config)
     elapsed = time.perf_counter() - t0
@@ -231,10 +237,9 @@ def cmd_distinguish(a) -> int:
     if a.test not in _TESTS:
         raise UsageError(f"--test must be one of {sorted(_TESTS)}")
     default_c, call = _TESTS[a.test]
-    budget = a.budget or 2000
-    params = {"k": a.k, "null_degree": a.n ** a.alpha, "pair_budget": budget,
+    params = {"k": a.k, "null_degree": a.n ** a.alpha, "pair_budget": a.budget,
               "rho": a.rho if a.rho is not None else a.alpha,
-              "r": a.r, "s": a.s, "budget": budget,
+              "r": a.r, "s": a.s, "budget": a.budget,
               "c": a.c if a.c is not None else default_c}
 
     t0 = time.perf_counter()
@@ -266,7 +271,7 @@ def cmd_distinguish(a) -> int:
 
 def cmd_lp_export(a) -> int:
     g = load_graph(a.input)
-    inst = build_lp(g, a.k, Fraction(a.d), a.t, budget=a.budget or 2_000_000)
+    inst = build_lp(g, a.k, a.d, a.t, budget=a.budget)
     export_lp(inst, a.out)
     return 0
 
@@ -285,7 +290,7 @@ def cmd_bench(a) -> int:
         ratios = []
         for seed in range(a.seed, a.seed + a.trials):
             res = approximate(null_instance(a.n, alpha, seed).graph, k,
-                              SolverConfig(seed=seed, leaf_budget=a.budget or 500))
+                              SolverConfig(seed=seed, leaf_budget=a.budget))
             ratios.append((k - 1) / max(res.density, 1.0))
             rows.append([gi, alpha, a.n, k, seed, repr(res.density),
                          repr(ratios[-1])])
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file (schema_version %d)"
                         % CONFIG_SCHEMA_VERSION)
-        sp.add_argument("--budget", type=int, default=None)
         sp.set_defaults(func=func)
     return p
 

@@ -73,12 +73,11 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     return np.stack(np.divmod(code, n), axis=1), w, clash
 
 
-def _canonical(n: int, edges, weights, strict: bool):
+def _canonical(n: int, edges, weights):
     """(n, uv, w): n as an int, the canonical edge array of the pairs `edges`,
-    and the weights dict keyed by those pairs as an array aligned to it (or
-    None). n must be an integer, numpy's included: int() would truncate a
-    float or take a bool. strict, for Graph(): pairs and keys must already be
-    canonical (u < v)."""
+    and `weights` (one per pair, in the same order, or None) merged onto it.
+    n must be an integer, numpy's included: int() would truncate a float or
+    take a bool."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise GraphFormatError(f"n = {n!r} is not an integer")
     n, uv = int(n), _edge_array(edges)
@@ -88,24 +87,16 @@ def _canonical(n: int, edges, weights, strict: bool):
     bad = uv[:, 0] == uv[:, 1]
     if bad.any():
         raise GraphFormatError(f"self-loop at vertex {int(uv[bad.argmax(), 0])}")
-    if strict and (uv[:, 0] > uv[:, 1]).any():
-        u, v = uv[(uv[:, 0] > uv[:, 1]).argmax()].tolist()
-        raise GraphFormatError(f"edge ({u},{v}) not in canonical order")
-    uv = _merge(n, uv)[0]
-    if weights is None:
-        return n, uv, None
-    keys = _edge_array(list(weights))
-    x = np.fromiter(weights.values(), dtype=np.float64, count=len(keys))
-    if not ((keys < 0) | (keys >= n) | (strict and keys[:, :1] > keys[:, 1:])).any():
-        merged, w, clash = _merge(n, keys, x)
-        if clash is not None:
-            i, j = clash
-            raise GraphFormatError(
-                f"conflicting duplicate weight on edge {tuple(sorted(keys[j].tolist()))}: "
-                f"{x[i].item()!r} and {x[j].item()!r}")
-        if np.array_equal(merged, uv):
-            return n, uv, w
-    raise GraphFormatError("weights must cover exactly the edge set")
+    x = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if x is not None and x.shape != (len(uv),):
+        raise GraphFormatError(f"{x.size} weights for {len(uv)} edges")
+    merged, w, clash = _merge(n, uv, x)
+    if clash is not None:
+        i, j = clash
+        raise GraphFormatError(
+            f"conflicting duplicate weight on edge {tuple(sorted(uv[j].tolist()))}: "
+            f"{x[i].item()!r} and {x[j].item()!r}")
+    return n, merged, w
 
 
 class Graph:
@@ -113,28 +104,24 @@ class Graph:
 
     Stored as arrays: `edge_array`, the (m, 2) int64 edges u < v, sorted,
     deduplicated, no self-loops; `weight_array`, their positive, finite
-    float64 weights, or None. Graph(n, edges, weights) takes canonical pairs
-    and weights keyed by exactly them; from_edges canonicalizes. The views
-    `edges` (a frozenset of (u, v) tuples), `csr`, `degrees`, `adj` (a
-    frozenset of neighbours per vertex) and `adjacency_matrix` are built when
-    first read and cached. Graphs are equal when n, edges and weights are;
-    they are not hashable.
+    float64 weights, or None. Graph(n, edges, weights) takes (u, v) pairs or
+    an (m, 2) array, in any order and with repeats, and one weight per pair
+    in the same order; repeats of an edge must carry equal weights.
+    from_edges is the same call by name. The views `edges` (a frozenset of
+    (u, v) tuples), `csr`, `degrees`, `adj` (a frozenset of neighbours per
+    vertex) and `adjacency_matrix` are built when first read and cached.
+    Graphs are equal when n, edges and weights are; they are not hashable.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 weights: Optional[dict[tuple[int, int], float]] = None):
-        self._init(*_canonical(n, edges, weights, strict=True))
+                 weights: Optional[Iterable[float]] = None):
+        self._init(*_canonical(n, edges, weights))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   weights: Optional[dict[tuple[int, int], float]] = None) -> "Graph":
-        """Build a graph, canonicalizing and deduplicating edges; rejects self-loops.
-
-        `edges` is an iterable of (u, v) pairs or an (m, 2) integer array.
-        Weight keys are canonicalized too; (u, v) and (v, u) keys with
-        different weights are rejected.
-        """
-        return _graph(*_canonical(n, edges, weights, strict=False))
+                   weights: Optional[Iterable[float]] = None) -> "Graph":
+        """Graph(n, edges, weights), by name."""
+        return Graph(n, edges, weights)
 
     def _init(self, n, uv, w) -> "Graph":
         """Check and store canonical arrays; every constructor ends here."""
@@ -393,18 +380,22 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 
 def vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
-    """s as a sorted, duplicate-free int64 array; raises ValueError on an id
-    outside [0, n)."""
-    return in_range(g, sorted_unique(np.asarray(s if isinstance(s, np.ndarray) else list(s),
-                                                dtype=np.int64)))
+    """s as a sorted, duplicate-free int64 array; raises ValueError as in_range."""
+    ids = np.asarray(s if isinstance(s, np.ndarray) else list(s))
+    return in_range(g, sorted_unique(ids))
 
 
-def in_range(g: Graph, vs: np.ndarray) -> np.ndarray:
-    """vs, unchanged; raises ValueError naming its first id outside [0, n)."""
+def in_range(g: Graph, vs) -> np.ndarray:
+    """The ids vs, in order, as an int64 array; raises ValueError unless they
+    have an integer dtype (so no float is truncated and no bool mask read as
+    ids; an empty vs passes), or naming the first id outside [0, n)."""
+    vs = np.asarray(vs)
+    if vs.size and not np.issubdtype(vs.dtype, np.integer):
+        raise ValueError(f"vertex ids must be integers, got dtype {vs.dtype}")
     bad = (vs < 0) | (vs >= g.n)
     if bad.any():
         raise ValueError(f"vertex {vs[bad.argmax()]} out of range [0,{g.n})")
-    return vs
+    return vs.astype(np.int64, copy=False)
 
 
 def density_report(g: Graph, s: Iterable[int]) -> DensityReport:

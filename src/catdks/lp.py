@@ -291,17 +291,13 @@ def conditioned_values(assignment: dict[Path, Number], j: int,
     return {(i,): assignment[(j, i)] / yj for i in range(n)}
 
 
-def export_lp(inst: LPInstance, path,
-              objective_weights: Optional[Sequence[Number]] = None) -> None:
+def export_lp(inst: LPInstance, path) -> None:
     """Write the instance in LP text format.
 
-    Objective maximizes the weighted sum of top-level variables (all-ones by
-    default). Variable naming: root homogenizer "h", path p "y_v1_v2_...".
+    Objective maximizes the sum of top-level variables. Variable naming: root
+    homogenizer "h", path p "y_v1_v2_...".
     """
     n = inst.graph.n
-    w = objective_weights if objective_weights is not None else [1] * n
-    if len(w) != n:
-        raise ValueError("objective weight vector must have one entry per vertex")
 
     def fmt_coef(c: Number, first: bool) -> str:
         cf = Fraction(c).limit_denominator(10**12)
@@ -312,7 +308,7 @@ def export_lp(inst: LPInstance, path,
 
     lines = ["\\ depth-%d hierarchy, k=%d, d=%s" % (inst.t, inst.k, inst.d),
              "Maximize", " obj: " + " + ".join(
-                 f"{Fraction(w[i])} {_var_name((i,))}" for i in range(n))]
+                 f"1 {_var_name((i,))}" for i in range(n))]
     lines.append("Subject To")
     for c in inst.constraints:
         parts = []

@@ -100,8 +100,7 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
                            ground_truth_density=gt)
 
 
-def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
-                    seed: int = 0) -> PlantedInstance:
+def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int]) -> PlantedInstance:
     """Replace the induced subgraph on `location` by an arbitrary graph h;
     ground_truth_density, the location's average degree, is 2 h.m / |location|."""
     loc = tuple(vertex_array(g_base, location).tolist())
@@ -110,7 +109,7 @@ def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int],
     g = _replace_induced(g_base, loc, h)
     gt = 2.0 * h.m / len(loc) if loc else None
     return PlantedInstance(graph=g, planted=loc, model="dense-in-random",
-                           params={"n": g_base.n, "k": len(loc), "seed": seed},
+                           params={"n": g_base.n, "k": len(loc)},
                            ground_truth_density=gt)
 
 

@@ -196,6 +196,10 @@ def test_leaves_are_range_checked_in_order():
         for leaves, bad in [((-1, 1), -1), ((-4, 0), -4), ((0, 4), 4), ((5, -2), 5)]:
             with pytest.raises(ValueError, match=rf"vertex {bad} out of range \[0,4\)"):
                 fn(c4, sched, leaves)
+        # a float leaf is not truncated, nor a bool mask read as the ids 1, 0
+        for leaves in ([0.5, 1], np.array([True, False])):
+            with pytest.raises(ValueError, match="vertex ids must be integers"):
+                fn(c4, sched, leaves)
     assert count_caterpillars(c4, sched, (0, 0)) == 2
     assert count_caterpillars(c4, sched, np.array([1, 1])) == 2
     assert candidate_trace(c4, sched, (1, 0)).sets[1:] == ((0, 2), ())

@@ -228,9 +228,12 @@ def test_cli_flag_overrides_config(tmp_path):
     (["distinguish", "--test", "degree", "--n", "0", "--trials", "1"], None, 2),
     (["bench", "--n", "0", "--trials", "1"], None, 2),
     (["gen", "--n", "0", "--alpha", "0.5"], None, 2),
+    (["lp-export", "--input", "{graph}", "--k", "2", "--d", "1/0"], None, 2),
+    (["lp-export", "--input", "{graph}", "--k", "2"], {"schema_version": 1, "d": True}, 2),
 ], ids=["distinguish-trials-0", "bench-trials-0", "config-not-object",
         "config-value-wrong-type", "schema-version-bool", "sidecar-not-object",
-        "distinguish-n-0", "bench-n-0", "gen-alpha-n-0"])
+        "distinguish-n-0", "bench-n-0", "gen-alpha-n-0", "lp-export-d-zero-denominator",
+        "lp-export-d-true"])
 def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
     graph = tmp_path / "g.el"
     graph.write_text("3 1\n0 1\n")
@@ -289,8 +292,10 @@ def test_budget_below_one_exits_2(tmp_path, budget):
     graph = tmp_path / "g.el"
     graph.write_text("5 0\n")
     out = tmp_path / "sol.json"
-    assert run("solve", "--input", str(graph), "--k", "2", "--budget", budget,
+    assert run("solve", "--input", str(graph), "--k", "2", "--leaf-budget", budget,
                "--out", str(out)) == 2
+    assert run("distinguish", "--test", "caterpillar", "--trials", "1",
+               "--budget", budget, "--out", str(out)) == 2
     assert not out.exists()
 
 
@@ -302,9 +307,9 @@ _EVERY_PARAM = {
     "solve": {"input": "{graph}", "k": 6, "s_max": 3, "leaf_budget": 100},
     "distinguish": {"test": "spectral", "n": 80, "alpha": 0.5, "k": 10,
                     "beta": 1.0, "trials": 2, "c": 1.5, "r": 2, "s": 3,
-                    "rho": 0.4},
-    "lp-export": {"input": "{graph}", "k": 2, "d": "1/2", "t": 1},
-    "bench": {"n": 30, "alphas": [0.4, 0.5], "trials": 1},
+                    "rho": 0.4, "budget": 300},
+    "lp-export": {"input": "{graph}", "k": 2, "d": "1/2", "t": 1, "budget": 10_000},
+    "bench": {"n": 30, "alphas": [0.4, 0.5], "trials": 1, "budget": 50},
 }
 
 

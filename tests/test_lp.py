@@ -351,15 +351,6 @@ def test_export_empty_graph(tmp_path):
     assert "kbound[-]" in text and "box-lo" in text
 
 
-def test_export_weight_vector(tmp_path):
-    inst = build_lp(clique(3), 2, 1, 1)
-    out = tmp_path / "w.lp"
-    export_lp(inst, out, objective_weights=[2, 0, 1])
-    assert "obj: 2 y_0 + 0 y_1 + 1 y_2" in out.read_text()
-    with pytest.raises(ValueError):
-        export_lp(inst, out, objective_weights=[1])
-
-
 # ---------------------------------------------------------------------------
 # golden: sizes, export text and violation lists, recorded from the
 # one-Python-object-per-row implementation

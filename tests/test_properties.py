@@ -64,22 +64,43 @@ def test_from_edges_canonical_under_order_orientation_duplication(ne, rnd):
 @settings(deadline=None)
 @given(edge_lists(), st.data())
 def test_lazy_views_match_canonical_input(ne, data):
+    """Graph() and from_edges give one graph from reversed, repeated pairs
+    with aligned weights, and one GraphFormatError message from a repeat
+    whose weight differs or a weight list of the wrong length."""
     n, edges = ne
     messy = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
-    weights = None
+    pairs = messy + [(v, u) for u, v in messy]          # each edge both ways
+    weights = expected = None
     if data.draw(st.booleans()):
         pos = st.floats(min_value=1e-300, max_value=1e300,
                         allow_nan=False, allow_infinity=False)
-        weights = {e: data.draw(pos) for e in messy}   # keys as given, (v, u) too
-    g = Graph.from_edges(n, messy + [(v, u) for u, v in messy], weights)
+        expected = {(min(e), max(e)): data.draw(pos) for e in messy}
+        weights = [expected[min(e), max(e)] for e in pairs]
+    g = Graph.from_edges(n, pairs, weights)
+    assert Graph(n, pairs, weights) == g
     assert "edges" not in g.__dict__
     assert g.m == len(edges)
     assert g.edges == frozenset(edges)
-    assert weight_dict(g) == (None if weights is None else
-                              {(min(e), max(e)): w for e, w in weights.items()})
-    assert Graph(g.n, g.edges, weight_dict(g)) == g
+    assert weight_dict(g) == expected
+    es = list(g.edges)
+    assert Graph(g.n, es, None if expected is None else [expected[e] for e in es]) == g
     cover = bipartite_double_cover(g)
     assert Graph(cover.n, cover.edges) == cover
+    if weights and data.draw(st.booleans()):
+        bad, i = list(weights), data.draw(st.integers(0, len(weights) - 1))
+        fault = data.draw(st.sampled_from(["clash", "short", "long"]))
+        if fault == "clash":
+            bad[i] *= 2                                 # its repeat keeps the old weight
+        elif fault == "short":
+            del bad[i]
+        else:
+            bad.append(bad[i])
+        messages = set()
+        for make in (Graph, Graph.from_edges):
+            with pytest.raises(GraphFormatError) as exc:
+                make(n, pairs, bad)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
 
 @settings(deadline=None)
@@ -106,7 +127,7 @@ def test_save_load_round_trip(ne, data):
     if edges and data.draw(st.booleans()):
         pos = st.floats(min_value=1e-300, max_value=1e300,
                         allow_nan=False, allow_infinity=False)
-        weights = {e: data.draw(pos) for e in edges}
+        weights = [data.draw(pos) for _ in edges]
     g = Graph.from_edges(n, edges, weights)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "g.el")
@@ -159,7 +180,8 @@ def reference_load(path) -> Graph:
             raise GraphFormatError(f"conflicting duplicate weight: {ln!r}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, file has {len(lines) - 1}")
-    return Graph.from_edges(n, list(first), first if edges and edges[0][2] else None)
+    return Graph.from_edges(n, list(first),
+                            list(first.values()) if edges and edges[0][2] else None)
 
 
 @st.composite

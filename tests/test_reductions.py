@@ -220,14 +220,14 @@ def test_cover_density_dominates_brute():
 
 
 def test_buckets_equal_weights():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)], weights={(0, 1): 2.0, (2, 3): 2.0})
+    g = Graph.from_edges(4, [(0, 1), (2, 3)], weights=[2.0, 2.0])
     out = weight_buckets(g)
     assert len(out) == 1 and out[0].m == 2
 
 
 def test_buckets_powers_of_two():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)],
-                         weights={(0, 1): 4.0, (2, 3): 2.0, (4, 5): 1.0})
+                         weights=[4.0, 2.0, 1.0])
     out = weight_buckets(g)
     assert [b.m for b in out] == [1, 1, 1]
     assert (0, 1) in out[0].edges and (4, 5) in out[2].edges
@@ -236,7 +236,7 @@ def test_buckets_powers_of_two():
 def test_buckets_floor_drop():
     n = 10
     g = Graph.from_edges(n, [(0, 1), (2, 3)],
-                         weights={(0, 1): 1.0, (2, 3): 1.0 / n ** 3})
+                         weights=[1.0, 1.0 / n ** 3])
     out = weight_buckets(g)
     assert sum(b.m for b in out) == 1
 
@@ -250,7 +250,7 @@ def test_bucket_count_bound():
     rng = np.random.default_rng(9)
     n = 32
     edges = list(combinations(range(n), 2))[:100]
-    w = {e: float(10 ** rng.uniform(-3, 3)) for e in edges}
+    w = [float(10 ** rng.uniform(-3, 3)) for _ in edges]
     out = weight_buckets(Graph.from_edges(n, edges, weights=w))
     assert len(out) <= 2 * math.log2(n) + 1
 
@@ -289,7 +289,7 @@ def test_buckets_match_halving_loop_at_boundaries(n, wmax):
         bound /= 2
     ws = [w for w in ws if 0 < w <= wmax]
     edges = list(combinations(range(n), 2))[:len(ws)]
-    g = Graph.from_edges(n, edges, weights=dict(zip(edges, ws)))
+    g = Graph.from_edges(n, edges, weights=ws)
     expected = halving_loop_buckets(g)
     assert len(expected) >= 2 * math.log2(n) - 1
     assert weight_buckets(g) == expected

@@ -484,7 +484,8 @@ def test_approximate_beats_gamma_and_one():
 def test_approximate_weighted_buckets():
     heavy = {(0, 1): 8.0, (0, 2): 8.0, (1, 2): 8.0}
     light = {(3, 4): 1.0, (4, 5): 1.0}
-    g = Graph.from_edges(6, list(heavy) + list(light), weights={**heavy, **light})
+    g = Graph.from_edges(6, list(heavy) + list(light),
+                         weights=list(heavy.values()) + list(light.values()))
     res = approximate(g, 3)
     assert set(res.vertices) == {0, 1, 2}
     assert res.provenance.startswith("bucket0")
@@ -494,7 +495,7 @@ def k6_plus_heavy_matching():
     """K6 with weight 1 on vertices 0-5 plus six disjoint edges of weight 1000."""
     weights = {e: 1.0 for e in combinations(range(6), 2)}
     weights.update({(6 + 2 * i, 7 + 2 * i): 1000.0 for i in range(6)})
-    return Graph.from_edges(18, list(weights), weights=weights)
+    return Graph.from_edges(18, list(weights), weights=list(weights.values()))
 
 
 def test_approximate_weighted_density_is_host_weighted_density():

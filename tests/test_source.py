@@ -51,3 +51,16 @@ def test_no_unused_parameters():
             unused += [f"{path.name}:{node.lineno}: {node.name}({a.arg})"
                        for a in params if a.arg not in read]
     assert unused == []
+
+
+def test_cli_defaults_live_in_params():
+    # a subcommand that reads `a.<name> or <constant>` keeps a default out of
+    # _PARAMS, where the flag, the --config key and the default are resolved
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    fallbacks = [f"cli.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                 if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                 and isinstance(node.values[0], ast.Attribute)
+                 and isinstance(node.values[0].value, ast.Name)
+                 and node.values[0].value.id == "a"
+                 and isinstance(node.values[-1], ast.Constant)]
+    assert fallbacks == []
