@@ -276,10 +276,13 @@ def choice_rows(rng: np.random.Generator, N: int, C: int, T: int) -> np.ndarray:
 
 def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
                       seed: int = 0) -> tuple[tuple[int, ...], int]:
-    """Distinct leaf tuple maximizing the caterpillar count.
+    """Leaf tuple maximizing the caterpillar count.
 
     Leaves are ordered but pairwise distinct (a witness is a vertex *set*;
-    repeated leaves degenerate into lower-order intersection counts). Full
+    repeated leaves degenerate into lower-order intersection counts), except
+    when fewer than r+1 vertices are non-isolated: then no witness exists and
+    the result is those vertices repeated cyclically (all 0s when there are
+    none) with count 0. Full
     lexicographic enumeration when the tuple space fits in `budget`, otherwise
     `budget` seeded uniform samples, the stream of one
     rng.choice(#candidates, r+1, replace=False) call per tuple (choice_rows).

@@ -8,11 +8,11 @@ Each parameter in _PARAMS comes from its flag, else from the --config key of
 the same name (--s-max <-> s_max), else from its default; besides --config,
 only --seed and --out have no config key. Bad input writes no output file: a
 config that is not an object with "schema_version": 1 and its subcommand's
-keys exits 1; a value of the wrong type, a --trials, --budget or
---leaf-budget below 1, a --d with a zero denominator, an --n below 1 where
-p = n^(alpha-1), or a solve <input>.json sidecar that is not an object or
-whose ground_truth_density is neither null nor a finite number >= 0 exits 2;
-solve checks the sidecar before it solves.
+keys exits 1; a value of the wrong type (a JSON float for an integer, or a
+bool), a --trials, --budget or --leaf-budget below 1, a --d with a zero
+denominator, an --n below 1 where p = n^(alpha-1), or a solve <input>.json
+sidecar that is not an object or whose ground_truth_density is neither null
+nor a finite number >= 0 exits 2; solve checks the sidecar before it solves.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -61,9 +61,11 @@ def _fraction(value) -> Fraction:
 
 
 def _floats(value) -> list[float]:
-    """A list of floats, or one comma-separated string of them."""
-    return [float(x) for x in
-            (value.split(",") if isinstance(value, str) else value)]
+    """A list of floats (a bool is not one), or a comma-separated string."""
+    items = value.split(",") if isinstance(value, str) else value
+    if any(isinstance(x, bool) for x in items):
+        raise ValueError("a bool is not a number")
+    return [float(x) for x in items]
 
 
 REQUIRED = object()
@@ -133,6 +135,9 @@ def _params(args: argparse.Namespace) -> argparse.Namespace:
             value = default
         if value is REQUIRED:
             raise UsageError(f"missing required parameter: {flag}")
+        if isinstance(value, bool) or isinstance(value, float) and typ in (int, _count):
+            # int() would truncate 30.9 and float() read true as 1.0
+            raise ValueError(f"{flag}: {value!r}: wrong JSON type")
         if value is not None:
             try:
                 value = typ(value)

@@ -4,19 +4,18 @@ Vertices are dense integer ids in [0, n). A graph is three fields: n, the
 sorted (m, 2) int64 edge array, and an aligned float64 weight array when
 weighted (else None); every constructor ends in one array path. Degrees and
 a sorted CSR (indptr / indices) are numpy-built from the edge array, and
-graph walks (Gamma(S), induced degrees, peeling) read the CSR rows. The
-views `edges` (tuples) and `adj` (neighbour sets) are built only when read;
-no library code reads them: tests compare against them, and the benchmark
-reads `edges` and times `adj`.
+graph walks (Gamma(S), induced degrees) read the CSR rows. The views `edges`
+(tuples) and `adj` (neighbour sets) are built only when read; no library
+code reads them: tests compare against them, and the benchmark reads `edges`
+and times `adj`.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -73,6 +72,17 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
     return np.stack(np.divmod(code, n), axis=1), w, clash
 
 
+def _weight_array(weights) -> np.ndarray:
+    """weights as float64; a string or bool weight raises GraphFormatError, in
+    a list too, which is checked entry by entry: np.asarray([2.5, True]) is float64."""
+    x = np.asarray(weights)
+    if not (isinstance(weights, np.ndarray) and x.dtype.kind in "iuf"):
+        for v in np.asarray(weights, dtype=object).ravel():
+            if isinstance(v, (str, bytes, bool, np.bool_)):
+                raise GraphFormatError(f"weight {v!r} is not a number")
+    return x.astype(np.float64, copy=False)
+
+
 def _canonical(n: int, edges, weights):
     """(n, uv, w): n as an int, the canonical edge array of the pairs `edges`,
     and `weights` (one per pair, in the same order, or None) merged onto it.
@@ -87,7 +97,7 @@ def _canonical(n: int, edges, weights):
     bad = uv[:, 0] == uv[:, 1]
     if bad.any():
         raise GraphFormatError(f"self-loop at vertex {int(uv[bad.argmax(), 0])}")
-    x = None if weights is None else np.asarray(weights, dtype=np.float64)
+    x = None if weights is None else _weight_array(weights)
     if x is not None and x.shape != (len(uv),):
         raise GraphFormatError(f"{x.size} weights for {len(uv)} edges")
     merged, w, clash = _merge(n, uv, x)
@@ -446,26 +456,6 @@ def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:
     w = g.weight_array
     total = float(induced.sum()) if w is None else math.fsum(w[induced].tolist())
     return 2.0 * total / len(vs)
-
-
-def _peel_order(g: Graph, vs: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Yield (vertex, induced degree at removal) while peeling the subgraph
-    induced on the vertex array vs down to nothing, least degree first, ties
-    by smaller id. Heap entries whose degree is no longer current are skipped."""
-    indptr, indices = g.csr
-    deg = dict(zip(vs.tolist(), induced_degrees(g, vs).tolist()))   # alive vertices
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if deg.get(v) != d:
-            continue
-        del deg[v]
-        yield v, d
-        for u in indices[indptr[v]:indptr[v + 1]].tolist():
-            if u in deg:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
 
 
 def brute_force_dks(g: Graph, k: int, budget: int = 5_000_000) -> SolveResult:

@@ -6,14 +6,14 @@ weight bucketing.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import (Graph, _graph, _peel_order, induced_edge_mask, induced_subgraph,
+from .graphs import (Graph, _graph, induced_degrees, induced_edge_mask, induced_subgraph,
                      vertex_array)
 
 
@@ -26,7 +26,7 @@ class GreedyResult:
     h_prime: tuple[int, ...]          # the k-subgraph U ∪ U'
     g_prime: Graph                    # induced on V \ U, relabeled
     g_prime_vertices: tuple[int, ...] # original ids of g_prime, by new id
-    cap_degree: float                 # degree threshold D (max degree of g_prime)
+    cap_degree: float                 # degree threshold D (no g_prime degree exceeds it)
     gamma: float                      # max{cap_degree * k / n, 1}
     u: tuple[int, ...]
     u_prime: tuple[int, ...]
@@ -109,10 +109,23 @@ def union_until_k(g: Graph, k: int,
 
 
 def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
-    """Greedily drop lowest-induced-degree vertices (ties by id) down to k."""
+    """Greedily drop lowest-induced-degree vertices (ties by id) down to k:
+    a heap peel that skips entries whose degree is no longer current."""
     vs = vertex_array(g, s)
-    dropped = [v for v, _ in islice(_peel_order(g, vs), max(len(vs) - k, 0))]
-    return tuple(np.setdiff1d(vs, dropped).tolist())
+    indptr, indices = g.csr
+    deg = dict(zip(vs.tolist(), induced_degrees(g, vs).tolist()))   # alive vertices
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    while len(deg) > max(k, 0):
+        d, v = heapq.heappop(heap)
+        if deg.get(v) != d:
+            continue
+        del deg[v]
+        for u in indices[indptr[v]:indptr[v + 1]].tolist():
+            if u in deg:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return tuple(sorted(deg))
 
 
 def bipartite_double_cover(g: Graph) -> Graph:

@@ -40,6 +40,13 @@ def _edgeless(n: int, k: int) -> SolveResult:
                        provenance="edgeless")
 
 
+def _scored(g: Graph, verts: tuple[int, ...], provenance: str,
+            gamma: float = 0.0) -> SolveResult:
+    """verts with their induced average degree in g as the density."""
+    return SolveResult(vertices=verts, density=density_report(g, verts).average_degree,
+                       provenance=provenance, gamma=gamma)
+
+
 def dks_local(g: Graph, s_set: Iterable[int], k: int,
               universe: Optional[Iterable[int]] = None) -> SolveResult:
     """Densest bipartite candidate on (S, Gamma(S)).
@@ -169,7 +176,7 @@ def _halves(g: Graph) -> bool:
 
 
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
-                 seed: int, cluster_size: int = 1) -> Optional[SolveResult]:
+                 seed: int, cluster_size: int = 1) -> SolveResult:
     """Best subgraph over enumerated or sampled branches of the schedule.
 
     With cluster_size 1 this is the combinatorial caterpillar solver; larger
@@ -184,14 +191,15 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     one _local_block call at each step t > 1. Ties on SolveResult.better_than
     go to the lowest (branch, step, local before cluster-local): the
     depth-first pre-order, as enumerated branches are lexicographic.
+
+    g must have an edge; an edgeless g has no leaf to draw and raises
+    ValueError. Leaves are non-isolated, so every S(1) = Gamma(leaf) is
+    nonempty, and step 2 scores a candidate pairing the top vertex of
+    Gamma(S(1)) with a neighbour in S(1): the result has density > 0.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be >= 1")
     cands = np.flatnonzero(g.degrees)
-    if not len(cands):
-        return None
     if cluster_size > len(cands):
         raise ValueError(f"cluster_size {cluster_size} exceeds the {len(cands)} "
                          "non-isolated vertices")
@@ -234,8 +242,6 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
                 uni = np.concatenate([row * g.n + vert, Jrow * g.n + J.ravel()])
                 found.append(_block_best(*_local_block(g, Jrow, J.ravel(), len(branch), k, uni),
                                          branch, t, 1, f"cluster-local@t={t}"))
-    if not found:
-        return None
     neg, _, verts, *_, prov = min(found)
     return SolveResult(vertices=verts, density=-neg, provenance=prov)
 
@@ -259,21 +265,13 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
     sched = build_schedule(r, s)
     if g.n == 0:
         raise ValueError("empty graph")
-
-    prov = f"caterpillar(r={r},s={s})"
-
-    def inner(current: Graph) -> tuple[int, ...]:
-        res = _branch_best(current, k, sched, leaf_budget, seed)
-        if res is not None and res.density > 0:            # its density in current
-            return res.vertices
-        # residual has edges but no branch spans one: fall back to its first edge
-        return tuple(current.edge_array[0].tolist())
-
     if g.m == 0:
         return _edgeless(g.n, k)
-    verts = union_until_k(g, k, inner)
-    dens = density_report(g, verts).average_degree
-    return SolveResult(vertices=verts, density=dens, provenance=prov)
+    # each residual union_until_k passes has an edge, so the branch search
+    # returns a set spanning one
+    verts = union_until_k(
+        g, k, lambda current: _branch_best(current, k, sched, leaf_budget, seed).vertices)
+    return _scored(g, verts, f"caterpillar(r={r},s={s})")
 
 
 def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
@@ -285,7 +283,8 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     and alpha = 1 - beta; the schedule is choose_rs(alpha + 2*beta*eps, 5),
     capped at 0.999. With C = 1 the cluster-local pass is skipped and the
     result matches dks_cat_combinatorial exactly. A C below 1, or above the
-    number of non-isolated vertices of a graph with edges, raises ValueError.
+    number of non-isolated vertices of a graph with edges, raises ValueError;
+    an edgeless graph gets the edgeless result.
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -298,18 +297,16 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     r, s = choose_rs(alpha_prime, 5)
     if cluster_size is None:
         cluster_size = max(1, round(n ** (2 * beta * eps / (2 * beta * eps + alpha))))
+    if cluster_size < 1:
+        raise ValueError("cluster_size must be >= 1")
+    if g.m == 0:
+        return _edgeless(n, k)
     if cluster_size == 1:
         return dks_cat_combinatorial(g, k, r, s, cluster_budget, seed)
-    sched = build_schedule(r, s)
-    best = _branch_best(g, k, sched, cluster_budget, seed, cluster_size=cluster_size)
-    if best is None:
-        return _edgeless(n, k)
-    if len(best.vertices) > k:
-        verts = prune_to_size(g, best.vertices, k)
-        return SolveResult(vertices=verts,
-                           density=density_report(g, verts).average_degree,
-                           provenance=best.provenance)
-    return best
+    best = _branch_best(g, k, build_schedule(r, s), cluster_budget, seed, cluster_size)
+    if len(best.vertices) <= k:
+        return best
+    return _scored(g, prune_to_size(g, best.vertices, k), best.provenance)
 
 
 def resize_to_k(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
@@ -358,40 +355,26 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
                 best = res
         return best or _edgeless(g.n, k)
     if k == g.n:
-        verts = tuple(range(g.n))
-        return SolveResult(vertices=verts,
-                           density=density_report(g, verts).average_degree,
-                           provenance="whole-graph")
+        return _scored(g, tuple(range(g.n)), "whole-graph")
     if g.m == 0:
         return _edgeless(g.n, k)
     if k == 1:
         return SolveResult(vertices=(0,), density=0.0, provenance="single-vertex")
 
     core = greedy_core(g, k)
-    greedy_verts = resize_to_k(g, core.h_prime, k)
-    greedy_res = SolveResult(vertices=greedy_verts,
-                             density=density_report(g, greedy_verts).average_degree,
-                             provenance="greedy", gamma=core.gamma)
+    greedy_res = _scored(g, resize_to_k(g, core.h_prime, k), "greedy", core.gamma)
 
-    cat_res: Optional[SolveResult] = None
     gp = core.g_prime
-    if gp.m > 0 and gp.n > 1:
-        cover = bipartite_double_cover(gp)
-        cap = max(core.cap_degree, float(gp.max_degree()))
-        if cap > 1.0:
-            alpha = math.log(cap) / math.log(cover.n)
-            alpha = min(max(alpha, 1e-6), 1 - 1e-6)
-            r, s = choose_rs(alpha, config.s_max)
-            k_cover = min(2 * k, cover.n)
-            cov_res = dks_cat_combinatorial(cover, k_cover, r, s,
-                                            config.leaf_budget, config.seed)
-            collapsed = collapse_double_cover(cov_res.vertices, gp.n)
-            original = [core.g_prime_vertices[v] for v in collapsed]
-            verts = resize_to_k(g, original, k)
-            cat_res = SolveResult(vertices=verts,
-                                  density=density_report(g, verts).average_degree,
-                                  provenance=f"caterpillar(r={r},s={s})",
-                                  gamma=core.gamma)
-
-    best = greedy_res if cat_res is None or greedy_res.better_than(cat_res) else cat_res
-    return best
+    cap = core.cap_degree               # U is the top half by degree: no g' degree exceeds it
+    if gp.m == 0 or cap <= 1.0:
+        return greedy_res
+    cover = bipartite_double_cover(gp)
+    alpha = math.log(cap) / math.log(cover.n)
+    alpha = min(max(alpha, 1e-6), 1 - 1e-6)
+    r, s = choose_rs(alpha, config.s_max)
+    cov_res = dks_cat_combinatorial(cover, min(2 * k, cover.n), r, s,
+                                    config.leaf_budget, config.seed)
+    collapsed = collapse_double_cover(cov_res.vertices, gp.n)
+    original = [core.g_prime_vertices[v] for v in collapsed]
+    cat_res = _scored(g, resize_to_k(g, original, k), f"caterpillar(r={r},s={s})", core.gamma)
+    return greedy_res if greedy_res.better_than(cat_res) else cat_res

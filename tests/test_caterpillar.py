@@ -270,6 +270,13 @@ def test_witness_empty_graph():
     assert count == 0
 
 
+def test_witness_fewer_candidates_than_leaves():
+    # (2,3) has 3 leaves but only 2 vertices have an edge: no distinct
+    # tuple exists, so the candidates repeat and the count is 0
+    g = Graph(6, [(2, 4)])
+    assert max_witness_count(g, build_schedule(2, 3), 10) == ((2, 4, 2), 0)
+
+
 def test_witness_claw_graph():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     leaves, count = max_witness_count(star, build_schedule(2, 3), budget=1000)

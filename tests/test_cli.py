@@ -210,6 +210,15 @@ def test_config_file_fail_closed(tmp_path):
     assert run("gen", "--config", str(cfg), "--out", str(out)) == 1
 
 
+def test_config_integer_n_still_accepted(tmp_path):
+    # the JSON type checks reject 30.9 and true, not a plain integer
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "n": 30}))
+    out = tmp_path / "g.el"
+    assert run("gen", "--config", str(cfg), "--p", "1", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[0] == "30 435"
+
+
 def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema_version": 1, "n": 10, "p": 1.0}))
@@ -230,10 +239,15 @@ def test_cli_flag_overrides_config(tmp_path):
     (["gen", "--n", "0", "--alpha", "0.5"], None, 2),
     (["lp-export", "--input", "{graph}", "--k", "2", "--d", "1/0"], None, 2),
     (["lp-export", "--input", "{graph}", "--k", "2"], {"schema_version": 1, "d": True}, 2),
+    (["gen"], {"schema_version": 1, "n": 30.9, "p": True}, 2),
+    (["gen"], {"schema_version": 1, "n": 30, "p": True}, 2),
+    (["distinguish", "--test", "degree", "--n", "20"], {"schema_version": 1, "trials": 1.9}, 2),
+    (["bench", "--n", "20", "--trials", "1"], {"schema_version": 1, "alphas": [True, 0.5]}, 2),
 ], ids=["distinguish-trials-0", "bench-trials-0", "config-not-object",
         "config-value-wrong-type", "schema-version-bool", "sidecar-not-object",
         "distinguish-n-0", "bench-n-0", "gen-alpha-n-0", "lp-export-d-zero-denominator",
-        "lp-export-d-true"])
+        "lp-export-d-true", "config-n-float-p-bool", "config-p-bool",
+        "config-trials-float", "config-alphas-bool"])
 def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
     graph = tmp_path / "g.el"
     graph.write_text("3 1\n0 1\n")

@@ -376,6 +376,15 @@ def test_constructor_checks():
         Graph(n=3, edges=frozenset({(0, 1)}), weights=[math.inf])
 
 
+@pytest.mark.parametrize("weights", [
+    ["2.5", True], [2.5, True], np.array(["2.5", "1"]), np.array([True, True])],
+    ids=["str-and-bool-list", "float-and-bool-list", "str-array", "bool-array"])
+def test_constructor_rejects_string_or_bool_weights(weights):
+    # a float64 conversion would read "2.5" as 2.5 and True as 1.0
+    with pytest.raises(GraphFormatError, match="is not a number"):
+        Graph(3, [(0, 1), (1, 2)], weights)
+
+
 def test_from_edges_rejects_conflicting_weights():
     with pytest.raises(GraphFormatError, match="conflicting duplicate weight"):
         Graph.from_edges(2, [(0, 1), (1, 0)], weights=[5.0, 7.0])

@@ -151,6 +151,12 @@ def test_degree_empty_graph_null():
     assert v.value == 0.0 and v.decision == "null-model"
 
 
+def test_distinguishers_degenerate_inputs_score_zero():
+    assert degree_distinguisher(clique(4), 0, expected_null_degree=2.0).value == 0.0
+    assert intersection_distinguisher(Graph(1, []), pair_budget=10).value == 0.0
+    assert sdp_dual_distinguisher(Graph(6, []), 3).value == 0.0
+
+
 def test_degree_planted_clique_fires():
     inst = plant(400, 0.5, 20, 1.0, seed=1)
     v = degree_distinguisher(inst.graph, 20, expected_null_degree=400 ** 0.5)

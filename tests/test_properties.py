@@ -28,7 +28,7 @@ from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks.models import gen_gnp, plant, plant_arbitrary  # noqa: E402
 from catdks import solvers  # noqa: E402
 from catdks import caterpillar  # noqa: E402
-from catdks.reductions import bipartite_double_cover  # noqa: E402
+from catdks.reductions import bipartite_double_cover, greedy_core  # noqa: E402
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count, injective_count  # noqa: E402
 from test_graphs import neighborhood, weight_dict  # noqa: E402
@@ -420,15 +420,49 @@ def test_block_branch_search_matches_recursive_walk(ne, cover, rs, cluster_size,
     else:
         budget = data.draw(st.integers(1, 40))             # sampled, when space > budget
     seed = data.draw(st.integers(0, 3))
-    with mock.patch.object(solvers, "_CELLS", width * g.n):
-        got = solvers._branch_best(g, k, sched, budget, seed, cluster_size)
     ref = reference_branch_best(g, k, sched, budget, seed, cluster_size,
                                 cluster_local=cluster_size > 1)
-    if ref is None:
-        assert got is None
-    else:
-        assert (got.vertices, got.density, got.provenance) == \
-            (ref.vertices, ref.density, ref.provenance)
+    with mock.patch.object(solvers, "_CELLS", width * g.n):
+        if ref is None:                         # edgeless: no leaf to draw
+            with pytest.raises(ValueError, match="exceeds the 0 non-isolated"):
+                solvers._branch_best(g, k, sched, budget, seed, cluster_size)
+            return
+        got = solvers._branch_best(g, k, sched, budget, seed, cluster_size)
+    assert (got.vertices, got.density, got.provenance) == \
+        (ref.vertices, ref.density, ref.provenance)
+
+
+@settings(deadline=None, max_examples=100)
+@given(edge_lists(max_n=16), st.booleans(), st.sampled_from(SCHEDULES),
+       st.integers(1, 2), st.integers(1, 40), st.integers(0, 3), st.data())
+def test_branch_search_always_spans_an_edge(ne, cover, rs, cluster_size, budget,
+                                            seed, data):
+    """On a graph with an edge, a double cover's included, the branch search
+    returns a set of density > 0: dks_cat_combinatorial's union_until_k
+    relies on it, with no fallback for a set that spans no edge."""
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    if cover:
+        g = bipartite_double_cover(g)
+    if int((g.degrees > 0).sum()) < cluster_size:
+        return                                  # edgeless, or no leaf cluster to draw
+    k = data.draw(st.integers(1, g.n))
+    res = solvers._branch_best(g, k, build_schedule(*rs), budget, seed, cluster_size)
+    assert res.density > 0
+    assert g.edge_count_within(np.array(res.vertices)) > 0
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=16), st.data())
+def test_greedy_residual_degrees_within_cap(ne, data):
+    """U is the top half by degree, so no vertex of g' = G[V \\ U] has a
+    degree above cap_degree; approximate reads the cap without g'."""
+    n, edges = ne
+    if n < 2:
+        return
+    g = Graph.from_edges(n, edges)
+    core = greedy_core(g, data.draw(st.integers(2, n)))
+    assert (core.g_prime.degrees <= core.cap_degree).all()
 
 
 @settings(deadline=None, max_examples=60)

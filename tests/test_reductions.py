@@ -33,6 +33,10 @@ def test_greedy_clique_plus_isolated():
     assert density_report(g, res.h_prime).average_degree >= 3  # Theta(k)
 
 
+def test_weight_buckets_edgeless():
+    assert weight_buckets(Graph(3, [], [])) == []
+
+
 def test_greedy_matching_fallback():
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     res = greedy_core(g, 4)

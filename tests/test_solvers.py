@@ -8,7 +8,8 @@ import pytest
 
 from catdks import solvers
 from catdks.caterpillar import HAIR, build_schedule
-from catdks.graphs import Graph, brute_force_dks, density_report, load_graph, save_graph
+from catdks.graphs import (Graph, SolveResult, brute_force_dks, density_report, load_graph,
+                           save_graph)
 from catdks.models import gen_gnp, plant
 from catdks.reductions import bipartite_double_cover
 from catdks.solvers import (SolverConfig, _branch_best, _halves, _local_block,
@@ -217,6 +218,11 @@ def test_cat_edgeless():
     g = Graph.from_edges(6, [])
     res = dks_cat_combinatorial(g, 3, 1, 2, leaf_budget=10, seed=0)
     assert res.density == 0.0 and len(res.vertices) == 3
+
+
+def test_exp_edgeless():
+    res = dks_exp(Graph(8, []), 3, 0.25, 100, cluster_size=2)
+    assert res == SolveResult(vertices=(0, 1, 2), density=0.0, provenance="edgeless")
 
 
 def test_cat_deterministic():
@@ -467,6 +473,9 @@ def test_approximate_whole_graph():
 def test_approximate_trivial_cases():
     g = Graph.from_edges(5, [])
     assert approximate(g, 3).density == 0.0
+    # weighted with no edges: no bucket to solve
+    assert approximate(Graph(3, [], []), 2) == \
+        SolveResult(vertices=(0, 1), density=0.0, provenance="edgeless")
     g2 = clique(4)
     assert approximate(g2, 1).vertices == (0,)
 
