@@ -73,14 +73,13 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
 
 
 def _weight_array(weights) -> np.ndarray:
-    """weights as float64; a string or bool weight raises GraphFormatError, in
-    a list too, which is checked entry by entry: np.asarray([2.5, True]) is float64."""
-    x = np.asarray(weights)
-    if not (isinstance(weights, np.ndarray) and x.dtype.kind in "iuf"):
-        for v in np.asarray(weights, dtype=object).ravel():
-            if isinstance(v, (str, bytes, bool, np.bool_)):
-                raise GraphFormatError(f"weight {v!r} is not a number")
-    return x.astype(np.float64, copy=False)
+    """weights as float64; a string or bool weight raises GraphFormatError,
+    checked entry by entry, since np.asarray([2.5, True]) is float64."""
+    x = np.asarray(weights, dtype=object)
+    for v in x.ravel():
+        if isinstance(v, (str, bytes, bool, np.bool_)):
+            raise GraphFormatError(f"weight {v!r} is not a number")
+    return x.astype(np.float64)
 
 
 def _canonical(n: int, edges, weights):
