@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,50 +197,35 @@ def _walk(A, steps: Sequence[str], block: np.ndarray,
     return np.asarray(X.sum(axis=1)).ravel().tolist()
 
 
-def walk_step(g: Graph, row: np.ndarray, vert: np.ndarray,
-              clusters: Optional[np.ndarray] = None,
-              parent: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """One schedule step on a block of vertex sets.
-
-    A block holds one set per row as flat (row, vertex) pairs, sorted by row
-    and then vertex. A backbone step (no `clusters`) turns each row into its
-    Gamma. A hair step makes one child per row of the (c, |J|) array
-    `clusters`: child i is row parent[i] intersected with Gamma(clusters[i]).
-    Returns the new block's pairs, in the same sorted form. The CSR rows of
-    the pairs are read in parts of about _CELLS entries, not all at once.
-    """
+def walk_step(g: Graph, row: np.ndarray, vert: np.ndarray, B: int) -> np.ndarray:
+    """Gamma of each of a block's B vertex sets, held as flat (row, vertex)
+    pairs, as a B * n bool mask over keys row * n + vertex: a backbone step
+    takes the mask's keys, a hair step keeps the members of each row that
+    are set in its cluster's mask. The CSR rows of the pairs are read in
+    parts of about _CELLS entries, not all at once."""
     n = g.n
-    if clusters is None:
-        src, child = vert, row                          # each pair's Gamma joins its row
-    else:
-        src, child = clusters.ravel(), np.arange(clusters.size) // clusters.shape[1]
-        inside = np.zeros((max(row.max(initial=0), parent.max()) + 1) * n, dtype=bool)
-        inside[row * n + vert] = True
-    out = np.zeros((child.max(initial=-1) + 1) * n, dtype=bool)
+    out = np.zeros(B * n, dtype=bool)
     step = max(1, _CELLS // max(g.max_degree(), 1))     # pairs whose rows fit _CELLS
-    for lo in range(0, len(src), step):
-        owner, nbr = g.rows(src[lo:lo + step])
-        key = child[lo + owner] * n + nbr
-        if clusters is not None:                        # stay inside the parent row
-            key = key[inside[parent[key // n] * n + nbr]]
-        out[key] = True
-    key = np.flatnonzero(out)
-    return key // n, key % n
+    for lo in range(0, len(vert), step):
+        owner, nbr = g.rows(vert[lo:lo + step])
+        out[row[lo + owner] * n + nbr] = True
+    return out
 
 
 def candidate_trace(g: Graph, sched: CaterpillarSchedule,
                     leaves: Sequence[int]) -> CandidateTrace:
     """Replay the candidate sets S(t) of one branch: hair intersects with the
     next leaf's neighborhood, backbone expands to the full neighborhood."""
-    clusters = iter(_leaf_array(g, sched, leaves).reshape(-1, 1, 1))   # (1, 1) per hair
-    row, vert = np.zeros(g.n, dtype=np.int64), np.arange(g.n)
+    leaf = iter(_leaf_array(g, sched, leaves).reshape(-1, 1))
+    one = np.zeros(1, dtype=np.int64)                   # one row: the block is one set
+    vert = np.arange(g.n)
     sets = [tuple(range(g.n))]
     exps = []
     for t, kind in enumerate(sched.steps, start=1):
         if kind == HAIR:
-            row, vert = walk_step(g, row, vert, next(clusters), np.zeros(1, dtype=np.int64))
+            vert = vert[walk_step(g, one, next(leaf), 1)[vert]]
         else:
-            row, vert = walk_step(g, row, vert)
+            vert = np.flatnonzero(walk_step(g, np.zeros_like(vert), vert, 1))
         sets.append(tuple(vert.tolist()))
         x = Fraction(t * sched.r, sched.s)
         exps.append(x - (x.numerator // x.denominator))

@@ -1,8 +1,8 @@
 """Preprocessing/postprocessing reductions that wrap every solver.
 
-Covers degree-capping via a greedy core, union-until-k accumulation with
-greedy pruning back to size, the bipartite double cover and its collapse, and
-weight bucketing.
+Covers degree-capping via a greedy core, union-until-k accumulation, resizing
+a set to exactly k (greedy pruning or padding by neighbours), the bipartite
+double cover and its collapse, and weight bucketing.
 """
 from __future__ import annotations
 
@@ -79,21 +79,17 @@ def union_until_k(g: Graph, k: int,
 
     inner is called on the current residual graph and must return a nonempty
     vertex set spanning at least one residual edge; otherwise a StallError is
-    raised. Overshoot (up to 2k) is pruned greedily by lowest degree back to
-    exactly k; if the residual runs out of edges first, arbitrary untouched
-    vertices pad the set to k.
+    raised. Once k vertices are found, or the residual runs out of edges,
+    resize_to_k prunes the overshoot (up to 2k) greedily by lowest degree
+    back to exactly k, or pads with the smallest untouched ids: with no
+    residual edge left, every vertex outside the set is isolated.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     uv = g.edge_array
     remaining = np.ones(len(uv), dtype=bool)
     accum: set[int] = set()
-    while len(accum) < k:
-        if not remaining.any():
-            pad = (v for v in range(g.n) if v not in accum)
-            while len(accum) < k:
-                accum.add(next(pad))
-            break
+    while len(accum) < k and remaining.any():
         # the first residual is g itself: no copy of its edges held alongside
         # it; later ones are rows of its canonical edge array, still canonical
         current = g if remaining.all() else _graph(g.n, uv[remaining])
@@ -103,9 +99,7 @@ def union_until_k(g: Graph, k: int,
             raise StallError("inner solver returned an empty or edgeless subgraph")
         remaining &= ~removed
         accum.update(found.tolist())
-    if len(accum) > k:
-        accum = set(prune_to_size(g, accum, k))
-    return tuple(sorted(accum))
+    return resize_to_k(g, accum, k)
 
 
 def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
@@ -126,6 +120,26 @@ def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     return tuple(sorted(deg))
+
+
+def resize_to_k(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
+    """Prune (lowest degree first) or pad a vertex set to exactly k members;
+    each padding step adds the vertex with the most neighbours in the set,
+    ties (also at none) by smaller id."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k={k} out of range [0,{g.n}]")
+    cur = vertex_array(g, s)
+    if len(cur) > k:
+        return prune_to_size(g, cur, k)
+    indptr, indices = g.csr
+    score = np.bincount(g.rows(cur)[1], minlength=g.n)   # neighbours in the set
+    score[cur] = -1                                      # members
+    for _ in range(k - len(cur)):
+        v = int(score.argmax())
+        score[v] = -1
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        score[nbrs[score[nbrs] >= 0]] += 1
+    return tuple(np.flatnonzero(score < 0).tolist())
 
 
 def bipartite_double_cover(g: Graph) -> Graph:

@@ -23,8 +23,8 @@ from .caterpillar import (_CELLS, HAIR, CaterpillarSchedule, build_schedule, cho
                           choose_rs, walk_step)
 from .graphs import (Graph, SolveResult, density_report, sorted_unique, vertex_array,
                      weighted_average_degree)
-from .reductions import (bipartite_double_cover, collapse_double_cover,
-                         greedy_core, prune_to_size, union_until_k, weight_buckets)
+from .reductions import (bipartite_double_cover, collapse_double_cover, greedy_core,
+                         prune_to_size, resize_to_k, union_until_k, weight_buckets)
 
 
 @dataclass
@@ -187,10 +187,11 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
 
     A branch holds one cluster per hair step walked; the last one only for
     cluster-local scoring, as S(s) is never scored otherwise. Blocks of
-    branches are walked from the root (walk_step) and every row is scored by
-    one _local_block call at each step t > 1. Ties on SolveResult.better_than
-    go to the lowest (branch, step, local before cluster-local): the
-    depth-first pre-order, as enumerated branches are lexicographic.
+    branches are walked from S(1) = Gamma(J_1), one walk_step per step, and
+    every row is scored by one _local_block call at each step t > 1. Ties on
+    SolveResult.better_than go to the lowest (branch, step, local before
+    cluster-local): the depth-first pre-order, as enumerated branches are
+    lexicographic.
 
     g must have an edge; an edgeless g has no leaf to draw and raises
     ValueError. Leaves are non-isolated, so every S(1) = Gamma(leaf) is
@@ -213,33 +214,37 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
                             budget * n_hairs)
         branches = cands[np.sort(draws, axis=1)].reshape(budget, n_hairs, cluster_size)[:, :hairs]
     found: list[tuple] = []                             # each scored block's best
-    width = max(1, _CELLS // g.n)                       # rows per block
+    n = g.n
+    width = max(1, _CELLS // n)                         # rows per block
     for lo in range(0, len(branches), width):
         branch = np.arange(lo, min(lo + width, len(branches)))
-        row, vert = np.zeros(g.n, dtype=np.int64), np.arange(g.n)   # the root, S(0)
-        parent = np.zeros(len(branch), dtype=np.int64)  # each branch's row
         for t, kind in enumerate(sched.steps, start=1):
             if t > 1:
                 found.append(_block_best(*_local_block(g, row, vert, len(branch), k),
                                          branch, t, 0, f"local@t={t}"))
             if kind != HAIR:
                 # no row empties: S(t-1) is nonempty and none of its members is isolated
-                row, vert = walk_step(g, row, vert)
+                row, vert = np.divmod(np.flatnonzero(walk_step(g, row, vert, len(branch))), n)
                 continue
             hair = sched.steps[:t - 1].count(HAIR)      # this step's column of branches
             if hair == hairs:
                 break                                   # S(s) is never scored
-            row, vert = walk_step(g, row, vert, branches[branch, hair], parent)
+            J = branches[branch, hair]
+            near = walk_step(g, np.repeat(np.arange(len(J)), cluster_size), J.ravel(), len(J))
+            if t == 1:                                  # S(1) = Gamma(J_1)
+                row, vert = np.divmod(np.flatnonzero(near), n)
+            else:                                       # S(t-1) within Gamma(J_t)
+                keep = near[row * n + vert]
+                row, vert = row[keep], vert[keep]
             live = np.bincount(row, minlength=len(branch)) > 0  # S(t) nonempty
             row = (np.cumsum(live) - 1)[row]
             branch = branch[live]
-            parent = np.arange(len(branch))
             if not len(branch):
                 break
             if cluster_size > 1:
-                J = branches[branch, hair]
-                Jrow = np.repeat(parent, cluster_size)
-                uni = np.concatenate([row * g.n + vert, Jrow * g.n + J.ravel()])
+                J = J[live]
+                Jrow = np.repeat(np.arange(len(branch)), cluster_size)
+                uni = np.concatenate([row * n + vert, Jrow * n + J.ravel()])
                 found.append(_block_best(*_local_block(g, Jrow, J.ravel(), len(branch), k, uni),
                                          branch, t, 1, f"cluster-local@t={t}"))
     neg, _, verts, *_, prov = min(found)
@@ -307,26 +312,6 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     if len(best.vertices) <= k:
         return best
     return _scored(g, prune_to_size(g, best.vertices, k), best.provenance)
-
-
-def resize_to_k(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
-    """Prune (lowest degree first) or pad a vertex set to exactly k members;
-    each padding step adds the vertex with the most neighbours in the set,
-    ties (also at none) by smaller id."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k={k} out of range [0,{g.n}]")
-    cur = vertex_array(g, s)
-    if len(cur) > k:
-        return prune_to_size(g, cur, k)
-    indptr, indices = g.csr
-    score = np.bincount(g.rows(cur)[1], minlength=g.n)   # neighbours in the set
-    score[cur] = -1                                      # members
-    for _ in range(k - len(cur)):
-        v = int(score.argmax())
-        score[v] = -1
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        score[nbrs[score[nbrs] >= 0]] += 1
-    return tuple(np.flatnonzero(score < 0).tolist())
 
 
 def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> SolveResult:

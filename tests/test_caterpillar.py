@@ -464,7 +464,8 @@ def test_common_neighbours_match_csr_rows(n, density):
 def test_walk_step_parts_match_one_pass():
     # a step reads the CSR rows of its pairs in parts that fit _CELLS; parts
     # of one pair, and of a few pairs that cut rows apart, give the same
-    # block as one part
+    # mask as one part, for a block of unequal rows and for a block of
+    # cluster rows
     from unittest import mock
 
     from catdks import caterpillar
@@ -476,11 +477,17 @@ def test_walk_step_parts_match_one_pass():
     vert = np.concatenate([np.arange(40), np.sort(rng.choice(40, 7, replace=False)),
                            np.sort(rng.choice(40, 12, replace=False))])
     clusters = rng.integers(0, 40, size=(5, 2))
-    parent = np.array([0, 0, 1, 2, 2])
-    want = [walk_step(g, row, vert), walk_step(g, row, vert, clusters, parent)]
-    assert len(want[0][0]) > len(vert)
+    blocks = [(row, vert, 3), (np.repeat(np.arange(5), 2), clusters.ravel(), 5)]
+    want = [walk_step(g, *block) for block in blocks]
+    assert all(len(v) * g.max_degree() <= caterpillar._CELLS for _, v, _ in blocks)
+    assert want[0].sum() > len(vert)
+    for (r, v, B), mask in zip(blocks, want):           # Gamma of each row's set
+        ref = np.zeros((B, g.n), dtype=bool)
+        for i, x in zip(r.tolist(), v.tolist()):
+            ref[i, g.rows(np.array([x]))[1]] = True
+        assert mask.tolist() == ref.ravel().tolist()
     for cells in (1, 3 * g.max_degree()):
         with mock.patch.object(caterpillar, "_CELLS", cells):
-            got = [walk_step(g, row, vert), walk_step(g, row, vert, clusters, parent)]
-        for (r, v), (wr, wv) in zip(got, want):
-            assert r.tolist() == wr.tolist() and v.tolist() == wv.tolist()
+            got = [walk_step(g, *block) for block in blocks]
+        for mask, wmask in zip(got, want):
+            assert mask.tolist() == wmask.tolist()

@@ -2,13 +2,15 @@
 derived structures, edge-list round trip, load_graph against a
 line-by-line parser, the batched caterpillar walker
 against brute force, density_report against a plain count, the generators'
-canonical output and planted ground truth, resize_to_k, dks_local's density
+canonical output and planted ground truth, resize_to_k, union_until_k
+against its pad/prune tail written out, dks_local's density
 against density_report and its winner on a double cover's half against the
 per-k' tie rule, the block branch search against the recursive
 per-branch walk, and the exact LP check against a per-row Fraction
 evaluation."""
 import math
 import os
+import random
 import re
 import tempfile
 from fractions import Fraction
@@ -28,7 +30,8 @@ from catdks.lp import build_lp, check_feasible  # noqa: E402
 from catdks.models import gen_gnp, plant, plant_arbitrary  # noqa: E402
 from catdks import solvers  # noqa: E402
 from catdks import caterpillar  # noqa: E402
-from catdks.reductions import bipartite_double_cover, greedy_core  # noqa: E402
+from catdks.reductions import (bipartite_double_cover, greedy_core,  # noqa: E402
+                               prune_to_size, union_until_k)
 from catdks.solvers import resize_to_k  # noqa: E402
 from test_caterpillar import brute_count, injective_count  # noqa: E402
 from test_graphs import neighborhood, weight_dict  # noqa: E402
@@ -338,6 +341,43 @@ def test_resize_to_k_returns_exactly_k(ne, data):
         assert set(s) <= set(out)
     else:
         assert set(out) <= set(s)
+
+
+def reference_union_until_k(g, k, inner):
+    """Reference: union_until_k with its own tail. A set that runs out of
+    residual edges is padded with the smallest untouched ids, and an
+    overshoot is pruned by prune_to_size."""
+    remaining = set(map(tuple, g.edge_array.tolist()))
+    accum = set()
+    while len(accum) < k:
+        if not remaining:
+            accum.update([v for v in range(g.n) if v not in accum][:k - len(accum)])
+            break
+        found = set(inner(Graph.from_edges(g.n, remaining)))
+        remaining -= {(u, v) for u, v in remaining if u in found and v in found}
+        accum |= found
+    if len(accum) > k:
+        accum = set(prune_to_size(g, accum, k))
+    return tuple(sorted(accum))
+
+
+@settings(deadline=None)
+@given(edge_lists(max_n=12), st.integers(0, 2 ** 32), st.data())
+def test_union_until_k_matches_pad_prune_tail(ne, seed, data):
+    # inner returns a random residual edge and random other vertices; a fresh
+    # generator per run replays its draws
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    k = data.draw(st.integers(1, n))
+
+    def inner(rnd):
+        def pick(cur):
+            u, v = cur.edge_array[rnd.randrange(cur.m)].tolist()
+            return [u, v] + rnd.sample(range(cur.n), rnd.randint(0, cur.n))
+        return pick
+
+    assert union_until_k(g, k, inner(random.Random(seed))) == \
+        reference_union_until_k(g, k, inner(random.Random(seed)))
 
 
 @settings(deadline=None)

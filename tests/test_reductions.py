@@ -144,6 +144,13 @@ def test_union_pads_when_out_of_edges():
     assert len(out) == 4 and {0, 1} <= set(out)
 
 
+def test_union_pads_with_the_smallest_untouched_ids():
+    # once no residual edge is left, every vertex outside the set is
+    # isolated, so padding takes the smallest ids not yet in it
+    assert union_until_k(Graph.from_edges(6, [(2, 3)]), 4, lambda cur: (2, 3)) == (0, 1, 2, 3)
+    assert union_until_k(Graph.from_edges(6, []), 3, lambda cur: ()) == (0, 1, 2)
+
+
 def test_prune_to_size_deterministic():
     g = clique(5, n=8)
     assert prune_to_size(g, range(8), 5) == (0, 1, 2, 3, 4)

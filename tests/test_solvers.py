@@ -271,6 +271,63 @@ EXP_GOLDEN = [
 ]
 
 
+# ((n, p, graph seed, r, s), vertices, density, provenance) of
+# dks_cat_combinatorial(bipartite_double_cover(gen_gnp(n, p, graph seed)), 40,
+# r, s, 150, 7): sampled branches with backbone steps on graphs of 600 and
+# 800 vertices, well past the goldens above
+CAT_SCALE_GOLDEN = [
+    ((300, 0.1, 0, 1, 3),
+     (16, 42, 49, 73, 77, 85, 123, 143, 146, 154, 155, 184, 194, 200, 223, 229, 263, 266,
+      272, 306, 319, 320, 322, 330, 347, 363, 368, 412, 417, 428, 450, 451, 460, 470, 473,
+      527, 538, 544, 554, 567),
+     6.45, 'caterpillar(r=1,s=3)'),
+    ((300, 0.1, 0, 2, 5),
+     (4, 6, 8, 22, 47, 48, 90, 95, 128, 132, 150, 151, 170, 212, 238, 243, 254, 267, 333,
+      390, 406, 414, 423, 437, 442, 471, 487, 494, 496, 523, 525, 527, 529, 547, 552, 561,
+      566, 578, 583, 592),
+     6.75, 'caterpillar(r=2,s=5)'),
+    ((300, 0.1, 0, 1, 4),
+     (16, 42, 49, 73, 77, 85, 123, 143, 146, 154, 155, 184, 194, 200, 223, 229, 263, 266,
+      272, 306, 319, 320, 322, 330, 347, 363, 368, 412, 417, 428, 450, 451, 460, 470, 473,
+      527, 538, 544, 554, 567),
+     6.45, 'caterpillar(r=1,s=4)'),
+    ((300, 0.1, 0, 3, 4),
+     (5, 16, 36, 50, 73, 81, 87, 102, 113, 127, 138, 145, 146, 154, 160, 161, 223, 225,
+      268, 307, 308, 320, 347, 348, 383, 388, 412, 450, 460, 483, 486, 496, 499, 500, 525,
+      538, 558, 563, 587, 597),
+     6.75, 'caterpillar(r=3,s=4)'),
+    ((400, 0.05, 1, 1, 3),
+     (25, 110, 112, 125, 147, 169, 188, 210, 215, 219, 240, 244, 264, 286, 335, 338, 350,
+      383, 390, 432, 449, 461, 463, 474, 481, 486, 490, 561, 568, 613, 630, 631, 642, 647,
+      678, 693, 696, 717, 718, 761),
+     5.6, 'caterpillar(r=1,s=3)'),
+    ((400, 0.05, 1, 2, 5),
+     (0, 28, 32, 50, 91, 98, 100, 125, 158, 159, 240, 278, 290, 299, 317, 338, 350, 393,
+      407, 432, 455, 462, 472, 478, 491, 494, 509, 510, 544, 561, 568, 577, 605, 630, 640,
+      664, 687, 692, 729, 748),
+     5.15, 'caterpillar(r=2,s=5)'),
+    ((400, 0.05, 1, 1, 4),
+     (25, 110, 112, 125, 147, 169, 188, 210, 215, 219, 240, 244, 264, 286, 335, 338, 350,
+      383, 390, 432, 449, 461, 463, 474, 481, 486, 490, 561, 568, 613, 630, 631, 642, 647,
+      678, 693, 696, 717, 718, 761),
+     5.6, 'caterpillar(r=1,s=4)'),
+    ((400, 0.05, 1, 3, 4),
+     (8, 33, 60, 74, 97, 100, 138, 144, 154, 170, 210, 223, 274, 290, 315, 333, 354, 373,
+      384, 397, 423, 436, 444, 450, 464, 489, 490, 497, 520, 544, 548, 553, 584, 670, 690,
+      706, 711, 712, 717, 786),
+     5.05, 'caterpillar(r=3,s=4)'),
+]
+
+
+@pytest.mark.parametrize("params,vertices,density,provenance", CAT_SCALE_GOLDEN)
+def test_cat_golden_at_scale(params, vertices, density, provenance):
+    n, p, gseed, r, s = params
+    cover = bipartite_double_cover(gen_gnp(n, p, gseed))
+    res = dks_cat_combinatorial(cover, 40, r, s, 150, 7)
+    assert (res.vertices, res.density, res.provenance) == \
+        (vertices, density, provenance)
+
+
 def reference_branch_best(g, k, sched, budget, seed, cluster_size=1,
                           cluster_local=False):
     """Reference: the branch search as a recursive walk of one branch at a
