@@ -4,7 +4,8 @@ Vertices are dense integer ids in [0, n). A graph is three fields: n, the
 sorted (m, 2) int64 edge array, and an aligned float64 weight array when
 weighted (else None); every constructor ends in one array path. Degrees and
 a sorted CSR (indptr / indices) are numpy-built from the edge array, and
-graph walks (Gamma(S), induced degrees) read the CSR rows. The views `edges`
+graph walks (Gamma(S), induced degrees) read the CSR rows, and edge-list
+files are parsed and rendered as whole byte arrays. The views `edges`
 (tuples) and `adj` (neighbour sets) are built only when read; no library
 code reads them: tests compare against them, and the benchmark reads `edges`
 and times `adj`.
@@ -50,15 +51,10 @@ def _edge_array(edges) -> np.ndarray:
 
 
 def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
-    """Orient the rows of uv (in range) as u < v, sort them and merge repeats,
-    carrying w (a weight per row, or None) along. Returns (uv, w, clash):
-    clash is None, or rows (i, j) where j is the first row whose weight
-    differs from that of row i, the earliest row on the same edge."""
-    if n < 0:
-        raise GraphFormatError(f"n = {n} is negative")
-    if n > 3_037_000_499:                               # isqrt(2**63 - 1)
-        raise GraphFormatError(f"n = {n} exceeds 3037000499, the most vertices "
-                               "whose edge codes u * n + v fit an int64")
+    """Orient the rows of uv (in [0, n), n from _vertex_count) as u < v, sort
+    and merge repeats, carrying w (a weight per row, or None) along. Returns
+    (uv, w, clash): clash is None, or rows (i, j) where j is the first row
+    whose weight differs from that of row i, the earliest row on the same edge."""
     code = np.minimum(*uv.T) * n + np.maximum(*uv.T)
     clash = None
     if w is None:
@@ -82,14 +78,21 @@ def _weight_array(weights) -> np.ndarray:
     return x.astype(np.float64)
 
 
-def _canonical(n: int, edges, weights):
-    """(n, uv, w): n as an int, the canonical edge array of the pairs `edges`,
-    and `weights` (one per pair, in the same order, or None) merged onto it.
-    n must be an integer, numpy's included: int() would truncate a float or
-    take a bool."""
+def _vertex_count(n) -> int:
+    """n as an int: an integer (a numpy one too), 0 <= n <= isqrt(2**63 - 1)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise GraphFormatError(f"n = {n!r} is not an integer")
-    n, uv = int(n), _edge_array(edges)
+    if n < 0:
+        raise GraphFormatError(f"n = {n} is negative")
+    if n > 3_037_000_499:
+        raise GraphFormatError(f"n = {n} exceeds 3037000499, the most for int64 codes u * n + v")
+    return int(n)
+
+
+def _canonical(n: int, edges, weights):
+    """(n, uv, w): _vertex_count(n), the canonical edge array of the pairs
+    `edges`, and `weights` (one per pair, in the same order, or None) merged."""
+    n, uv = _vertex_count(n), _edge_array(edges)
     if len(uv) and (uv.min() < 0 or uv.max() >= n):
         u, v = uv[((uv < 0) | (uv >= n)).any(axis=1).argmax()].tolist()
         raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{n})")
@@ -310,7 +313,7 @@ def load_graph(path) -> Graph:
     if bad.any():
         i = int(bad.argmax())
         raise GraphFormatError(f"{_LINE_CHECKS[fails[:, i].argmax()]}: {text(1 + i)!r}")
-    uv, wt, clash = _merge(n, uv, wt if weighted.any() else None)
+    uv, wt, clash = _merge(_vertex_count(n), uv, wt if weighted.any() else None)
     if clash is not None:
         raise GraphFormatError(f"conflicting duplicate weight: {text(1 + clash[1])!r}")
     if len(head) - 1 != m:
@@ -359,13 +362,37 @@ def _decimal(data: bytes, buf: np.ndarray, a: np.ndarray, b: np.ndarray):
     return np.negative(val, out=val, where=neg), ok
 
 
+def _digits(a: np.ndarray):
+    """The writer's mirror of _decimal: the ASCII digits of the non-negative
+    ints a, concatenated in a's C order, and the number of digits of each."""
+    size = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), a, side="right") + 1
+    digits = np.empty(size.sum(), dtype=np.uint8)
+    q, pos = a.ravel(), np.cumsum(size) - 1             # each number's last digit
+    while q.size:                                       # one pass per digit position
+        q, r = np.divmod(q, 10)
+        digits[pos] = r + ord("0")
+        q, pos = q[q > 0], pos[q > 0] - 1
+    return digits, size
+
+
 def save_graph(g: Graph, path) -> None:
-    """Write the edge-list format read back by load_graph."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{g.n} {g.m}\n")
-        w = g.weight_array
-        w = [""] * g.m if w is None else [f" {x!r}" for x in w.tolist()]
-        f.writelines(f"{u} {v}{x}\n" for (u, v), x in zip(g.edge_array.tolist(), w))
+    """Write the edge-list format read back by load_graph: "n m", then "u v" or
+    "u v repr(w)" per edge, as one buffer of blanks with the fields put in."""
+    fields = [_digits(g.edge_array.T)]                  # every u, then every v
+    if g.weight_array is not None:
+        reprs = list(map(repr, g.weight_array.tolist()))
+        fields.append((np.frombuffer("".join(reprs).encode(), dtype=np.uint8),
+                       np.fromiter(map(len, reprs), dtype=np.int64, count=g.m)[None]))
+    head = np.frombuffer(f"{g.n} {g.m}\n".encode(), dtype=np.uint8)
+    data, size = map(np.concatenate, zip(*fields))      # size[c, i]: field c of line i
+    # end[c, i]: one past the blank or line break that follows field c of line i
+    end = len(head) + np.cumsum(size.T + 1).reshape(size.T.shape).T
+    out = np.full(len(head) + size.sum() + size.size, ord(" "), dtype=np.uint8)
+    out[:len(head)], out[end[-1] - 1] = head, ord("\n")
+    start, size = (end - size - 1).ravel(), size.ravel()   # field by field, as the bytes
+    out[np.repeat(start - np.cumsum(size) + size, size) + np.arange(len(data))] = data
+    with open(path, "wb") as f:
+        f.write(out)
 
 
 def _graph(n: int, uv: np.ndarray, w=None) -> Graph:

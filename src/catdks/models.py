@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .caterpillar import _count_batch, build_schedule, max_witness_count
-from .graphs import Graph, induced_edge_mask, vertex_array
+from .graphs import Graph, _graph, _vertex_count, induced_edge_mask, vertex_array
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,21 @@ class DistinguishVerdict:
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), each pair an edge independently with probability p:
     one rng.random draw per pair, in row-major upper-triangle order."""
+    n = _vertex_count(n)
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} out of [0,1]")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if n < 2 or p == 0:
-        return Graph.from_edges(n, [])
+        return _graph(n, np.empty((0, 2), dtype=np.int64))
     rng = np.random.default_rng(seed)
-    # pair k of the row-major upper triangle is (i, j): row i starts at
-    # starts[i] and holds j = i+1 .. n-1; k is sorted, so row i keeps the
-    # kept pairs from searchsorted(k, starts[i]) up to row i+1's
+    # pair k of the row-major upper triangle is (i, j), i < j: row i starts
+    # at starts[i] and holds j = i+1 .. n-1; k is sorted, and so are the
+    # pairs: row i keeps those from searchsorted(k, starts[i]) up to row i+1's
     pairs = n * (n - 1) // 2
     k = np.arange(pairs) if p == 1 else np.flatnonzero(rng.random(pairs) < p)
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
     i = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=len(k)))
-    return Graph.from_edges(n, np.stack([i, k - starts[i] + i + 1], axis=1))
+    return _graph(n, np.stack([i, k - starts[i] + i + 1], axis=1))
 
 
 def gnp_probability(n: int, alpha: float) -> float:
@@ -74,9 +73,12 @@ def gnp_probability(n: int, alpha: float) -> float:
 
 
 def _replace_induced(base: Graph, location: tuple[int, ...], h: Graph) -> Graph:
-    loc = np.asarray(location, dtype=np.int64)
-    kept = base.edge_array[~induced_edge_mask(base, loc)]
-    return Graph.from_edges(base.n, np.concatenate([kept, loc[h.edge_array]]))
+    """base (unweighted) with its edges inside `location`, which must be sorted
+    and duplicate-free, replaced by h's: vertex i of h is location[i]."""
+    n, loc = base.n, np.asarray(location, dtype=np.int64)
+    kept, new = base.edge_array[~induced_edge_mask(base, loc)], loc[h.edge_array]
+    at = np.searchsorted(kept[:, 0] * n + kept[:, 1], new[:, 0] * n + new[:, 1])
+    return _graph(n, np.insert(kept, at, new, axis=0))
 
 
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
@@ -102,7 +104,8 @@ def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstan
 
 def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int]) -> PlantedInstance:
     """Replace the induced subgraph on `location` by an arbitrary graph h;
-    ground_truth_density, the location's average degree, is 2 h.m / |location|."""
+    ground_truth_density, the location's average degree, is 2 h.m / |location|.
+    `location` may come in any order: vertex i of h lands on its i-th smallest id."""
     loc = tuple(vertex_array(g_base, location).tolist())
     if len(loc) != h.n:
         raise ValueError(f"location size {len(loc)} != |V(h)| = {h.n}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -52,6 +53,16 @@ def test_plant_empty_planted_set(tmp_path):
                "--beta", "0.5", "--seed", "2", "--out", str(out)) == 0
     sidecar = json.loads((tmp_path / "p.el.json").read_text())
     assert sidecar["planted"] == [] and sidecar["ground_truth_density"] is None
+
+
+def test_plant_file_bytes_pinned(tmp_path):
+    # SHA-256 recorded with the per-edge f-string writer (per_edge_writer in
+    # test_graphs.py); the solve-planted benchmark reads files this command makes
+    out = tmp_path / "p.el"
+    assert run("plant", "--n", "1000", "--alpha", "0.5", "--k", "32",
+               "--beta", "0.8", "--seed", "0", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "29c77071cc959c16b2c5a06ed64a35c2fc97277ffc2d4de0d841911f58a378ff"
 
 
 # ---------------------------------------------------------------------------

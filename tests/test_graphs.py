@@ -1,9 +1,12 @@
 import math
+import os
+import tempfile
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from catdks.graphs import (BudgetExceededError, Graph, GraphFormatError,
                            brute_force_dks, density_report, induced_subgraph,
@@ -92,6 +95,48 @@ def test_save_load_round_trip(tmp_path):
     g2 = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     save_graph(g2, p)
     assert load_graph(p).edges == g2.edges
+
+
+def per_edge_writer(g, path):
+    """save_graph as one f-string per edge line, the form whose bytes the
+    array-built writer must reproduce."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{g.n} {g.m}\n")
+        w = g.weight_array
+        w = [""] * g.m if w is None else [f" {x!r}" for x in w.tolist()]
+        f.writelines(f"{u} {v}{x}\n" for (u, v), x in zip(g.edge_array.tolist(), w))
+
+
+@st.composite
+def graphs_to_write(draw):
+    """Weighted or unweighted graphs, n from 1 to 3037000499, so that ids
+    have 1 to 10 digits; weights are any positive finite float."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 3_037_000_499)))
+    ids = st.integers(0, n - 1)
+    pair = st.tuples(ids, ids).filter(lambda e: e[0] != e[1]).map(sorted).map(tuple)
+    weight = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+    edges = draw(st.dictionaries(pair, weight, max_size=40)) if n > 1 else {}
+    weighted = draw(st.booleans())
+    return Graph(n, list(edges), list(edges.values()) if weighted else None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs_to_write())
+@example(Graph(1, []))
+@example(Graph(7, []))
+@example(Graph(7, [], []))
+@example(Graph(3_000_000_000, [(0, 2_999_999_999)]))
+@example(Graph(3_000_000_000, [(0, 2_999_999_999), (9, 10)], [1e-300, 0.1]))
+@example(Graph(12, [(0, 9), (9, 10), (3, 11)], [5e-324, 2.0, 1.7976931348623157e308]))
+def test_save_graph_bytes_match_per_edge_writer(g):
+    with tempfile.TemporaryDirectory() as d:
+        ours, ref = os.path.join(d, "g.el"), os.path.join(d, "ref.el")
+        save_graph(g, ours)
+        per_edge_writer(g, ref)
+        with open(ours, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
+        # a file with no edge lines cannot say that its graph was weighted
+        assert load_graph(ours) == (g if g.m else Graph(g.n, []))
 
 
 def test_partial_weights_rejected():

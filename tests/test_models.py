@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from catdks.graphs import Graph, density_report
+from catdks.graphs import Graph, GraphFormatError, density_report
 from catdks.models import (caterpillar_distinguisher, degree_distinguisher,
                            gen_gnp, intersection_distinguisher,
                            lambda2_estimate, null_instance, plant,
@@ -45,6 +45,21 @@ def test_gnp_degree_concentration():
 def test_gnp_validates_p():
     with pytest.raises(ValueError):
         gen_gnp(5, 1.5, 0)
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, 3.7])
+def test_gnp_rejects_non_integer_n_before_drawing(n, monkeypatch):
+    # gen_gnp builds its graph without Graph's checks, so it checks n itself
+    def no_draw(*args):
+        raise AssertionError("rng created before n was checked")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(GraphFormatError, match="is not an integer"):
+        gen_gnp(n, 0.5, 0)
+
+
+def test_gnp_numpy_integer_n_gives_int():
+    g = gen_gnp(np.int64(30), 0.3, 4)
+    assert type(g.n) is int and g == gen_gnp(30, 0.3, 4)
 
 
 # SHA-256 of edge_array.tobytes() (int64, little-endian) per (n, p, seed),
@@ -129,6 +144,19 @@ def test_plant_arbitrary_empty_h():
     # edges outside the location untouched
     outside = {e for e in base.edges if not (set(e) <= set(range(5)))}
     assert outside <= inst.graph.edges
+
+
+def test_plant_arbitrary_maps_h_onto_sorted_location():
+    # vertex i of h lands on the i-th smallest id of the location, whatever
+    # order the location is given in; a path tells the orders apart
+    base = clique(6, n=10)
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    inst = plant_arbitrary(base, path, [7, 2, 9, 4])
+    assert inst.planted == (2, 4, 7, 9)
+    inside = {e for e in inst.graph.edges if set(e) <= {2, 4, 7, 9}}
+    assert inside == {(2, 4), (4, 7), (7, 9)}
+    outside = {e for e in base.edges if not set(e) <= {2, 4, 7, 9}}
+    assert inst.graph == Graph(10, sorted(outside | inside))
 
 
 def test_plant_arbitrary_size_mismatch():
