@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,14 +40,36 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """(m, 2) int64 array of an (m, 2) array or an iterable of (u, v) pairs."""
+    """(m, 2) int64 array of an (m, 2) integer array or an iterable of pairs
+    of integers (numpy's too). Anything else raises GraphFormatError, so no
+    float is truncated, no string parsed and no bool read as a vertex."""
     if isinstance(edges, np.ndarray):
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise GraphFormatError(f"edge array of shape {edges.shape}, expected (m, 2)")
+        if edges.size and not np.issubdtype(edges.dtype, np.integer):
+            raise GraphFormatError(f"edge array of dtype {edges.dtype}, expected integers")
         return edges.astype(np.int64, copy=False).reshape(-1, 2)
     if not isinstance(edges, (list, tuple, set, frozenset)):
         edges = list(edges)
-    return np.fromiter(edges, dtype=np.dtype((np.int64, 2)), count=len(edges))
+    try:
+        if set(map(len, edges)) <= {2} and all(
+                issubclass(t, (int, np.integer)) and t is not bool
+                for t in set(map(type, chain.from_iterable(edges)))):
+            return np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                               count=2 * len(edges)).reshape(-1, 2)
+    except (TypeError, OverflowError):      # an unsized item; an id beyond int64
+        pass
+    bad = next(e for e in edges if not _int64_pair(e))
+    raise GraphFormatError(f"edge {bad!r} is not a pair of int64 vertex ids")
+
+
+def _int64_pair(e) -> bool:
+    """Whether e is two integers (not bools) that fit int64."""
+    try:
+        return len(e) == 2 and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                   and -2**63 <= v < 2**63 for v in e)
+    except TypeError:
+        return False
 
 
 def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):

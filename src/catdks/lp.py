@@ -14,13 +14,18 @@ length <= t-1 carries the constraint families:
 plus the recursion (subsystems at q.i), realized purely through indexing.
 The root homogenizer is fixed to 1, recovering the unhomogenized hierarchy.
 
-The constraint matrix is the LP. A path of length l is variable
-offset(l) + (its base-n digits), offset(l) = n^0 + ... + n^(l-1), which is
-the order of `variables`; one more column holds the constant 1 of the root
-pin. Every prefix has the same block of rows, so `build_lp` builds that
-block once and shifts it per prefix into row-ordered integer arrays
-(`LPRows`). Degree rows are scaled by d's denominator, so every coefficient
-is an integer.
+The constraint matrix is the LP. The variables are an index space
+(`Paths`): a path of length l is variable offset(l) + (its base-n digits),
+offset(l) = n^0 + ... + n^(l-1), and becomes a tuple only when read. One
+more column holds the constant 1 of the root pin. Every prefix has the same
+block of rows, so `build_lp` builds that block once and writes it per
+prefix, shifted, into row-ordered integer arrays (`LPRows`). Degree rows
+are scaled by d's denominator, so every coefficient is an integer.
+
+An `Assignment` (what `indicator_solution` returns) is a mapping that
+holds its values as one int64 array in variable order until its first set
+or delete turns it into a dict. `check_feasible` takes that array as it
+is, and reads any other mapping path by path.
 
 `check_feasible` is one reduction of coef * x[col] per row. Exact mode
 (tol = 0) scales a Fraction assignment by the lcm of its denominators and
@@ -34,10 +39,12 @@ violations, `export_lp` and `inst.constraints[r]`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, MutableMapping, Sequence, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -55,6 +62,114 @@ _KINDS = (("kbound[{q}]", "k-bound"), ("deg[{q}|{i}]", "degree"),
 KBOUND, DEGREE, BOX_UP, BOX_LO, BOX_MID, SYM = range(len(_KINDS))
 
 
+class Paths(Sequence):
+    """The conditioning paths over vertices [0, n) of lengths 0..depth, in
+    order: by length, then by base-n digits. Path p is item offsets[len(p)]
+    + (its base-n digits); offsets[depth + 1] is the count. Items are decoded
+    on demand, and iteration yields the tuples of `product` in this order.
+    Two Paths are equal when their n and depth are."""
+
+    def __init__(self, n: int, depth: int):
+        self.n, self.depth = n, depth
+        self.offsets = [0]
+        for length in range(depth + 1):
+            self.offsets.append(self.offsets[-1] + n ** length)
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("path index out of range")
+        i %= len(self)
+        length = bisect_right(self.offsets, i) - 1
+        digits = [0] * length
+        i -= self.offsets[length]
+        for pos in range(length - 1, -1, -1):
+            i, digits[pos] = divmod(i, self.n)
+        return tuple(digits)
+
+    def __iter__(self):
+        return chain([()], *(product(range(self.n), repeat=length)
+                             for length in range(1, self.depth + 1)))
+
+    def position(self, p) -> int:
+        """The index of path p; KeyError unless p is a tuple of at most
+        `depth` vertices of [0, n)."""
+        if not isinstance(p, tuple) or len(p) > self.depth:
+            raise KeyError(p)
+        i = 0
+        for v in p:
+            if v not in range(self.n):
+                raise KeyError(p)
+            i = i * self.n + int(v)
+        return self.offsets[len(p)] + i
+
+    def __eq__(self, other):
+        if not isinstance(other, Paths):
+            return NotImplemented
+        return (self.n, self.depth) == (other.n, other.depth)
+
+
+class Assignment(MutableMapping):
+    """A value per path of `paths`, held as `array` (one number per path, in
+    path order; int64 from `indicator_solution`) until the first set or
+    delete, which turns it into a plain dict and sets `array` to None. Reads
+    return Python numbers, as the dict would; iteration, items() and
+    values() stream the array in path order."""
+
+    def __init__(self, paths: Paths, array: np.ndarray):
+        self.paths, self.array = paths, array
+        self._dict: Optional[dict] = None
+
+    def _pairs(self):
+        if self._dict is not None:
+            return iter(self._dict.items())
+        return zip(self.paths, self.array.tolist())
+
+    def _writable(self) -> dict:
+        if self._dict is None:
+            self._dict, self.array = dict(self._pairs()), None
+        return self._dict
+
+    def __getitem__(self, p):
+        if self._dict is not None:
+            return self._dict[p]
+        return self.array[self.paths.position(p)].item()
+
+    def __setitem__(self, p, value) -> None:
+        self._writable()[p] = value
+
+    def __delitem__(self, p) -> None:
+        del self._writable()[p]
+
+    def __iter__(self):
+        return iter(self.paths if self._dict is None else self._dict)
+
+    def __len__(self) -> int:
+        return len(self.paths if self._dict is None else self._dict)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        m = self._mapping
+        return iter(m.array.tolist() if m._dict is None else m._dict.values())
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Normalized linear constraint: sum(coef * y_path) sense 0."""
@@ -68,41 +183,48 @@ class LPRows(Sequence):
     """The constraints as a row-ordered integer matrix over the columns
     `variables` + [constant 1]: row r is sum(coef[e] * x[col[e]]) over
     e in indptr[r]:indptr[r+1], sense ">=" or "==" (`eq`) 0, and equals its
-    constraint times scale[r]. Indexing decodes row r into a `Constraint`."""
+    constraint times scale[r]. |row sum| <= row_bound * max |x|. Indexing
+    decodes row r into a `Constraint`."""
 
-    def __init__(self, variables: list[Path], indptr: np.ndarray, col: np.ndarray,
+    def __init__(self, variables: Paths, indptr: np.ndarray, col: np.ndarray,
                  coef: np.ndarray, scale: np.ndarray, eq: np.ndarray,
-                 block: tuple[list[int], list[int], list[int]]):
+                 block: tuple[list[int], list[int], list[int]], row_bound: int):
         self.variables = variables
         self.indptr, self.col, self.coef, self.scale, self.eq = indptr, col, coef, scale, eq
         self.block = block     # per block row: kind, i, j
-        # |row sum| <= row_bound * max |x|: decides whether int64 is exact
-        self.row_bound = int(np.abs(coef).max()) * int(np.diff(indptr).max())
+        self.row_bound = row_bound  # decides whether int64 sums are exact
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
     def __getitem__(self, r: int) -> Constraint:
+        cid, family, terms, sense = self.row(r)
+        nv = len(self.variables)
+        return Constraint(cid, family, tuple((e, self.variables[c] if c < nv else None)
+                                             for e, c in terms), sense)
+
+    def row(self, r: int) -> tuple[str, str, list[tuple[Number, int]], str]:
+        """Row r as (cid, family, [(coefficient, column)], sense): its
+        constraint with each path left as its column."""
         if not -len(self) <= r < len(self):
             raise IndexError("constraint index out of range")
         r %= len(self)
         lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
         s = int(self.scale[r])
-        terms = []
-        for c, e in zip(self.col[lo:hi].tolist(), self.coef[lo:hi].tolist()):
-            coef = Fraction(e, s)
-            terms.append((coef.numerator if coef.denominator == 1 else coef,
-                          self.variables[c] if c < len(self.variables) else None))
+        coefs = self.coef[lo:hi].tolist()
+        if s != 1:
+            coefs = [f.numerator if f.denominator == 1 else f
+                     for f in (Fraction(e, s) for e in coefs)]
+        terms = list(zip(coefs, self.col[lo:hi].tolist()))
         sense = "==" if self.eq[r] else ">="
         if r < 2:
-            return Constraint(("root-lo", "root-hi")[r], "root", tuple(terms), sense)
+            return ("root-lo", "root-hi")[r], "root", terms, sense
         # blocks run over the prefixes in `variables` order, from the root
         b, local = divmod(r - 2, len(self.block[0]))
         q = self.variables[b]
         kind, i, j = (a[local] for a in self.block)
         fmt, family = _KINDS[kind]
-        return Constraint(fmt.format(q=".".join(map(str, q)) or "-", i=i, j=j),
-                          family, tuple(terms), sense)
+        return fmt.format(q=".".join(map(str, q)) or "-", i=i, j=j), family, terms, sense
 
 
 @dataclass
@@ -111,7 +233,7 @@ class LPInstance:
     k: int
     d: Fraction
     t: int
-    variables: list[Path]
+    variables: Paths
     constraints: LPRows
 
 
@@ -168,6 +290,14 @@ def _block(g: Graph, k: int, d: Fraction):
     return terms, (kind, i, j)
 
 
+def _tiled(head, block: np.ndarray, times: int) -> np.ndarray:
+    """head followed by `times` copies of block, in one array of block's dtype."""
+    out = np.empty(len(head) + times * len(block), dtype=block.dtype)
+    out[:len(head)] = head
+    out[len(head):].reshape(times, -1)[:] = block
+    return out
+
+
 def build_lp(g: Graph, k: int, d: Number, t: int,
              budget: int = 2_000_000) -> LPInstance:
     """Flattened depth-t instance with the root homogenizer fixed to 1.
@@ -178,41 +308,42 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
     if t < 1:
         raise ValueError("depth t must be >= 1")
     n = g.n
-    var_count = sum(n ** l for l in range(t + 2))
-    if var_count > budget:
+    variables = Paths(n, t + 1)
+    if len(variables) > budget:
         raise BudgetExceededError(
-            f"instance needs {var_count} variables, budget {budget}")
+            f"instance needs {len(variables)} variables, budget {budget}")
     d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
 
-    variables: list[Path] = [()]
-    for length in range(1, t + 2):
-        variables.extend(product(range(n), repeat=length))
-
     (row, level, col, coef), (kind, row_i, row_j) = _block(g, k, d)
-    # offset[l] is the first variable of length l; offset[t + 2] = var_count
-    # is the constant column, which pins h = 1 through the two root rows
-    offset = np.cumsum([0] + [n ** l for l in range(t + 2)])
-    stride = n ** level
-    cols = [np.array([0, var_count, 0, var_count])]
-    for length in range(t):
-        prefix = np.arange(n ** length)[:, None]
-        cols.append((offset[length + level] + prefix * stride + col).ravel())
+    # offset[l] is the first variable of length l; offset[t + 2], the
+    # variable count, is the constant column, which pins h = 1 through the
+    # two root rows
+    offset = np.array(variables.offsets)
     blocks = int(offset[t])                 # one per prefix, in `variables` order
     lengths = np.bincount(row, minlength=len(kind))
+    # each output is the root rows' entries, then one (blocks, block) table
+    # written in place
+    cols = _tiled([0, offset[-1], 0, offset[-1]], col, blocks)
+    for length in range(t):                 # prefixes p of this length
+        p = cols[4:].reshape(blocks, -1)[offset[length]:offset[length + 1]]
+        np.multiply(np.arange(len(p))[:, None], n ** level, out=p)
+        p += offset[length + level] + col
+    indptr = _tiled([0, 2, 4], 4 + np.cumsum(lengths), blocks)
+    indptr[3:].reshape(blocks, -1)[:] += len(col) * np.arange(blocks)[:, None]
     rows = LPRows(
-        variables,
-        indptr=np.concatenate([[0, 2, 4], 4 + np.cumsum(np.tile(lengths, blocks))]),
-        col=np.concatenate(cols),
-        coef=np.concatenate([[1, -1, -1, 1], np.tile(coef, blocks)]),
-        scale=np.concatenate([[1, 1], np.tile(np.where(kind == DEGREE, d.denominator, 1),
-                                              blocks)]),
-        eq=np.concatenate([[False, False], np.tile(kind == SYM, blocks)]),
-        block=(kind.tolist(), row_i.tolist(), row_j.tolist()))
+        variables, indptr=indptr, col=cols,
+        coef=_tiled([1, -1, -1, 1], coef, blocks),
+        scale=_tiled([1, 1], np.where(kind == DEGREE, d.denominator, 1), blocks),
+        eq=_tiled([False, False], kind == SYM, blocks),
+        block=(kind.tolist(), row_i.tolist(), row_j.tolist()),
+        # the block's rows recur per prefix; the root rows are two terms of +-1
+        row_bound=max(int(np.abs(coef).max()), 1) * max(int(lengths.max()), 2))
     return LPInstance(graph=g, k=k, d=d, t=t, variables=variables, constraints=rows)
 
 
-def indicator_solution(inst: LPInstance, h_set: Iterable[int]) -> dict[Path, int]:
-    """Canonical integral assignment: y(p) = 1 iff every vertex of p is in h_set.
+def indicator_solution(inst: LPInstance, h_set: Iterable[int]) -> Assignment:
+    """Canonical integral assignment: y(p) = 1 iff every vertex of p is in h_set,
+    held as an int64 array over `inst.variables`.
 
     Requires |h_set| <= k and induced minimum degree of h_set >= d; the
     offending vertex is named otherwise.
@@ -224,25 +355,38 @@ def indicator_solution(inst: LPInstance, h_set: Iterable[int]) -> dict[Path, int
         if deg < inst.d:
             raise ValueError(
                 f"vertex {v} has induced degree {deg} < d = {inst.d}")
-    member = np.isin(np.arange(inst.graph.n), vs).astype(np.int64)
-    levels = [np.ones(1, np.int64)]
-    for _ in range(inst.t + 1):            # paths of length l in base-n order
-        levels.append(np.multiply.outer(levels[-1], member).ravel())
-    return dict(zip(inst.variables, np.concatenate(levels).tolist()))
+    n, offset = inst.graph.n, inst.variables.offsets
+    member = np.isin(np.arange(n), vs).astype(np.int64)
+    values = np.ones(len(inst.variables), np.int64)
+    for length in range(1, inst.t + 2):    # paths of this length in base-n order
+        out = values[offset[length]:offset[length + 1]].reshape(n ** (length - 1), n)
+        np.multiply.outer(values[offset[length - 1]:offset[length]], member, out=out)
+    return Assignment(inst.variables, values)
 
 
-def check_feasible(inst: LPInstance, assignment: dict[Path, Number],
+def _value_vector(inst: LPInstance, assignment) -> np.ndarray:
+    """The assignment's values in `inst.variables` order: the array of an
+    unmutated Assignment over equal paths, else an object array of the
+    values read path by path."""
+    if isinstance(assignment, Assignment) and assignment.array is not None \
+            and assignment.paths == inst.variables:
+        return assignment.array
+    try:
+        return np.array([assignment[p] for p in inst.variables], dtype=object)
+    except KeyError as e:
+        raise KeyError(f"assignment missing variable {_var_name(e.args[0])}") from None
+
+
+def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
                    tol: Number = 0) -> Verdict:
     """Exhaustive constraint evaluation; tol = 0 means exact rational mode
     (float values, if any, are evaluated in float64)."""
     rows = inst.constraints
-    try:
-        vals = [assignment[p] for p in inst.variables]
-    except KeyError as e:
-        raise KeyError(f"assignment missing variable {_var_name(e.args[0])}") from None
-    types = set(map(type, vals))
+    vals = _value_vector(inst, assignment)
+    types = set(map(type, vals)) if vals.dtype == object else \
+        {float if vals.dtype.kind == "f" else int}
     if tol != 0 or any(issubclass(t, float) for t in types):
-        x = np.array(vals + [1], dtype=np.float64)
+        x = np.append(vals.astype(np.float64), 1.0)
         owner = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
         acc = np.zeros(len(rows))
         # unbuffered, in term order: the same float sums as a per-row loop
@@ -251,13 +395,16 @@ def check_feasible(inst: LPInstance, assignment: dict[Path, Number],
         bad = np.where(rows.eq, np.abs(acc) > float(tol), acc < -float(tol))
         sums, den = acc, None
     else:
-        if types <= {int}:
-            den, ints = 1, vals + [1]
-        else:
+        den = 1
+        if not types <= {int}:
             den = math.lcm(*{v.denominator for v in vals})
-            ints = [v.numerator * (den // v.denominator) for v in vals] + [den]
-        dtype = np.int64 if max(max(ints), -min(ints)) * rows.row_bound < 2**63 else object
-        prod = rows.coef.astype(dtype, copy=False) * np.array(ints, dtype=dtype)[rows.col]
+            vals = np.array([v.numerator * (den // v.denominator) for v in vals],
+                            dtype=object)
+        top = max(int(vals.max()), -int(vals.min()), den)
+        dtype = np.int64 if top * rows.row_bound < 2**63 else object
+        x = np.append(vals.astype(dtype), np.array([den], dtype=dtype))
+        prod = x[rows.col]
+        prod *= rows.coef
         sums = np.add.reduceat(prod, rows.indptr[:-1])
         bad = np.where(rows.eq, sums != 0, sums < 0)
     violations = []
@@ -269,7 +416,7 @@ def check_feasible(inst: LPInstance, assignment: dict[Path, Number],
     return Verdict(feasible=not violations, violations=violations)
 
 
-def lp_value(assignment: dict[Path, Number], s_set: Iterable[int]) -> Number:
+def lp_value(assignment: Mapping[Path, Number], s_set: Iterable[int]) -> Number:
     """LP(S) = sum of top-level values over S."""
     total: Number = 0
     for i in sorted(set(map(int, s_set))):
@@ -279,7 +426,7 @@ def lp_value(assignment: dict[Path, Number], s_set: Iterable[int]) -> Number:
     return total
 
 
-def conditioned_values(assignment: dict[Path, Number], j: int,
+def conditioned_values(assignment: Mapping[Path, Number], j: int,
                        n: int) -> Optional[dict[Path, Number]]:
     """Top-level values of the subsystem conditioned on vertex j:
     {y(j.i) / y(j)}. None when y(j) = 0."""
@@ -310,22 +457,23 @@ def export_lp(inst: LPInstance, path) -> None:
              "Maximize", " obj: " + " + ".join(
                  f"1 {_var_name((i,))}" for i in range(n))]
     lines.append("Subject To")
-    for c in inst.constraints:
+    names = [_var_name(p) for p in inst.variables]   # by column
+    rows = inst.constraints
+    for r in range(len(rows)):
+        cid, _, terms, sense = rows.row(r)
         parts = []
         const = Fraction(0)
-        for coef, p in c.terms:
-            if p is None:
+        for coef, c in terms:
+            if c == len(names):
                 const += Fraction(coef)
             else:
-                parts.append(f"{fmt_coef(coef, not parts)} {_var_name(p)}")
-        op = ">=" if c.sense == ">=" else "="
+                parts.append(f"{fmt_coef(coef, not parts)} {names[c]}")
+        op = ">=" if sense == ">=" else "="
         rhs = -const
-        lines.append(f" {c.cid}: {' '.join(parts)} {op} {rhs}")
+        lines.append(f" {cid}: {' '.join(parts)} {op} {rhs}")
     lines.append("Bounds")
     lines.append(" h = 1")
-    for p in inst.variables:
-        if p:
-            lines.append(f" 0 <= {_var_name(p)} <= 1")
+    lines.extend(f" 0 <= {name} <= 1" for name in names[1:])
     lines.append("End")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -358,6 +358,31 @@ def test_from_edges_accepts_arrays():
         Graph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1.5)], [(0.0, 1)], [1, 2], [("0", "1")], [(True, 1)], [(0, np.bool_(True))],
+    [(0, 2**70)], [(0, np.uint64(2**64 - 1))], [(0, 1, 2)], [(0,)], [None], [(0, None)],
+    ((0, 1), (1, 2.0)), iter([(0, 1), "01"]), np.array([[0.0, 1.0]]),
+    np.array([[True, False]]), np.array([["0", "1"]])])
+def test_edges_that_are_not_integer_pairs_rejected(edges):
+    # unchecked, numpy reads these as the edge (0, 1), a self-loop at 1, a
+    # parsed string or a truncated float, or raises a bare OverflowError
+    with pytest.raises(GraphFormatError, match="pair of int64 vertex ids|expected integers"):
+        Graph(3, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                          st.sampled_from([int, np.int64, np.int32, np.uint8]),
+                          st.sampled_from([tuple, list])), max_size=30))
+def test_integer_pairs_of_any_kind_build_one_graph(rows):
+    pairs = [box((kind(u), kind(v))) for u, v, kind, box in rows if u != v]
+    plain = [(u, v) for u, v, _, _ in rows if u != v]
+    g = Graph(10, pairs)
+    assert g == Graph(10, np.array(plain, dtype=np.int64).reshape(-1, 2))
+    assert g == Graph(10, iter(pairs)) == Graph(10, tuple(pairs))
+    assert g.edges == frozenset((min(e), max(e)) for e in plain)
+
+
 @pytest.mark.parametrize("n", [3_037_000_500, 10 ** 10, 10 ** 20])
 def test_too_many_vertices_for_edge_codes(tmp_path, n):
     # an edge is packed as u * n + v in an int64, which holds every edge only

@@ -2,18 +2,21 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catdks.graphs import BudgetExceededError, Graph
-from catdks.lp import (build_lp, check_feasible, conditioned_values, export_lp,
-                       indicator_solution, lp_value)
+from catdks.graphs import BudgetExceededError, Graph, induced_degrees
+from catdks.lp import (Assignment, Paths, build_lp, check_feasible, conditioned_values,
+                       export_lp, indicator_solution, lp_value)
+from catdks.models import gen_gnp, plant_arbitrary
 from catdks.solvers import dks_local
 
 DATA = Path(__file__).parent / "data"
@@ -187,6 +190,130 @@ def test_exact_check_beyond_int64():
     assert verdict.violations == reference_violations(inst, a)
     assert {v["family"] for v in verdict.violations} >= {"root", "degree", "symmetry",
                                                           "box"}
+
+
+# ---------------------------------------------------------------------------
+# paths as an index space, assignments held as arrays
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("depth", range(4))
+def test_paths_match_product_list(n, depth):
+    ref = [()] + [p for length in range(1, depth + 1)
+                  for p in product(range(n), repeat=length)]
+    paths = Paths(n, depth)
+    assert len(paths) == len(ref) and list(paths) == ref
+    for i, p in enumerate(ref):
+        assert paths[i] == p and paths[i - len(ref)] == p
+        assert paths.position(p) == i and p in paths
+    assert paths[1:4] == ref[1:4]
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            paths[i]
+    for bad in [(0,) * (depth + 1), (n,) * max(depth, 1), (-1,) * max(depth, 1),
+                (0,) * (depth - 1) + (n,), [0], 0]:
+        assert bad not in paths
+        with pytest.raises(KeyError):
+            paths.position(bad)
+
+
+def test_paths_equal_by_shape():
+    assert Paths(4, 2) == Paths(4, 2)
+    assert Paths(4, 2) != Paths(4, 3) and Paths(4, 2) != Paths(3, 2)
+    g = clique(4, n=6)
+    assert build_lp(g, 4, 3, 2).variables == build_lp(g, 4, 1, 2).variables
+
+
+def _random_path(rnd, inst):
+    """A path of the instance, or now and then one it does not have."""
+    if rnd.random() < 0.2:
+        return rnd.choice([(inst.graph.n,), (0,) * (inst.t + 2), (-1, 0)])
+    return inst.variables[rnd.randrange(len(inst.variables))]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_assignment_matches_dict_under_edits(seed):
+    rnd = random.Random(seed)
+    n, t = rnd.randint(1, 5), rnd.randint(1, 2)
+    inst = build_lp(random_graph(n, 2 * n, seed), n, 0, t)
+    a = indicator_solution(inst, rnd.sample(range(n), rnd.randint(0, n)))
+    ref = dict(a)
+    assert isinstance(a, Assignment) and a == ref and list(a.items()) == list(ref.items())
+    for _ in range(rnd.randint(1, 10)):
+        op, p, q = rnd.choice(["get", "set", "del", "update", "pop"]), \
+            _random_path(rnd, inst), _random_path(rnd, inst)
+        value = rnd.choice([0, 1, 7, -3, Fraction(1, 3), 0.5])
+        outcomes = []
+        for m in (a, ref):
+            try:
+                if op == "get":
+                    outcomes.append((m[p], m.get(p, "absent"), p in m))
+                elif op == "set":
+                    m[p] = value
+                elif op == "del":
+                    del m[p]
+                elif op == "update":
+                    m.update({p: value, q: 2})
+                else:
+                    outcomes.append(m.pop(p))
+            except KeyError:
+                outcomes.append(KeyError)
+        assert outcomes[:1] == outcomes[1:]
+        assert a == ref and ref == a and len(a) == len(ref)
+        assert list(a) == list(ref) and list(a.items()) == list(ref.items())
+        assert list(a.values()) == list(ref.values())
+        assert all(type(v) is type(ref[key]) for key, v in a.items())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_check_feasible_assignment_matches_dict(seed):
+    rnd = random.Random(seed)
+    n, t = rnd.randint(1, 8), rnd.choice([1, 2])
+    g = random_graph(n, rnd.randint(0, 3 * n), seed)
+    members = sorted(rnd.sample(range(n), rnd.randint(1, n)))
+    low = int(induced_degrees(g, np.array(members)).min())
+    d = Fraction(rnd.randint(0, 3 * low), 3)
+    inst = build_lp(g, len(members), d, t)
+    a = indicator_solution(inst, members)
+    assert a.array is not None
+    verdict = check_feasible(inst, a)
+    assert verdict.feasible and verdict == check_feasible(inst, dict(a))
+    floats = Assignment(inst.variables, a.array / 3)
+    for tol in (0, 1e-9):
+        assert check_feasible(inst, floats, tol=tol) == check_feasible(inst, dict(floats),
+                                                                      tol=tol)
+    for _ in range(rnd.randint(1, 3)):
+        a[_random_path(rnd, inst)] = rnd.choice([2, -1, Fraction(1, 3), Fraction(-5, 2)])
+    assert a.array is None
+    assert check_feasible(inst, a) == check_feasible(inst, dict(a))
+    a[inst.variables[rnd.randrange(len(inst.variables))]] = 0.25
+    assert check_feasible(inst, a, tol=1e-9) == check_feasible(inst, dict(a), tol=1e-9)
+    gone = inst.variables[rnd.randrange(len(inst.variables))]
+    del a[gone]
+    with pytest.raises(KeyError, match="assignment missing variable"):
+        check_feasible(inst, a)
+
+
+def test_certify_shape_memory_bound():
+    """build_lp, indicator_solution and check_feasible on the benchmark
+    certify workload's LP shape (a K6 planted in G(36, .15); k = 6, d = 5,
+    t = 2: 47,989 variables, 121,917 rows) stay under a tracemalloc peak of
+    10 MiB. With the paths as a list of tuples and the indicator as a dict,
+    the peak read 14.3 MiB; with Paths and an array-held Assignment it reads
+    8.7 MiB."""
+    noise = gen_gnp(36, 0.15, 5)
+    planted = plant_arbitrary(noise, clique(6), [1, 5, 12, 20, 27, 33])
+    g = planted.graph
+    tracemalloc.start()
+    try:
+        inst = build_lp(g, 6, 5, 2)
+        verdict = check_feasible(inst, indicator_solution(inst, planted.planted))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.variables) == 47_989 and len(inst.constraints) == 121_917
+    assert verdict.feasible
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
