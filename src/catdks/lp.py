@@ -409,10 +409,9 @@ def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
         bad = np.where(rows.eq, sums != 0, sums < 0)
     violations = []
     for r in np.flatnonzero(bad).tolist():
-        c = rows[r]
+        cid, family, _, _ = rows.row(r)
         value = sums[r] if den is None else Fraction(int(sums[r]), den * int(rows.scale[r]))
-        violations.append({"constraint": c.cid, "family": c.family,
-                           "residual": float(value)})
+        violations.append({"constraint": cid, "family": family, "residual": float(value)})
     return Verdict(feasible=not violations, violations=violations)
 
 
