@@ -22,10 +22,9 @@ block of rows, so `build_lp` builds that block once and writes it per
 prefix, shifted, into row-ordered integer arrays (`LPRows`). Degree rows
 are scaled by d's denominator, so every coefficient is an integer.
 
-An `Assignment` (what `indicator_solution` returns) is a mapping that
-holds its values as one int64 array in variable order until its first set
-or delete turns it into a dict. `check_feasible` takes that array as it
-is, and reads any other mapping path by path.
+An `Assignment` (what `indicator_solution` returns) is a read-only mapping
+over one int64 array in variable order. `check_feasible` takes that array
+as it is, and reads any other mapping path by path.
 
 `check_feasible` is one reduction of coef * x[col] per row. Exact mode
 (tol = 0) scales a Fraction assignment by the lcm of its denominators and
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from collections.abc import ItemsView, Mapping, MutableMapping, Sequence, ValuesView
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -114,60 +113,25 @@ class Paths(Sequence):
         return (self.n, self.depth) == (other.n, other.depth)
 
 
-class Assignment(MutableMapping):
-    """A value per path of `paths`, held as `array` (one number per path, in
-    path order; int64 from `indicator_solution`) until the first set or
-    delete, which turns it into a plain dict and sets `array` to None. Reads
-    return Python numbers, as the dict would; iteration, items() and
-    values() stream the array in path order."""
+class Assignment(Mapping):
+    """A read-only value per path of `paths`, held as `array` (one number per
+    path, in path order; int64 from `indicator_solution`). Reads return
+    Python numbers, as a dict would; take dict(a) to edit."""
 
     def __init__(self, paths: Paths, array: np.ndarray):
+        if np.shape(array) != (len(paths),):
+            raise ValueError(f"assignment array of shape {np.shape(array)}, "
+                             f"expected ({len(paths)},)")
         self.paths, self.array = paths, array
-        self._dict: Optional[dict] = None
-
-    def _pairs(self):
-        if self._dict is not None:
-            return iter(self._dict.items())
-        return zip(self.paths, self.array.tolist())
-
-    def _writable(self) -> dict:
-        if self._dict is None:
-            self._dict, self.array = dict(self._pairs()), None
-        return self._dict
 
     def __getitem__(self, p):
-        if self._dict is not None:
-            return self._dict[p]
         return self.array[self.paths.position(p)].item()
 
-    def __setitem__(self, p, value) -> None:
-        self._writable()[p] = value
-
-    def __delitem__(self, p) -> None:
-        del self._writable()[p]
-
     def __iter__(self):
-        return iter(self.paths if self._dict is None else self._dict)
+        return iter(self.paths)
 
     def __len__(self) -> int:
-        return len(self.paths if self._dict is None else self._dict)
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return self._mapping._pairs()
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        m = self._mapping
-        return iter(m.array.tolist() if m._dict is None else m._dict.values())
+        return len(self.paths)
 
 
 @dataclass(frozen=True)
@@ -366,10 +330,9 @@ def indicator_solution(inst: LPInstance, h_set: Iterable[int]) -> Assignment:
 
 def _value_vector(inst: LPInstance, assignment) -> np.ndarray:
     """The assignment's values in `inst.variables` order: the array of an
-    unmutated Assignment over equal paths, else an object array of the
-    values read path by path."""
-    if isinstance(assignment, Assignment) and assignment.array is not None \
-            and assignment.paths == inst.variables:
+    Assignment over equal paths, else an object array of the values read
+    path by path."""
+    if isinstance(assignment, Assignment) and assignment.paths == inst.variables:
         return assignment.array
     try:
         return np.array([assignment[p] for p in inst.variables], dtype=object)
@@ -380,7 +343,10 @@ def _value_vector(inst: LPInstance, assignment) -> np.ndarray:
 def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
                    tol: Number = 0) -> Verdict:
     """Exhaustive constraint evaluation; tol = 0 means exact rational mode
-    (float values, if any, are evaluated in float64)."""
+    (float values, if any, are evaluated in float64). A tol that is negative
+    or NaN raises ValueError."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     rows = inst.constraints
     vals = _value_vector(inst, assignment)
     types = set(map(type, vals)) if vals.dtype == object else \
@@ -446,7 +412,7 @@ def export_lp(inst: LPInstance, path) -> None:
     n = inst.graph.n
 
     def fmt_coef(c: Number, first: bool) -> str:
-        cf = Fraction(c).limit_denominator(10**12)
+        cf = Fraction(c)
         sign = "-" if cf < 0 else ("" if first else "+")
         mag = abs(cf)
         txt = str(mag.numerator) if mag.denominator == 1 else f"{float(mag)!r}"

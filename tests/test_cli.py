@@ -178,6 +178,19 @@ def test_lp_export_matches_golden(tmp_path):
     assert out.read_text() == (DATA / "lp_edge_t1.lp").read_text()
 
 
+def test_lp_export_keeps_tiny_coefficients(tmp_path):
+    # a coefficient rounded to a denominator bound would write -d as "+ 0"
+    g = tmp_path / "edge.el"
+    g.write_text("2 1\n0 1\n")
+    out = tmp_path / "edge.lp"
+    assert run("lp-export", "--input", str(g), "--k", "2", "--d", "1/10000000000000",
+               "--t", "1", "--out", str(out)) == 0
+    text = out.read_text()
+    assert " deg[-|0]: 1 y_0_1 - 1e-13 y_0 >= 0\n" in text
+    assert " deg[-|1]: 1 y_1_0 - 1e-13 y_1 >= 0\n" in text
+    assert "+ 0 y_" not in text
+
+
 # ---------------------------------------------------------------------------
 # exit codes / config
 

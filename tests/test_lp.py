@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import MutableMapping
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 
 from catdks.graphs import BudgetExceededError, Graph, induced_degrees
 from catdks.lp import (Assignment, Paths, build_lp, check_feasible, conditioned_values,
-                       export_lp, indicator_solution, lp_value)
+                       Verdict, export_lp, indicator_solution, lp_value)
 from catdks.models import gen_gnp, plant_arbitrary
 from catdks.solvers import dks_local
 
@@ -116,7 +117,7 @@ def test_all_zero_with_root_pinned_is_feasible():
 def test_perturbation_single_box_violation():
     g = clique(4, n=6)
     inst = build_lp(g, 4, 3, 1)
-    a = indicator_solution(inst, range(4))
+    a = dict(indicator_solution(inst, range(4)))
     a[(0, 0)] = Fraction(11, 10)  # above its parent y_0 = 1
     verdict = check_feasible(inst, a)
     assert not verdict.feasible
@@ -127,7 +128,7 @@ def test_perturbation_single_box_violation():
 
 def test_missing_variable_raises():
     inst = build_lp(clique(3), 2, 1, 1)
-    a = indicator_solution(inst, [0, 1])
+    a = dict(indicator_solution(inst, [0, 1]))
     del a[(0, 1)]
     with pytest.raises(KeyError):
         check_feasible(inst, a)
@@ -158,6 +159,20 @@ def test_float_tolerance_mode():
     a[(0, 1)] += 5e-10
     assert check_feasible(inst, a, tol=1e-9).feasible
     assert not check_feasible(inst, a, tol=1e-12).feasible
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1, Fraction(-1, 3)])
+def test_bad_tol_rejected(tol):
+    # a NaN tol would pass an assignment that breaks the degree rows, and a
+    # negative one would fail the exact indicator
+    inst = build_lp(clique(4, n=5), 4, 3, 1)
+    a = indicator_solution(inst, range(4))
+    broken = dict(a)
+    broken[(0, 1)] = 0
+    assert not check_feasible(inst, broken, tol=1e-9).feasible
+    for assignment in (a, broken):
+        with pytest.raises(ValueError, match="tol"):
+            check_feasible(inst, assignment, tol=tol)
 
 
 def reference_violations(inst, assignment):
@@ -233,36 +248,51 @@ def _random_path(rnd, inst):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_assignment_matches_dict_under_edits(seed):
+    """An Assignment reads as the dict of its items, in the same order and
+    with the same value types, and refuses every edit (take dict(a) to edit)."""
     rnd = random.Random(seed)
     n, t = rnd.randint(1, 5), rnd.randint(1, 2)
     inst = build_lp(random_graph(n, 2 * n, seed), n, 0, t)
     a = indicator_solution(inst, rnd.sample(range(n), rnd.randint(0, n)))
     ref = dict(a)
-    assert isinstance(a, Assignment) and a == ref and list(a.items()) == list(ref.items())
+    assert isinstance(a, Assignment) and not isinstance(a, MutableMapping)
     for _ in range(rnd.randint(1, 10)):
         op, p, q = rnd.choice(["get", "set", "del", "update", "pop"]), \
             _random_path(rnd, inst), _random_path(rnd, inst)
         value = rnd.choice([0, 1, 7, -3, Fraction(1, 3), 0.5])
-        outcomes = []
-        for m in (a, ref):
-            try:
-                if op == "get":
+        if op == "get":
+            outcomes = []
+            for m in (a, ref):
+                try:
                     outcomes.append((m[p], m.get(p, "absent"), p in m))
-                elif op == "set":
-                    m[p] = value
-                elif op == "del":
-                    del m[p]
-                elif op == "update":
-                    m.update({p: value, q: 2})
-                else:
-                    outcomes.append(m.pop(p))
-            except KeyError:
-                outcomes.append(KeyError)
-        assert outcomes[:1] == outcomes[1:]
-        assert a == ref and ref == a and len(a) == len(ref)
+                except KeyError:
+                    outcomes.append((KeyError, m.get(p, "absent"), p in m))
+            assert outcomes[0] == outcomes[1]
+        elif op == "set":
+            with pytest.raises(TypeError):
+                a[p] = value
+        elif op == "del":
+            with pytest.raises(TypeError):
+                del a[p]
+        elif op == "update":
+            with pytest.raises(AttributeError):
+                a.update({p: value, q: 2})
+        else:
+            with pytest.raises(AttributeError):
+                a.pop(p)
+        assert a == ref and ref == a and a == dict(a) and len(a) == len(ref)
         assert list(a) == list(ref) and list(a.items()) == list(ref.items())
         assert list(a.values()) == list(ref.values())
         assert all(type(v) is type(ref[key]) for key, v in a.items())
+
+
+@pytest.mark.parametrize("shape", [(1, 13), (12,), (14,), (), (13, 1)])
+def test_assignment_array_shape_checked(shape):
+    paths = Paths(3, 2)
+    assert len(paths) == 13
+    Assignment(paths, np.ones(13, np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        Assignment(paths, np.ones(shape, np.int64))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -275,23 +305,25 @@ def test_check_feasible_assignment_matches_dict(seed):
     d = Fraction(rnd.randint(0, 3 * low), 3)
     inst = build_lp(g, len(members), d, t)
     a = indicator_solution(inst, members)
-    assert a.array is not None
     verdict = check_feasible(inst, a)
     assert verdict.feasible and verdict == check_feasible(inst, dict(a))
     floats = Assignment(inst.variables, a.array / 3)
     for tol in (0, 1e-9):
         assert check_feasible(inst, floats, tol=tol) == check_feasible(inst, dict(floats),
                                                                       tol=tol)
+    # an Assignment is read-only: edits go to a dict copy of it
+    edited = dict(a)
     for _ in range(rnd.randint(1, 3)):
-        a[_random_path(rnd, inst)] = rnd.choice([2, -1, Fraction(1, 3), Fraction(-5, 2)])
-    assert a.array is None
-    assert check_feasible(inst, a) == check_feasible(inst, dict(a))
-    a[inst.variables[rnd.randrange(len(inst.variables))]] = 0.25
-    assert check_feasible(inst, a, tol=1e-9) == check_feasible(inst, dict(a), tol=1e-9)
+        edited[_random_path(rnd, inst)] = rnd.choice([2, -1, Fraction(1, 3), Fraction(-5, 2)])
+    violations = reference_violations(inst, edited)
+    assert check_feasible(inst, edited) == Verdict(not violations, violations)
+    edited[inst.variables[rnd.randrange(len(inst.variables))]] = 0.25
+    held = Assignment(inst.variables, np.array([float(edited[p]) for p in inst.variables]))
+    assert check_feasible(inst, edited, tol=1e-9) == check_feasible(inst, held, tol=1e-9)
     gone = inst.variables[rnd.randrange(len(inst.variables))]
-    del a[gone]
+    del edited[gone]
     with pytest.raises(KeyError, match="assignment missing variable"):
-        check_feasible(inst, a)
+        check_feasible(inst, edited)
 
 
 def test_certify_shape_memory_bound():
@@ -497,7 +529,7 @@ GOLDEN_CASES = {
 
 def _perturbed(inst, planted, kind):
     """The planted indicator with a few fixed entries moved; (assignment, tol)."""
-    a = indicator_solution(inst, planted)
+    a = dict(indicator_solution(inst, planted))
     deep = tuple([0, 1, 2, 0][: inst.t + 1])
     if kind == "int":
         a.update({(0, 1): 2, (1,): 0, (2, 2): -1, deep: 3})
