@@ -138,9 +138,11 @@ class Graph:
 
     Stored as arrays: `edge_array`, the (m, 2) int64 edges u < v, sorted,
     deduplicated, no self-loops; `weight_array`, their positive, finite
-    float64 weights, or None. Graph(n, edges, weights) takes (u, v) pairs or
-    an (m, 2) array, in any order and with repeats, and one weight per pair
-    in the same order; repeats of an edge must carry equal weights.
+    float64 weights, or None, as it always is when there are no edges (so
+    save_graph and load_graph round-trip every graph). Graph(n, edges,
+    weights) takes (u, v) pairs or an (m, 2) array, in any order and with
+    repeats, and one weight per pair in the same order; repeats of an edge
+    must carry equal weights.
     from_edges is the same call by name. The views `edges` (a frozenset of
     (u, v) tuples), `csr`, `degrees`, `adj` (a frozenset of neighbours per
     vertex) and `adjacency_matrix` are built when first read and cached.
@@ -159,6 +161,7 @@ class Graph:
 
     def _init(self, n, uv, w) -> "Graph":
         """Check and store canonical arrays; every constructor ends here."""
+        w = w if len(uv) else None                      # a graph with no edges is unweighted
         if w is not None:
             for bad, what in ((~(w > 0), "non-positive"), (~np.isfinite(w), "non-finite")):
                 if bad.any():
@@ -199,12 +202,7 @@ class Graph:
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         indptr, indices = self.csr
-        ids = list(range(self.n))
-        bounds = indptr.tolist()
-        # a frozenset copied from a set gets a table sized to fit, not one
-        # grown step by step (up to twice as large)
-        return tuple(frozenset(set(map(ids.__getitem__, indices[a:b].tolist())))
-                     for a, b in zip(bounds, bounds[1:]))
+        return tuple(frozenset(a.tolist()) for a in np.split(indices, indptr[1:])[:-1])
 
     def rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The CSR rows of the vertices `vs`, concatenated, as (owner, nbr):
@@ -506,13 +504,14 @@ def weighted_average_degree(g: Graph, s: Iterable[int]) -> float:
     return 2.0 * total / len(vs)
 
 
-def brute_force_dks(g: Graph, k: int, budget: int = 5_000_000) -> SolveResult:
+def brute_force_dks(g: Graph, k: int) -> SolveResult:
     """Exact densest k-subgraph by enumeration; ties broken by lexicographically
-    smallest vertex set. Intended as a test oracle at desk scale."""
+    smallest vertex set. Intended as a test oracle at desk scale: more than
+    5,000,000 k-subsets raises BudgetExceededError."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    if math.comb(g.n, k) > budget:
-        raise BudgetExceededError(f"C({g.n},{k}) exceeds budget {budget}")
+    if math.comb(g.n, k) > 5_000_000:
+        raise BudgetExceededError(f"C({g.n},{k}) exceeds budget 5000000")
     # bitmask adjacency: popcount-based edge counting
     masks = [0] * g.n
     for u, v in g.edge_array.tolist():

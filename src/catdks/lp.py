@@ -22,9 +22,9 @@ block of rows, so `build_lp` builds that block once and writes it per
 prefix, shifted, into row-ordered integer arrays (`LPRows`). Degree rows
 are scaled by d's denominator, so every coefficient is an integer.
 
-An `Assignment` (what `indicator_solution` returns) is a read-only mapping
-over one int64 array in variable order. `check_feasible` takes that array
-as it is, and reads any other mapping path by path.
+An `Assignment` is a read-only mapping over one array of numbers in
+variable order (int64 from `indicator_solution`). `check_feasible` takes
+that array as it is, and reads any other mapping path by path.
 
 `check_feasible` is one reduction of coef * x[col] per row. Exact mode
 (tol = 0) scales a Fraction assignment by the lcm of its denominators and
@@ -78,8 +78,6 @@ class Paths(Sequence):
         return self.offsets[-1]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError("path index out of range")
@@ -115,8 +113,9 @@ class Paths(Sequence):
 
 class Assignment(Mapping):
     """A read-only value per path of `paths`, held as `array` (one number per
-    path, in path order; int64 from `indicator_solution`). Reads return
-    Python numbers, as a dict would; take dict(a) to edit."""
+    path, in path order): any numbers, such as `indicator_solution`'s int64,
+    a float64 primal, or Fractions in an object array. Reads return Python
+    numbers, as a dict would; take dict(a) to edit."""
 
     def __init__(self, paths: Paths, array: np.ndarray):
         if np.shape(array) != (len(paths),):
@@ -125,7 +124,8 @@ class Assignment(Mapping):
         self.paths, self.array = paths, array
 
     def __getitem__(self, p):
-        return self.array[self.paths.position(p)].item()
+        i = self.paths.position(p)
+        return self.array[i:i + 1].tolist()[0]
 
     def __iter__(self):
         return iter(self.paths)

@@ -33,15 +33,12 @@ class DistinguishVerdict:
     value: float
     threshold: float
     decision: str  # "planted" | "null-model"
-    notes: str = ""
 
     @staticmethod
-    def decide(statistic: str, value: float, threshold: float,
-               notes: str = "") -> "DistinguishVerdict":
+    def decide(statistic: str, value: float, threshold: float) -> "DistinguishVerdict":
         return DistinguishVerdict(statistic=statistic, value=float(value),
                                   threshold=float(threshold),
-                                  decision="planted" if value > threshold else "null-model",
-                                  notes=notes)
+                                  decision="planted" if value > threshold else "null-model")
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -136,8 +133,7 @@ def degree_distinguisher(g: Graph, k: int, expected_null_degree: float,
     stat = float(deg[:k].mean())
     thr = expected_null_degree + c * math.sqrt(max(math.log(max(g.n, 2)), 1.0)) \
         * math.sqrt(max(expected_null_degree, 1.0))
-    return DistinguishVerdict.decide("top-k-degree", stat, thr,
-                                     notes=f"c={c}")
+    return DistinguishVerdict.decide("top-k-degree", stat, thr)
 
 
 def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
@@ -164,8 +160,7 @@ def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
         vs = rng.integers(0, n - 1, size=pair_budget)
         pairs = np.stack([us, vs + (vs >= us)], axis=1)
     best = max(_count_batch(g, build_schedule(1, 2), pairs), default=0)
-    return DistinguishVerdict.decide("max-pair-intersection", float(best), thr,
-                                     notes=f"c={c}")
+    return DistinguishVerdict.decide("max-pair-intersection", float(best), thr)
 
 
 def _extreme_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray],
@@ -218,7 +213,7 @@ def spectral_distinguisher(g: Graph, rho: float, c: float = 2.0,
     """Deflated top-magnitude eigenvalue vs c * n^(rho/2)."""
     stat = lambda2_estimate(g, seed=seed)
     thr = c * g.n ** (rho / 2)
-    return DistinguishVerdict.decide("lambda2", stat, thr, notes=f"c={c}")
+    return DistinguishVerdict.decide("lambda2", stat, thr)
 
 
 def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
@@ -259,25 +254,21 @@ def _dense_subset_heuristic(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(best.tolist())
 
 
-def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0,
-                           witness: Optional[Iterable[int]] = None) -> DistinguishVerdict:
+def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0) -> DistinguishVerdict:
     """Primal witness edges vs the null dual bound c * k(sqrt(D) + k^2 D / n).
 
     Any k-subgraph's edge count lower-bounds the SDP value, which for a random
     graph is upper-bounded by the dual certificate; a witness beating that
-    bound certifies the graph is not null. The witness defaults to a greedy
-    dense-subset heuristic.
+    bound certifies the graph is not null. The witness is the k-set of a
+    greedy dense-subset heuristic.
     """
     n = g.n
     if n == 0 or g.m == 0:
         return DistinguishVerdict.decide("primal-witness-edges", 0.0, 0.0)
     D = 2 * g.m / n
     thr = c * k * (math.sqrt(D) + k * k * D / n)
-    verts = vertex_array(g, witness) if witness is not None \
-        else _dense_subset_heuristic(g, k)
-    stat = float(g.edge_count_within(verts))
-    return DistinguishVerdict.decide("primal-witness-edges", stat, thr,
-                                     notes=f"c={c}")
+    stat = float(g.edge_count_within(_dense_subset_heuristic(g, k)))
+    return DistinguishVerdict.decide("primal-witness-edges", stat, thr)
 
 
 def caterpillar_distinguisher(g: Graph, r: int, s: int, budget: int,
@@ -286,5 +277,4 @@ def caterpillar_distinguisher(g: Graph, r: int, s: int, budget: int,
     sched = build_schedule(r, s)
     _, count = max_witness_count(g, sched, budget, seed)
     thr = c * math.log(max(g.n, 3)) ** (s - r)
-    return DistinguishVerdict.decide("max-witness-count", float(count), thr,
-                                     notes=f"c={c}")
+    return DistinguishVerdict.decide("max-witness-count", float(count), thr)

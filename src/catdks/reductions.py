@@ -161,13 +161,12 @@ def weight_buckets(g: Graph) -> list[Graph]:
     """Bucket weighted edges into powers of two from max weight down to max/n^2.
 
     Bucket i holds weights in (max/2^(i+1), max/2^i]; edges below the floor are
-    dropped. Only nonempty buckets are returned (at most 2*log2(n)+1).
+    dropped. Only nonempty buckets are returned (1 to 2*log2(n)+1: a weighted
+    graph has an edge, and its heaviest is kept).
     """
     w = g.weight_array
     if w is None:
         raise ValueError("weight_buckets requires a weighted graph")
-    if not len(w):
-        return []
     wmax = float(w.max())
     floor = wmax / (g.n * g.n)
     n_buckets = int(2 * math.log2(g.n)) + 1 if g.n > 1 else 1

@@ -21,8 +21,7 @@ import numpy as np
 
 from .caterpillar import (_CELLS, HAIR, CaterpillarSchedule, build_schedule, choice_rows,
                           choose_rs, walk_step)
-from .graphs import (Graph, SolveResult, density_report, sorted_unique, vertex_array,
-                     weighted_average_degree)
+from .graphs import Graph, SolveResult, sorted_unique, vertex_array, weighted_average_degree
 from .reductions import (bipartite_double_cover, collapse_double_cover, greedy_core,
                          prune_to_size, resize_to_k, union_until_k, weight_buckets)
 
@@ -42,8 +41,8 @@ def _edgeless(n: int, k: int) -> SolveResult:
 
 def _scored(g: Graph, verts: tuple[int, ...], provenance: str,
             gamma: float = 0.0) -> SolveResult:
-    """verts with their induced average degree in g as the density."""
-    return SolveResult(vertices=verts, density=density_report(g, verts).average_degree,
+    """verts with their (weighted) induced average degree in g as the density."""
+    return SolveResult(vertices=verts, density=weighted_average_degree(g, verts),
                        provenance=provenance, gamma=gamma)
 
 
@@ -332,13 +331,9 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
         best: Optional[SolveResult] = None
         for i, bucket in enumerate(weight_buckets(g)):
             res = approximate(bucket, k, config)
-            res = SolveResult(vertices=res.vertices,
-                              density=weighted_average_degree(g, res.vertices),
-                              provenance=f"bucket{i}:{res.provenance}",
-                              gamma=res.gamma)
-            if res.better_than(best):
-                best = res
-        return best or _edgeless(g.n, k)
+            res = _scored(g, res.vertices, f"bucket{i}:{res.provenance}", res.gamma)
+            best = res if res.better_than(best) else best
+        return best
     if k == g.n:
         return _scored(g, tuple(range(g.n)), "whole-graph")
     if g.m == 0:

@@ -12,7 +12,7 @@ from catdks.graphs import (BudgetExceededError, Graph, GraphFormatError,
                            brute_force_dks, density_report, induced_subgraph,
                            load_graph, save_graph, vertex_array, weighted_average_degree)
 from catdks.reductions import prune_to_size
-from catdks.solvers import dks_local, resize_to_k
+from catdks.solvers import approximate, dks_local, resize_to_k
 
 
 def clique(k):
@@ -135,8 +135,20 @@ def test_save_graph_bytes_match_per_edge_writer(g):
         per_edge_writer(g, ref)
         with open(ours, "rb") as a, open(ref, "rb") as b:
             assert a.read() == b.read()
-        # a file with no edge lines cannot say that its graph was weighted
-        assert load_graph(ours) == (g if g.m else Graph(g.n, []))
+        assert load_graph(ours) == g
+
+
+def test_weighted_edgeless_graph_round_trips_unweighted():
+    # no edge carries a weight, so Graph(7, [], []) is Graph(7, []): the file
+    # "7 0" reads back equal, and approximate treats both alike
+    g = Graph(7, [], [])
+    assert g.weight_array is None and g == Graph(7, [])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.el")
+        save_graph(g, path)
+        assert load_graph(path) == g
+    assert approximate(g, 7) == approximate(Graph(7, []), 7)
+    assert approximate(g, 3) == approximate(Graph(7, []), 3)
 
 
 def test_partial_weights_rejected():
@@ -293,7 +305,7 @@ def test_brute_dominates_any_subset():
 
 def test_brute_budget():
     with pytest.raises(BudgetExceededError):
-        brute_force_dks(Graph.from_edges(30, [(0, 1)]), 15, budget=100)
+        brute_force_dks(Graph.from_edges(30, [(0, 1)]), 15)
 
 
 def test_vertex_array():

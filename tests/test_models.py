@@ -344,12 +344,6 @@ def test_sdp_distinguisher_fires_on_planted():
     assert v0.decision == "null-model"
 
 
-def test_sdp_distinguisher_witness_override():
-    g = clique(6, n=30)
-    v = sdp_dual_distinguisher(g, 6, witness=range(6))
-    assert v.value == 15
-
-
 # ---------------------------------------------------------------------------
 # caterpillar distinguisher
 

@@ -79,6 +79,7 @@ def test_lazy_views_match_canonical_input(ne, data):
                         allow_nan=False, allow_infinity=False)
         expected = {(min(e), max(e)): data.draw(pos) for e in messy}
         weights = [expected[min(e), max(e)] for e in pairs]
+        expected = expected or None                     # a graph with no edges is unweighted
     g = Graph.from_edges(n, pairs, weights)
     assert Graph(n, pairs, weights) == g
     assert "edges" not in g.__dict__

@@ -34,7 +34,9 @@ def test_greedy_clique_plus_isolated():
 
 
 def test_weight_buckets_edgeless():
-    assert weight_buckets(Graph(3, [], [])) == []
+    # a graph with no edges carries no weights, so it has no buckets
+    with pytest.raises(ValueError, match="requires a weighted graph"):
+        weight_buckets(Graph(3, [], []))
 
 
 def test_greedy_matching_fallback():

@@ -64,3 +64,23 @@ def test_cli_defaults_live_in_params():
                  and node.values[0].value.id == "a"
                  and isinstance(node.values[-1], ast.Constant)]
     assert fallbacks == []
+
+
+def test_no_unread_dataclass_fields():
+    # a field of a @dataclass is read when some code in src, tests or
+    # perfbench loads it as an attribute `.name`
+    root = SRC.parents[1]
+    read = {node.attr for folder in ("src", "tests", "perfbench")
+            for path in sorted((root / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                unread += [f"{path.name}:{stmt.lineno}: {node.name}.{stmt.target.id}"
+                           for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                           and stmt.target.id not in read]
+    assert unread == []
