@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -334,6 +335,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache         # parse_args leaves the parser as it was: build it once
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="catdks",
                 description="caterpillar-based densest-k-subgraph toolkit")
@@ -353,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -87,7 +87,14 @@ def _merge(n: int, uv: np.ndarray, w: Optional[np.ndarray] = None):
         bad = np.flatnonzero((w != w[head]) & (head != np.arange(len(w))))
         clash = (int(head[bad[0]]), int(bad[0])) if len(bad) else None
         w = w[first]
-    return np.stack(np.divmod(code, n), axis=1), w, clash
+    return _pairs(n, code), w, clash
+
+
+def _pairs(n: int, code: np.ndarray) -> np.ndarray:
+    """The (m, 2) int64 rows (u, v) of the edge codes u * n + v."""
+    uv = np.empty((len(code), 2), dtype=np.int64)
+    np.divmod(code, n, out=(uv[:, 0], uv[:, 1]))
+    return uv
 
 
 def _weight_array(weights) -> np.ndarray:

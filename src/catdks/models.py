@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .caterpillar import _count_batch, build_schedule, max_witness_count
-from .graphs import Graph, _graph, _vertex_count, induced_edge_mask, vertex_array
+from .graphs import Graph, _graph, _pairs, _vertex_count, vertex_array
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,34 @@ class DistinguishVerdict:
                                   decision="planted" if value > threshold else "null-model")
 
 
+_DRAW = 1 << 16       # pairs whose rng.random values are drawn at once
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), each pair an edge independently with probability p:
     one rng.random draw per pair, in row-major upper-triangle order."""
     n = _vertex_count(n)
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} out of [0,1]")
-    if n < 2 or p == 0:
-        return _graph(n, np.empty((0, 2), dtype=np.int64))
-    rng = np.random.default_rng(seed)
-    # pair k of the row-major upper triangle is (i, j), i < j: row i starts
-    # at starts[i] and holds j = i+1 .. n-1; k is sorted, and so are the
-    # pairs: row i keeps those from searchsorted(k, starts[i]) up to row i+1's
-    pairs = n * (n - 1) // 2
-    k = np.arange(pairs) if p == 1 else np.flatnonzero(rng.random(pairs) < p)
+    return _graph(n, _pairs(n, _gnp_codes(n, p, seed)))
+
+
+def _gnp_codes(n: int, p: float, seed: int) -> np.ndarray:
+    """gen_gnp's edges (u, v) as sorted codes u * n + v, from _DRAW draws at a
+    time into one reused buffer: memory is O(m) plus one block of draws."""
+    pairs = n * (n - 1) // 2 if p else 0               # G(n, 0) draws nothing
+    rng, draw, codes = np.random.default_rng(seed), np.empty(min(pairs, _DRAW)), []
+    # pair k of the row-major upper triangle is (i, j), i < j; row i starts at
+    # pair starts[i], where j = i + 1, so the pair's code is k + shift[i]
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
-    i = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=len(k)))
-    return _graph(n, np.stack([i, k - starts[i] + i + 1], axis=1))
+    shift = rows * (n + 1) + 1 - starts
+    for lo in range(0, pairs, _DRAW):
+        k = lo + np.flatnonzero(rng.random(out=draw[:pairs - lo]) < p)   # sorted
+        r = slice(*np.searchsorted(starts, [lo, lo + _DRAW], side="right") - [1, 0])  # rows met
+        k += np.repeat(shift[r], np.diff(np.searchsorted(k, starts[r]), append=len(k)))
+        codes.append(k)
+    return np.concatenate([np.empty(0, dtype=np.int64), *codes])
 
 
 def gnp_probability(n: int, alpha: float) -> float:
@@ -69,48 +79,49 @@ def gnp_probability(n: int, alpha: float) -> float:
     return float(n) ** (alpha - 1)
 
 
-def _replace_induced(base: Graph, location: tuple[int, ...], h: Graph) -> Graph:
-    """base (unweighted) with its edges inside `location`, which must be sorted
-    and duplicate-free, replaced by h's: vertex i of h is location[i]."""
-    n, loc = base.n, np.asarray(location, dtype=np.int64)
-    kept, new = base.edge_array[~induced_edge_mask(base, loc)], loc[h.edge_array]
-    at = np.searchsorted(kept[:, 0] * n + kept[:, 1], new[:, 0] * n + new[:, 1])
-    return _graph(n, np.insert(kept, at, new, axis=0))
+def _replace_induced(n: int, code: np.ndarray, loc: np.ndarray, h: Graph) -> np.ndarray:
+    """The sorted edge codes u * n + v on [0, n) with those inside `loc` (sorted,
+    duplicate-free) replaced by h's edges: vertex i of h is loc[i]."""
+    # the codes of rows u in loc are runs of positions lo .. hi - 1
+    lo, hi = np.searchsorted(code, loc * n), np.searchsorted(code, loc * n + n)
+    run = hi - lo
+    at = np.arange(run.sum()) + np.repeat(lo - np.cumsum(run) + run, run)
+    kept = np.delete(code, at[np.isin(code[at] % n, loc)])
+    new = loc[h.edge_array[:, 0]] * n + loc[h.edge_array[:, 1]]   # sorted: loc is
+    return np.insert(kept, np.searchsorted(kept, new), new)
 
 
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
     """Plant h = G(k, k^(beta-1)) on a random k-set inside G(n, n^(alpha-1));
     the set's edges are exactly h's, so ground_truth_density is 2 h.m / k."""
+    n = _vertex_count(n)
     if not (0 < alpha < 1 and 0 < beta <= 1):
         raise ValueError("alpha in (0,1) and beta in (0,1] required")
-    if k < 0:
-        raise ValueError(f"k={k} < 0")
-    if k > n:
-        raise ValueError("k > n")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise ValueError(f"k={k!r} is not an integer in [0, n={n}]")
     rng = np.random.default_rng(seed)
-    base = gen_gnp(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
-    location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    code = _gnp_codes(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
+    location = np.sort(rng.choice(n, size=k, replace=False))
     h = gen_gnp(k, k ** (beta - 1) if k else 0.0, int(rng.integers(0, 2**63 - 1)))
-    g = _replace_induced(base, location, h)
-    gt = 2.0 * h.m / k if k else None
-    return PlantedInstance(graph=g, planted=location, model="random-planted",
-                           params={"n": n, "alpha": alpha, "k": k, "beta": beta,
-                                   "seed": seed},
-                           ground_truth_density=gt)
+    code = _replace_induced(n, code, location, h)     # frees the base codes
+    return PlantedInstance(graph=_graph(n, _pairs(n, code)), planted=tuple(location.tolist()),
+                           model="random-planted", params={"n": n, "alpha": alpha, "k": k,
+                                                           "beta": beta, "seed": seed},
+                           ground_truth_density=2.0 * h.m / k if k else None)
 
 
 def plant_arbitrary(g_base: Graph, h: Graph, location: Iterable[int]) -> PlantedInstance:
     """Replace the induced subgraph on `location` by an arbitrary graph h;
     ground_truth_density, the location's average degree, is 2 h.m / |location|.
     `location` may come in any order: vertex i of h lands on its i-th smallest id."""
-    loc = tuple(vertex_array(g_base, location).tolist())
+    n, loc = g_base.n, vertex_array(g_base, location)
     if len(loc) != h.n:
         raise ValueError(f"location size {len(loc)} != |V(h)| = {h.n}")
-    g = _replace_induced(g_base, loc, h)
-    gt = 2.0 * h.m / len(loc) if loc else None
-    return PlantedInstance(graph=g, planted=loc, model="dense-in-random",
-                           params={"n": g_base.n, "k": len(loc)},
-                           ground_truth_density=gt)
+    uv = g_base.edge_array
+    code = _replace_induced(n, uv[:, 0] * n + uv[:, 1], loc, h)
+    return PlantedInstance(graph=_graph(n, _pairs(n, code)), planted=tuple(loc.tolist()),
+                           model="dense-in-random", params={"n": n, "k": len(loc)},
+                           ground_truth_density=2.0 * h.m / len(loc) if len(loc) else None)
 
 
 def null_instance(n: int, alpha: float, seed: int) -> PlantedInstance:

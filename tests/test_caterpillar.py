@@ -461,6 +461,51 @@ def test_common_neighbours_match_csr_rows(n, density):
             reference_common_neighbours(g, leaves, words)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_common_neighbours_row_blocks_match_csr_rows(rows):
+    # _PACKED sized so a block packs `rows` of the 130 rows (192 bits each):
+    # the last block is short, each block reads the edges in parts of
+    # 3 * rows, and the tuples are ANDed `rows` at a time
+    from unittest import mock
+
+    from catdks import caterpillar
+
+    n, words = 130, 3
+    rng = np.random.default_rng(rows)
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
+    g = Graph.from_edges(n, pairs[rng.random(len(pairs)) < 0.5])
+    with mock.patch.object(caterpillar, "_PACKED", rows * 64 * words):
+        for arity in (1, 3):
+            leaves = rng.integers(0, n, size=(100, arity))
+            assert caterpillar._common_neighbours(g, leaves, words) == \
+                reference_common_neighbours(g, leaves, words)
+
+
+# tracemalloc peak of the call in test_packed_witness_search_peak_memory,
+# measured at 5.10 MB with the rows packed 512 at a time: 2.1 MB of packed
+# rows, a 2.1 MB bool scratch and blocks of 256 KB (it was 21.2 MB with one
+# scratch for all 4096 rows); the bound is that value plus 0.5 MB
+PACKED_BLOCK_PEAK_BYTES = 5_600_000
+
+
+def test_packed_rows_built_by_block_peak_memory():
+    import tracemalloc
+
+    from catdks.models import gen_gnp
+
+    g = gen_gnp(4096, 4096 ** (-1 / 3), 0)
+    sched = build_schedule(2, 3)
+    max_witness_count(g, sched, 50, seed=1)      # warm imports and caches
+    tracemalloc.start()
+    try:
+        got = max_witness_count(g, sched, 10 ** 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ((1752, 1784, 1626), 6)
+    assert peak <= PACKED_BLOCK_PEAK_BYTES
+
+
 def test_walk_step_parts_match_one_pass():
     # a step reads the CSR rows of its pairs in parts that fit _CELLS; parts
     # of one pair, and of a few pairs that cut rows apart, give the same

@@ -65,6 +65,40 @@ def test_plant_file_bytes_pinned(tmp_path):
         "29c77071cc959c16b2c5a06ed64a35c2fc97277ffc2d4de0d841911f58a378ff"
 
 
+def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main() builds its parser once per process: a usage error, a plant and a
+    # solve run in turn here give the exit code, stderr and output files of
+    # each command run alone in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    commands = [["gen", "--n", "10", "--no-such-flag", "1"],
+                ["plant", "--n", "300", "--alpha", "0.5", "--k", "12", "--beta", "0.8",
+                 "--seed", "4", "--out", "p.el"],
+                ["solve", "--input", "p.el", "--k", "12", "--seed", "5", "--out", "sol.json"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir(), fresh.mkdir()
+
+    def written(d):
+        return [(d / f).read_bytes() for f in ("p.el", "p.el.json", "sol.json") if (d / f).exists()]
+
+    monkeypatch.chdir(here)
+    ours = []
+    for argv in commands:
+        rc = main(argv)
+        ours.append((rc, capsys.readouterr().err, written(here)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    theirs = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "catdks.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        theirs.append((proc.returncode, proc.stderr, written(fresh)))
+    assert [rc for rc, _, _ in ours] == [1, 0, 0]
+    assert ours == theirs
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -1,11 +1,17 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catdks.graphs import Graph, GraphFormatError, density_report
+from catdks import models
+from catdks.graphs import (Graph, GraphFormatError, _graph, _vertex_count, density_report,
+                           induced_edge_mask, vertex_array)
 from catdks.models import (caterpillar_distinguisher, degree_distinguisher,
                            gen_gnp, intersection_distinguisher,
                            lambda2_estimate, null_instance, plant,
@@ -111,6 +117,134 @@ def test_plant_bytes_pinned(args, m, digest, gt):
     inst = plant(*args)
     assert (inst.graph.m, edge_digest(inst.graph)) == (m, digest)
     assert repr(inst.ground_truth_density) == gt
+
+
+def reference_gen_gnp(n, p, seed):
+    """gen_gnp as one rng.random draw over every pair at once, the pair index
+    array k built whole (the code the blocked draws replaced)."""
+    n = _vertex_count(n)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p={p} out of [0,1]")
+    if n < 2 or p == 0:
+        return _graph(n, np.empty((0, 2), dtype=np.int64))
+    rng = np.random.default_rng(seed)
+    pairs = n * (n - 1) // 2
+    k = np.arange(pairs) if p == 1 else np.flatnonzero(rng.random(pairs) < p)
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.repeat(rows, np.diff(np.searchsorted(k, starts), append=len(k)))
+    return _graph(n, np.stack([i, k - starts[i] + i + 1], axis=1))
+
+
+def reference_replace_induced(base, location, h):
+    """base with its edges inside the sorted `location` replaced by h's, on
+    edge arrays (the code the edge-code path replaced)."""
+    n, loc = base.n, np.asarray(location, dtype=np.int64)
+    kept, new = base.edge_array[~induced_edge_mask(base, loc)], loc[h.edge_array]
+    at = np.searchsorted(kept[:, 0] * n + kept[:, 1], new[:, 0] * n + new[:, 1])
+    return _graph(n, np.insert(kept, at, new, axis=0))
+
+
+def reference_plant(n, alpha, k, beta, seed):
+    """plant on the reference generator and replace: (graph, planted,
+    ground_truth_density)."""
+    if not (0 < alpha < 1 and 0 < beta <= 1):
+        raise ValueError("alpha in (0,1) and beta in (0,1] required")
+    if k < 0:
+        raise ValueError(f"k={k} < 0")
+    if k > n:
+        raise ValueError("k > n")
+    rng = np.random.default_rng(seed)
+    base = reference_gen_gnp(n, models.gnp_probability(n, alpha),
+                             int(rng.integers(0, 2**63 - 1)))
+    location = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    h = reference_gen_gnp(k, k ** (beta - 1) if k else 0.0, int(rng.integers(0, 2**63 - 1)))
+    g = reference_replace_induced(base, location, h)
+    return g, location, 2.0 * h.m / k if k else None
+
+
+PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 40), PROBABILITIES, SEEDS, st.sampled_from([1, 3, 64]))
+def test_blocked_gnp_matches_one_draw(n, p, seed, draw):
+    # blocks of 1 and 3 draws end mid-row and, at times, exactly at a row's end
+    with mock.patch.object(models, "_DRAW", draw):
+        g = models.gen_gnp(n, p, seed)
+    ref = reference_gen_gnp(n, p, seed)
+    assert g == ref and g.edge_array.tobytes() == ref.edge_array.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.floats(0.01, 0.99), st.data(),
+       st.sampled_from([1.0]) | st.floats(0.01, 1.0), SEEDS, st.sampled_from([1, 3, 64]))
+def test_code_plant_matches_reference(n, alpha, data, beta, seed, draw):
+    k = data.draw(st.sampled_from([0, n]) | st.integers(0, n))
+    if n == 0:                                  # G(0, p) has no edge probability
+        for call in (plant, reference_plant):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                call(n, alpha, k, beta, seed)
+        return
+    with mock.patch.object(models, "_DRAW", draw):
+        inst = plant(n, alpha, k, beta, seed)
+    g, location, gt = reference_plant(n, alpha, k, beta, seed)
+    assert inst.graph == g and inst.graph.edge_array.tobytes() == g.edge_array.tobytes()
+    assert inst.planted == location and repr(inst.ground_truth_density) == repr(gt)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 30), PROBABILITIES, SEEDS, st.data())
+def test_code_plant_arbitrary_matches_reference(n, p, seed, data):
+    base = gen_gnp(n, p, seed)
+    location = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
+    h = gen_gnp(len(location), data.draw(PROBABILITIES), seed + 1)
+    inst = plant_arbitrary(base, h, location)
+    ref = reference_replace_induced(base, tuple(vertex_array(base, location).tolist()), h)
+    assert inst.graph == ref and inst.planted == tuple(sorted(location))
+
+
+@pytest.mark.parametrize("n,k,error,match", [
+    (10.0, 3, GraphFormatError, "is not an integer"),
+    (True, 1, GraphFormatError, "is not an integer"),
+    (10, 3.0, ValueError, "k=3.0 is not an integer"),
+    (10, True, ValueError, "k=True is not an integer"),
+    (10, 11, ValueError, "k=11 is not an integer in"),
+])
+def test_plant_rejects_bad_n_and_k_before_drawing(n, k, error, match, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("rng created before n and k were checked")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(error, match=match):
+        plant(n, 0.5, k, 1.0, 0)
+
+
+def traced_peak(call):
+    """tracemalloc peak of call(), after one untraced call warms caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks at n = 4000, alpha = 2/3 (504k edges, an 8.1 MB edge
+# array). Drawing every pair at once took 72.0 MB for both calls: the float64
+# draws and their bool mask. Drawn in blocks they are 12.1 MB for gen_gnp (the codes
+# collected block by block, then joined, then the edge array) and 14.7 MB for
+# plant (the base codes, those kept and those merged with h's); each bound is
+# that value plus 1 MB
+GNP_PEAK_BYTES = 13_100_000
+PLANT_PEAK_BYTES = 15_700_000
+
+
+def test_gnp_and_plant_peak_memory():
+    n = 4000
+    assert traced_peak(lambda: gen_gnp(n, n ** (-1 / 3), 0)) <= GNP_PEAK_BYTES
+    assert traced_peak(lambda: plant(n, 2 / 3, 252, 1.0, 0)) <= PLANT_PEAK_BYTES
 
 
 def test_plant_clique_when_beta_one():
