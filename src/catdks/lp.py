@@ -19,21 +19,22 @@ The constraint matrix is the LP. The variables are an index space
 offset(l) = n^0 + ... + n^(l-1), and becomes a tuple only when read. One
 more column holds the constant 1 of the root pin. Every prefix has the same
 block of rows, so `build_lp` builds that block once and writes it per
-prefix, shifted, into row-ordered integer arrays (`LPRows`). Degree rows
-are scaled by d's denominator, so every coefficient is an integer.
+prefix, shifted, into one integer CSR matrix (`LPRows`). Degree rows are
+scaled by d's denominator, so every coefficient is an integer; the scale
+and sense of a block's rows are held once.
 
 An `Assignment` is a read-only mapping over one array of numbers in
 variable order (int64 from `indicator_solution`). `check_feasible` takes
 that array as it is, and reads any other mapping path by path.
 
-`check_feasible` is one reduction of coef * x[col] per row. Exact mode
-(tol = 0) scales a Fraction assignment by the lcm of its denominators and
-sums in int64 when max |coef| * max |x| * longest row proves that nothing
-overflows, and over Python ints in object arrays otherwise. A float value,
-or tol > 0, evaluates in float64, adding each row's terms in order.
-Residuals are in units of the unscaled row. The `Constraint` records (cid,
-family, terms) are decoded from the arrays only where they are read:
-violations, `export_lp` and `inst.constraints[r]`.
+`check_feasible` takes the row sums from one matvec. Exact mode (tol = 0)
+scales a Fraction assignment by the lcm of its denominators and multiplies
+in int64 when max |coef| * max |x| * longest row proves that nothing
+overflows, and sums over Python ints otherwise. A float value, or tol > 0,
+multiplies in float64, each entry over its row's scale, adding each row's
+terms in order. Residuals are in units of the unscaled row. The
+`Constraint` records (cid, family, terms) are decoded from the matrix only
+where they are read: violations, `export_lp` and `inst.constraints[r]`.
 """
 from __future__ import annotations
 
@@ -144,22 +145,20 @@ class Constraint:
 
 
 class LPRows(Sequence):
-    """The constraints as a row-ordered integer matrix over the columns
-    `variables` + [constant 1]: row r is sum(coef[e] * x[col[e]]) over
-    e in indptr[r]:indptr[r+1], sense ">=" or "==" (`eq`) 0, and equals its
-    constraint times scale[r]. |row sum| <= row_bound * max |x|. Indexing
-    decodes row r into a `Constraint`."""
+    """The constraints as one integer CSR matrix (`matrix`) over the columns
+    `variables` + [constant 1]: row r is matrix[r] @ x, sense ">=" or "==" 0,
+    and equals its constraint times its scale. Rows 0 and 1 pin h = 1 (scale
+    1, ">="); then each prefix, in `variables` order, has one block of rows,
+    whose row j has scale[j], is "==" where eq[j], and is labelled by
+    `block`. Indexing decodes row r into a `Constraint`."""
 
-    def __init__(self, variables: Paths, indptr: np.ndarray, col: np.ndarray,
-                 coef: np.ndarray, scale: np.ndarray, eq: np.ndarray,
-                 block: tuple[list[int], list[int], list[int]], row_bound: int):
-        self.variables = variables
-        self.indptr, self.col, self.coef, self.scale, self.eq = indptr, col, coef, scale, eq
+    def __init__(self, variables: Paths, matrix, scale: np.ndarray, eq: np.ndarray,
+                 block: tuple[list[int], list[int], list[int]]):
+        self.variables, self.matrix, self.scale, self.eq = variables, matrix, scale, eq
         self.block = block     # per block row: kind, i, j
-        self.row_bound = row_bound  # decides whether int64 sums are exact
 
     def __len__(self) -> int:
-        return len(self.indptr) - 1
+        return self.matrix.shape[0]
 
     def __getitem__(self, r: int) -> Constraint:
         cid, family, terms, sense = self.row(r)
@@ -173,22 +172,19 @@ class LPRows(Sequence):
         if not -len(self) <= r < len(self):
             raise IndexError("constraint index out of range")
         r %= len(self)
-        lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
-        s = int(self.scale[r])
-        coefs = self.coef[lo:hi].tolist()
+        lo, hi = self.matrix.indptr[r:r + 2].tolist()
+        coefs, cols = self.matrix.data[lo:hi].tolist(), self.matrix.indices[lo:hi].tolist()
+        if r < 2:
+            return ("root-lo", "root-hi")[r], "root", list(zip(coefs, cols)), ">="
+        b, local = divmod(r - 2, len(self.scale))
+        s = int(self.scale[local])
         if s != 1:
             coefs = [f.numerator if f.denominator == 1 else f
                      for f in (Fraction(e, s) for e in coefs)]
-        terms = list(zip(coefs, self.col[lo:hi].tolist()))
-        sense = "==" if self.eq[r] else ">="
-        if r < 2:
-            return ("root-lo", "root-hi")[r], "root", terms, sense
-        # blocks run over the prefixes in `variables` order, from the root
-        b, local = divmod(r - 2, len(self.block[0]))
-        q = self.variables[b]
         kind, i, j = (a[local] for a in self.block)
         fmt, family = _KINDS[kind]
-        return fmt.format(q=".".join(map(str, q)) or "-", i=i, j=j), family, terms, sense
+        return (fmt.format(q=".".join(map(str, self.variables[b])) or "-", i=i, j=j), family,
+                list(zip(coefs, cols)), "==" if self.eq[local] else ">=")
 
 
 @dataclass
@@ -271,6 +267,8 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     n = g.n
     variables = Paths(n, t + 1)
     if len(variables) > budget:
@@ -284,24 +282,23 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
     # two root rows
     offset = np.array(variables.offsets)
     blocks = int(offset[t])                 # one per prefix, in `variables` order
-    lengths = np.bincount(row, minlength=len(kind))
-    # each output is the root rows' entries, then one (blocks, block) table
+    # int32 indices when they fit, which scipy keeps without a copy
+    index = np.int32 if max(4 + blocks * len(col), offset[-1] + 1) < 2**31 else np.int64
+    # each array is the root rows' entries, then one (blocks, block) table
     # written in place
-    cols = _tiled([0, offset[-1], 0, offset[-1]], col, blocks)
+    cols = _tiled([0, offset[-1], 0, offset[-1]], col.astype(index), blocks)
     for length in range(t):                 # prefixes p of this length
         p = cols[4:].reshape(blocks, -1)[offset[length]:offset[length + 1]]
         np.multiply(np.arange(len(p))[:, None], n ** level, out=p)
         p += offset[length + level] + col
-    indptr = _tiled([0, 2, 4], 4 + np.cumsum(lengths), blocks)
+    indptr = _tiled([0, 2, 4], 4 + np.cumsum(np.bincount(row, minlength=len(kind)),
+                                             dtype=index), blocks)
     indptr[3:].reshape(blocks, -1)[:] += len(col) * np.arange(blocks)[:, None]
-    rows = LPRows(
-        variables, indptr=indptr, col=cols,
-        coef=_tiled([1, -1, -1, 1], coef, blocks),
-        scale=_tiled([1, 1], np.where(kind == DEGREE, d.denominator, 1), blocks),
-        eq=_tiled([False, False], kind == SYM, blocks),
-        block=(kind.tolist(), row_i.tolist(), row_j.tolist()),
-        # the block's rows recur per prefix; the root rows are two terms of +-1
-        row_bound=max(int(np.abs(coef).max()), 1) * max(int(lengths.max()), 2))
+    from scipy.sparse import csr_array
+    matrix = csr_array((_tiled([1, -1, -1, 1], coef, blocks), cols, indptr),
+                       shape=(len(indptr) - 1, offset[-1] + 1))
+    rows = LPRows(variables, matrix, scale=np.where(kind == DEGREE, d.denominator, 1),
+                  eq=kind == SYM, block=(kind.tolist(), row_i.tolist(), row_j.tolist()))
     return LPInstance(graph=g, k=k, d=d, t=t, variables=variables, constraints=rows)
 
 
@@ -340,43 +337,64 @@ def _value_vector(inst: LPInstance, assignment) -> np.ndarray:
         raise KeyError(f"assignment missing variable {_var_name(e.args[0])}") from None
 
 
+# the numbers an assignment may hold, by the kind check_feasible reads them as
+_REAL = {int: (int, np.integer), Fraction: Fraction, float: (float, np.floating)}
+
+
+def _kinds(vals: np.ndarray) -> set[type]:
+    """The kinds (int, Fraction, float) among the values; TypeError names the
+    type of any value of another kind, such as complex or Decimal."""
+    kinds = set()
+    for t in set(map(type, vals)) if vals.dtype == object else {vals.dtype.type}:
+        kind = next((k for k, bases in _REAL.items() if issubclass(t, bases)), None)
+        if kind is None:
+            raise TypeError(f"assignment value of type {t.__module__}.{t.__qualname__}, "
+                            "expected an integer, Fraction or float")
+        kinds.add(kind)
+    return kinds
+
+
 def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
                    tol: Number = 0) -> Verdict:
     """Exhaustive constraint evaluation; tol = 0 means exact rational mode
     (float values, if any, are evaluated in float64). A tol that is negative
-    or NaN raises ValueError."""
+    or NaN raises ValueError; a value that is not an integer, Fraction or
+    float raises TypeError."""
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     rows = inst.constraints
+    A, width = rows.matrix, len(rows.scale)
+    head = A.indptr[:width + 3]         # the root rows and the first block, which recurs
     vals = _value_vector(inst, assignment)
-    types = set(map(type, vals)) if vals.dtype == object else \
-        {float if vals.dtype.kind == "f" else int}
-    if tol != 0 or any(issubclass(t, float) for t in types):
+    kinds = _kinds(vals)
+    if tol != 0 or float in kinds:
         x = np.append(vals.astype(np.float64), 1.0)
-        owner = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
-        acc = np.zeros(len(rows))
-        # unbuffered, in term order: the same float sums as a per-row loop
-        np.add.at(acc, owner, (rows.coef / rows.scale[owner]).astype(np.float64)
-                  * x[rows.col])
-        bad = np.where(rows.eq, np.abs(acc) > float(tol), acc < -float(tol))
-        sums, den = acc, None
+        data = A.data.astype(np.float64)    # each entry over its row's scale
+        data[4:].reshape(-1, head[-1] - 4)[:] /= np.repeat(rows.scale, np.diff(head[2:]))
+        # the matvec adds each row's terms in order, as a per-row loop does
+        sums, den, lim = type(A)((data, A.indices, A.indptr), shape=A.shape) @ x, None, float(tol)
     else:
-        den = 1
-        if not types <= {int}:
-            den = math.lcm(*{v.denominator for v in vals})
-            vals = np.array([v.numerator * (den // v.denominator) for v in vals],
+        den, lim = 1, 0
+        if vals.dtype == object:        # to Python ints over one denominator
+            den = math.lcm(*{int(v.denominator) for v in vals})
+            vals = np.array([int(v.numerator) * (den // int(v.denominator)) for v in vals],
                             dtype=object)
         top = max(int(vals.max()), -int(vals.min()), den)
-        dtype = np.int64 if top * rows.row_bound < 2**63 else object
-        x = np.append(vals.astype(dtype), np.array([den], dtype=dtype))
-        prod = x[rows.col]
-        prod *= rows.coef
-        sums = np.add.reduceat(prod, rows.indptr[:-1])
-        bad = np.where(rows.eq, sums != 0, sums < 0)
+        # int64 when |row sum| <= top * max |coef| * longest row cannot overflow
+        exact = top * int(abs(A.data[:head[-1]]).max()) * int(np.diff(head).max()) < 2**63
+        x = np.append(vals.astype(np.int64 if exact else object), den)
+        if exact:
+            sums = A @ x
+        else:                           # over Python ints, a row's terms by hand
+            sums = np.add.reduceat(x[A.indices] * A.data, A.indptr[:-1])
+    body = sums[2:].reshape(-1, width)
+    bad = np.concatenate([sums[:2] < -lim,
+                          np.where(rows.eq, abs(body) > lim, body < -lim).ravel()])
     violations = []
     for r in np.flatnonzero(bad).tolist():
         cid, family, _, _ = rows.row(r)
-        value = sums[r] if den is None else Fraction(int(sums[r]), den * int(rows.scale[r]))
+        scale = 1 if r < 2 else int(rows.scale[(r - 2) % width])
+        value = sums[r] if den is None else Fraction(int(sums[r]), den * scale)
         violations.append({"constraint": cid, "family": family, "residual": float(value)})
     return Verdict(feasible=not violations, violations=violations)
 

@@ -297,6 +297,7 @@ def test_cli_flag_overrides_config(tmp_path):
     (["gen", "--n", "0", "--alpha", "0.5"], None, 2),
     (["lp-export", "--input", "{graph}", "--k", "2", "--d", "1/0"], None, 2),
     (["lp-export", "--input", "{graph}", "--k", "2"], {"schema_version": 1, "d": True}, 2),
+    (["lp-export", "--input", "{graph}", "--k", "-1", "--d", "1"], None, 2),
     (["gen"], {"schema_version": 1, "n": 30.9, "p": True}, 2),
     (["gen"], {"schema_version": 1, "n": 30, "p": True}, 2),
     (["distinguish", "--test", "degree", "--n", "20"], {"schema_version": 1, "trials": 1.9}, 2),
@@ -304,7 +305,7 @@ def test_cli_flag_overrides_config(tmp_path):
 ], ids=["distinguish-trials-0", "bench-trials-0", "config-not-object",
         "config-value-wrong-type", "schema-version-bool", "sidecar-not-object",
         "distinguish-n-0", "bench-n-0", "gen-alpha-n-0", "lp-export-d-zero-denominator",
-        "lp-export-d-true", "config-n-float-p-bool", "config-p-bool",
+        "lp-export-d-true", "lp-export-k-negative", "config-n-float-p-bool", "config-p-bool",
         "config-trials-float", "config-alphas-bool"])
 def test_bad_input_fails_closed_without_output(tmp_path, argv, config, code):
     graph = tmp_path / "g.el"

@@ -6,8 +6,9 @@ canonical output and planted ground truth, resize_to_k, union_until_k
 against its pad/prune tail written out, dks_local's density
 against density_report and its winner on a double cover's half against the
 per-k' tie rule, the block branch search against the recursive
-per-branch walk, and the exact LP check against a per-row Fraction
-evaluation."""
+per-branch walk, the exact LP check (int64 and Python-int sums) against a
+per-row Fraction evaluation, and the float LP check against an np.add.at
+evaluation, bit for bit."""
 import math
 import os
 import random
@@ -26,7 +27,7 @@ from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E4
                                 count_caterpillars)
 from catdks.graphs import (Graph, GraphFormatError, density_report,  # noqa: E402
                            load_graph, save_graph, weighted_average_degree)
-from catdks.lp import build_lp, check_feasible  # noqa: E402
+from catdks.lp import Assignment, build_lp, check_feasible  # noqa: E402
 from catdks.models import gen_gnp, plant, plant_arbitrary  # noqa: E402
 from catdks import solvers  # noqa: E402
 from catdks import caterpillar  # noqa: E402
@@ -521,4 +522,63 @@ def test_check_feasible_matches_row_reference(nedges, t, k, d, rnd):
     for p in rnd.sample(inst.variables, rnd.randint(0, len(inst.variables))):
         a[p] = rnd.choice([rnd.randint(-2, 2),
                            Fraction(rnd.randint(-20, 20), rnd.randint(1, 9))])
+    assert check_feasible(inst, a).violations == reference_violations(inst, a)
+
+
+def add_at_violations(inst, vals, tol):
+    """check_feasible's float evaluation as it was while the rows were five
+    arrays of row or entry length, kept verbatim: one unbuffered np.add.at
+    of each term, in order, into its row. The arrays are read off the
+    matrix, and scale and eq tiled from one block to every row. Residuals
+    are compared by their bits."""
+    rows = inst.constraints
+    times = (len(rows) - 2) // len(rows.scale)
+    indptr, col, coef = rows.matrix.indptr, rows.matrix.indices, rows.matrix.data
+    scale = np.concatenate([[1, 1], np.tile(rows.scale, times)])
+    eq = np.concatenate([[False, False], np.tile(rows.eq, times)])
+    x = np.append(vals.astype(np.float64), 1.0)
+    owner = np.repeat(np.arange(len(rows)), np.diff(indptr))
+    acc = np.zeros(len(rows))
+    np.add.at(acc, owner, (coef / scale[owner]).astype(np.float64) * x[col])
+    bad = np.where(eq, np.abs(acc) > float(tol), acc < -float(tol))
+    return [(*rows.row(r)[:2], float(acc[r]).hex()) for r in np.flatnonzero(bad).tolist()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(edge_lists(max_n=6), st.integers(1, 2), st.integers(0, 6),
+       st.fractions(min_value=-1, max_value=6, max_denominator=12),
+       st.sampled_from([0, 1e-9]), st.randoms(use_true_random=False))
+def test_float_check_matches_add_at(nedges, t, k, d, tol, rnd):
+    """check_feasible on float64 values (the float path, at tol 0 too)
+    against add_at_violations: the same violations with the same residual
+    bits, on a subset indicator with some entries replaced by random floats,
+    thirds and near misses."""
+    n, edges = nedges
+    inst = build_lp(Graph(n, frozenset(edges)), k, d, t)
+    members = {v for v in range(n) if rnd.random() < 0.5}
+    vals = np.array([float(all(v in members for v in p)) for p in inst.variables])
+    for i in rnd.sample(range(1, len(vals)), rnd.randint(0, len(vals) - 1)):
+        vals[i] = rnd.choice([rnd.uniform(-2, 2), rnd.randint(-3, 3) / 3,
+                              vals[i] + rnd.choice([-1, 1]) * 1e-10])
+    got = check_feasible(inst, Assignment(inst.variables, vals), tol=tol).violations
+    assert [(v["constraint"], v["family"], v["residual"].hex()) for v in got] == \
+        add_at_violations(inst, vals, tol)
+
+
+@settings(deadline=None, max_examples=40)
+@given(edge_lists(max_n=5), st.integers(1, 2), st.integers(0, 5),
+       st.fractions(min_value=-1, max_value=5, max_denominator=10**12),
+       st.randoms(use_true_random=False))
+def test_exact_check_beyond_int64_matches_row_reference(nedges, t, k, d, rnd):
+    """check_feasible (exact) on values near 2**62 against the per-row
+    Fraction evaluation. h = 2**62 and the root rows' two terms of 1 put the
+    int64 bound at or above 2**63, so every sum runs over Python ints."""
+    n, edges = nedges
+    inst = build_lp(Graph(n, frozenset(edges)), k, d, t)
+    members = {v for v in range(n) if rnd.random() < 0.5}
+    a = {p: 2**62 * all(v in members for v in p) for p in inst.variables}
+    for p in rnd.sample(list(inst.variables)[1:], rnd.randint(0, len(inst.variables) - 1)):
+        a[p] = rnd.choice([a[p] + rnd.randint(-3, 3), -(2**62), rnd.randint(-2, 2),
+                           Fraction(2**62 + rnd.randint(-9, 9), rnd.randint(1, 9))])
+    assert a[()] == 2**62
     assert check_feasible(inst, a).violations == reference_violations(inst, a)
