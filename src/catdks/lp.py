@@ -381,15 +381,14 @@ def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
                             dtype=object)
         top = max(int(vals.max()), -int(vals.min()), den)
         # int64 when |row sum| <= top * max |coef| * longest row cannot overflow
-        exact = top * int(abs(A.data[:head[-1]]).max()) * int(np.diff(head).max()) < 2**63
-        x = np.append(vals.astype(np.int64 if exact else object), den)
-        if exact:
+        fits = top * int(abs(A.data[:head[-1]]).max()) * int(np.diff(head).max()) < 2**63
+        x = np.append(vals.astype(np.int64 if fits else object), den)
+        if fits:
             sums = A @ x
         else:                           # over Python ints, a row's terms by hand
             sums = np.add.reduceat(x[A.indices] * A.data, A.indptr[:-1])
     body = sums[2:].reshape(-1, width)
-    bad = np.concatenate([sums[:2] < -lim,
-                          np.where(rows.eq, abs(body) > lim, body < -lim).ravel()])
+    bad = np.concatenate([sums[:2] < -lim, ((body < -lim) | rows.eq & (body > lim)).ravel()])
     violations = []
     for r in np.flatnonzero(bad).tolist():
         cid, family, _, _ = rows.row(r)
