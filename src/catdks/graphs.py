@@ -4,11 +4,11 @@ Vertices are dense integer ids in [0, n). A graph is three fields: n, the
 sorted (m, 2) int64 edge array, and an aligned float64 weight array when
 weighted (else None); every constructor ends in one array path. Degrees and
 a sorted CSR (indptr / indices) are numpy-built from the edge array, and
-graph walks (Gamma(S), induced degrees) read the CSR rows, and edge-list
-files are parsed and rendered as whole byte arrays. The views `edges`
-(tuples) and `adj` (neighbour sets) are built only when read; no library
-code reads them: tests compare against them, and the benchmark reads `edges`
-and times `adj`.
+graph walks (Gamma(S), induced degrees) read the CSR rows; edge-list files
+are parsed as whole byte arrays and written from one format string. The
+views `edges` (tuples) and `adj` (neighbour sets) are built only when read;
+no library code reads them: tests compare against them, and the benchmark
+reads `edges` and times `adj`.
 """
 from __future__ import annotations
 
@@ -366,8 +366,9 @@ def _content_lines(buf: np.ndarray):
 
 def _decimal(data: bytes, buf: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The tokens data[a:b] read as an optional sign and ASCII decimal digits:
-    (int64 values, whether each token is of that form). Magnitudes of more
-    than 18 digits saturate at 2**62."""
+    (int64 values, whether each token is of that form). A magnitude of 2**62
+    or more stands in as 2**62 plus the number of distinct such magnitudes
+    before it, so equal ids stay equal and distinct ones differ."""
     sign = buf[a]
     neg = sign == ord("-")
     a = a + (neg | (sign == ord("+")))
@@ -382,44 +383,26 @@ def _decimal(data: bytes, buf: np.ndarray, a: np.ndarray, b: np.ndarray):
         ok &= (d < 10) | ~on
         np.multiply(val, 10, out=val, where=on)
         np.add(val, d, out=val, where=on)
+    big = {}                                            # long magnitude: its stand-in
     for i in np.flatnonzero(ndig > 18).tolist():
         digits = data[a[i]:b[i]]
         ok[i] = digits.isdigit()                        # ASCII digits only
-        val[i] = min(int(digits), 2 ** 62) if ok[i] else 0
+        v = int(digits) if ok[i] else 0
+        val[i] = v if v < 2 ** 62 else big.setdefault(v, 2 ** 62 + len(big))
     return np.negative(val, out=val, where=neg), ok
-
-
-def _digits(a: np.ndarray):
-    """The writer's mirror of _decimal: the ASCII digits of the non-negative
-    ints a, concatenated in a's C order, and the number of digits of each."""
-    size = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), a, side="right") + 1
-    digits = np.empty(size.sum(), dtype=np.uint8)
-    q, pos = a.ravel(), np.cumsum(size) - 1             # each number's last digit
-    while q.size:                                       # one pass per digit position
-        q, r = np.divmod(q, 10)
-        digits[pos] = r + ord("0")
-        q, pos = q[q > 0], pos[q > 0] - 1
-    return digits, size
 
 
 def save_graph(g: Graph, path) -> None:
     """Write the edge-list format read back by load_graph: "n m", then "u v" or
-    "u v repr(w)" per edge, as one buffer of blanks with the fields put in."""
-    fields = [_digits(g.edge_array.T)]                  # every u, then every v
-    if g.weight_array is not None:
-        reprs = list(map(repr, g.weight_array.tolist()))
-        fields.append((np.frombuffer("".join(reprs).encode(), dtype=np.uint8),
-                       np.fromiter(map(len, reprs), dtype=np.int64, count=g.m)[None]))
-    head = np.frombuffer(f"{g.n} {g.m}\n".encode(), dtype=np.uint8)
-    data, size = map(np.concatenate, zip(*fields))      # size[c, i]: field c of line i
-    # end[c, i]: one past the blank or line break that follows field c of line i
-    end = len(head) + np.cumsum(size.T + 1).reshape(size.T.shape).T
-    out = np.full(len(head) + size.sum() + size.size, ord(" "), dtype=np.uint8)
-    out[:len(head)], out[end[-1] - 1] = head, ord("\n")
-    start, size = (end - size - 1).ravel(), size.ravel()   # field by field, as the bytes
-    out[np.repeat(start - np.cumsum(size) + size, size) + np.arange(len(data))] = data
-    with open(path, "wb") as f:
-        f.write(out)
+    "u v repr(w)" per edge, as one format string over the fields."""
+    uv, w = g.edge_array, g.weight_array
+    if w is None:
+        line, fields = "%d %d\n", tuple(uv.ravel().tolist())
+    else:
+        line, fields = "%d %d %r\n", tuple(chain.from_iterable(zip(*uv.T.tolist(), w.tolist())))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(f"{g.n} {g.m}\n")
+        f.write(line * g.m % fields)
 
 
 def _graph(n: int, uv: np.ndarray, w=None) -> Graph:

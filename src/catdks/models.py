@@ -154,8 +154,10 @@ def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
     `pair_budget`, else over `pair_budget` seeded pairs of distinct vertices.
 
     The null mean n*p^2 and binomial deviation are estimated from the realized
-    edge density.
+    edge density. A pair_budget below 1 raises ValueError.
     """
+    if pair_budget < 1:
+        raise ValueError("pair_budget must be positive")
     n = g.n
     if n < 2:
         return DistinguishVerdict.decide("max-pair-intersection", 0.0, 0.0)

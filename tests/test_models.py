@@ -338,6 +338,13 @@ def test_intersection_shared_neighbors():
     assert v.value == 10
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_intersection_rejects_budget_below_one(budget):
+    # unchecked, 0 scores no pair and reads "null-model", and -3 fails inside numpy
+    with pytest.raises(ValueError, match="pair_budget must be positive"):
+        intersection_distinguisher(gen_gnp(200, 0.05, 1), budget)
+
+
 def test_intersection_sampled_deterministic():
     g = gen_gnp(100, 0.2, 3)
     a = intersection_distinguisher(g, pair_budget=50, seed=4)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from catdks.caterpillar import (_count_batch, _walk, build_schedule,  # noqa: E402
                                 count_caterpillars)
@@ -195,7 +195,8 @@ def edge_list_files(draw):
     weighted or all not, with rare exceptions), comments, blank lines, mixed
     line ends and separators, and some malformed fields."""
     ids = st.sampled_from([str(v) for v in range(6)] * 8 + [
-        "+1", "-1", "007", "-0", "6", "x", "1_0", "-", "\u0661", "99999999999999999999"])
+        "+1", "-1", "007", "-0", "6", "x", "1_0", "-", "\u0661", "99999999999999999999",
+        "99999999999999999998"])
     weights = st.sampled_from(["1", "2.5", "1e-3"] * 4 + ["0", "-2", "nan", "inf", "x", "1_5"])
     weighted = draw(st.booleans())
     lines = []
@@ -219,6 +220,9 @@ def edge_list_files(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(edge_list_files())
+@example(b"3 1\n12345678901234567890 12345678901234567891\n")
+@example(b"3 1\n4611686018427387904 4611686018427387905\n")
+@example(b"3 1\n+12345678901234567890 12345678901234567890\n")
 def test_load_graph_matches_line_parser(data):
     outcome = []
     with tempfile.TemporaryDirectory() as d:
