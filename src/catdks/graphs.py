@@ -394,15 +394,15 @@ def _decimal(data: bytes, buf: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def save_graph(g: Graph, path) -> None:
     """Write the edge-list format read back by load_graph: "n m", then "u v" or
-    "u v repr(w)" per edge, as one format string over the fields."""
+    "u v repr(w)" per edge, formatted before the file opens (no partial file)."""
     uv, w = g.edge_array, g.weight_array
     if w is None:
         line, fields = "%d %d\n", tuple(uv.ravel().tolist())
     else:
         line, fields = "%d %d %r\n", tuple(chain.from_iterable(zip(*uv.T.tolist(), w.tolist())))
+    body = line * g.m % fields
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"{g.n} {g.m}\n")
-        f.write(line * g.m % fields)
+        f.writelines([f"{g.n} {g.m}\n", body])
 
 
 def _graph(n: int, uv: np.ndarray, w=None) -> Graph:

@@ -34,8 +34,7 @@ overflows, and sums over Python ints otherwise. A float value, or tol > 0,
 multiplies in float64, each entry over its row's scale, adding each row's
 terms in order. Residuals are in units of the unscaled row. The
 `Constraint` records (cid, family, terms) are decoded from the matrix only
-where they are read, `export_lp` and `inst.constraints[r]`; a violation
-reads only its row's label (cid, family).
+where they are read: violations, `export_lp` and `inst.constraints[r]`.
 """
 from __future__ import annotations
 
@@ -175,29 +174,17 @@ class LPRows(Sequence):
         r %= len(self)
         lo, hi = self.matrix.indptr[r:r + 2].tolist()
         coefs, cols = self.matrix.data[lo:hi].tolist(), self.matrix.indices[lo:hi].tolist()
-        cid, family = next(self.labels([r]))
         if r < 2:
-            return cid, family, list(zip(coefs, cols)), ">="
-        local = (r - 2) % len(self.scale)
+            return ("root-lo", "root-hi")[r], "root", list(zip(coefs, cols)), ">="
+        b, local = divmod(r - 2, len(self.scale))
         s = int(self.scale[local])
         if s != 1:
             coefs = [f.numerator if f.denominator == 1 else f
                      for f in (Fraction(e, s) for e in coefs)]
-        return cid, family, list(zip(coefs, cols)), "==" if self.eq[local] else ">="
-
-    def labels(self, rs: Iterable[int]):
-        """(cid, family) of each row r in rs, 0 <= r < len(self), rendering
-        each prefix's path once."""
-        qs = {}                                 # block: its prefix's path, as in a cid
-        for r in rs:
-            if r < 2:
-                yield ("root-lo", "root-hi")[r], "root"
-                continue
-            b, local = divmod(r - 2, len(self.scale))
-            if b not in qs:
-                qs[b] = ".".join(map(str, self.variables[b])) or "-"
-            fmt, family = _KINDS[self.block[0][local]]
-            yield fmt.format(q=qs[b], i=self.block[1][local], j=self.block[2][local]), family
+        kind, i, j = (a[local] for a in self.block)
+        fmt, family = _KINDS[kind]
+        return (fmt.format(q=".".join(map(str, self.variables[b])) or "-", i=i, j=j), family,
+                list(zip(coefs, cols)), "==" if self.eq[local] else ">=")
 
 
 @dataclass
@@ -402,13 +389,12 @@ def check_feasible(inst: LPInstance, assignment: Mapping[Path, Number],
             sums = np.add.reduceat(x[A.indices] * A.data, A.indptr[:-1])
     body = sums[2:].reshape(-1, width)
     bad = np.concatenate([sums[:2] < -lim, ((body < -lim) | rows.eq & (body > lim)).ravel()])
-    rs = np.flatnonzero(bad)
-    residuals = sums[rs].tolist()
-    if den is not None:                 # exact: over den and the row's scale
-        scale = np.where(rs < 2, 1, rows.scale[(rs - 2) % width]).tolist()
-        residuals = [Fraction(s, den * c) for s, c in zip(residuals, scale)]
-    violations = [{"constraint": cid, "family": family, "residual": float(v)}
-                  for (cid, family), v in zip(rows.labels(rs.tolist()), residuals)]
+    violations = []
+    for r in np.flatnonzero(bad).tolist():
+        cid, family, _, _ = rows.row(r)
+        scale = 1 if r < 2 else int(rows.scale[(r - 2) % width])
+        value = sums[r] if den is None else Fraction(int(sums[r]), den * scale)
+        violations.append({"constraint": cid, "family": family, "residual": float(value)})
     return Verdict(feasible=not violations, violations=violations)
 
 

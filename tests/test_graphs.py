@@ -138,6 +138,19 @@ def test_save_graph_bytes_match_per_edge_writer(g):
         assert load_graph(ours) == g
 
 
+def test_save_graph_failure_leaves_file_untouched(tmp_path):
+    # m says two edges but the array holds one, so formatting the body fails;
+    # the file is only opened (and truncated) after the body is formatted
+    from types import SimpleNamespace
+
+    p = tmp_path / "g.el"
+    p.write_text("2 1\n0 1\n")
+    bad = SimpleNamespace(n=3, m=2, edge_array=np.array([[0, 1]]), weight_array=None)
+    with pytest.raises(TypeError):
+        save_graph(bad, p)
+    assert p.read_text() == "2 1\n0 1\n"
+
+
 def test_weighted_edgeless_graph_round_trips_unweighted():
     # no edge carries a weight, so Graph(7, [], []) is Graph(7, []): the file
     # "7 0" reads back equal, and approximate treats both alike
