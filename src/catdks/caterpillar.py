@@ -151,25 +151,16 @@ def _common_neighbours(g: Graph, leaves: np.ndarray, words: int) -> list[int]:
     """Per row of `leaves`, the number of vertices adjacent to all of its
     leaves: the popcount of the AND of their adjacency rows. All n rows are
     packed from the edge array, no CSR, into `words` little-endian uint64
-    words each (vertex v is bit v % 64 of word v // 64), a block of rows at a
-    time through a bool scratch of at most _PACKED bytes; edges are read, and
-    tuples ANDed, in parts of about _PACKED // 8 bytes of keys or rows."""
-    width = 64 * words
-    rows, step = max(1, _PACKED // width), max(1, _PACKED // 64)   # per block, per part
-    bits = np.empty(min(g.n, rows) * width, dtype=bool)
-    packed = np.empty((g.n, words), dtype="<u8")
-    u, v = g.edge_array.T
-    for lo in range(0, g.n, rows):
-        hi = min(lo + rows, g.n)
-        bits[:] = False
-        a, end = np.searchsorted(u, [lo, hi])           # rows u: the run of edges a .. end - 1
-        for c in range(0, end, step):                   # rows v: any edge before end, so
-            inside = (v[c:c + step] >= lo) & (v[c:c + step] < hi)   # a scan per block
-            bits[(v[c:c + step][inside] - lo) * width + u[c:c + step][inside]] = True
-        for c in range(a, end, step):
-            bits[(u[c:min(c + step, end)] - lo) * width + v[c:min(c + step, end)]] = True
-        packed[lo:hi] = np.packbits(bits[:(hi - lo) * width],
-                                    bitorder="little").view("<u8").reshape(-1, words)
+    words each (vertex v is bit v % 64 of word v // 64) by a scatter-add of
+    each edge's two bits; edges are read in parts of _PACKED // 256 edges,
+    and tuples ANDed in blocks of about _PACKED // 8 bytes of rows."""
+    packed = np.zeros(g.n * words, dtype="<u8")
+    step = max(1, _PACKED // 256)                       # edges per part: 64 KiB keys
+    for lo in range(0, g.m, step):
+        part = g.edge_array[lo:lo + step]               # each pair once, u < v, so each
+        for a, b in (part.T, part[:, ::-1].T):          # bit is added once: sum == OR
+            np.add.at(packed, a * words + (b >> 6), np.uint64(1) << (b & 63).astype(np.uint64))
+    packed = packed.reshape(g.n, words)
     step = max(1, _PACKED // (64 * words))              # tuples ANDed per block
     out: list[int] = []
     for lo in range(0, len(leaves), step):

@@ -91,14 +91,19 @@ def _replace_induced(n: int, code: np.ndarray, loc: np.ndarray, h: Graph) -> np.
     return np.insert(kept, np.searchsorted(kept, new), new)
 
 
+def _check_k(k, n: int) -> None:
+    """Raise ValueError unless k is an integer in [0, n], a bool excluded."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise ValueError(f"k={k!r} is not an integer in [0, n={n}]")
+
+
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
     """Plant h = G(k, k^(beta-1)) on a random k-set inside G(n, n^(alpha-1));
     the set's edges are exactly h's, so ground_truth_density is 2 h.m / k."""
     n = _vertex_count(n)
     if not (0 < alpha < 1 and 0 < beta <= 1):
         raise ValueError("alpha in (0,1) and beta in (0,1] required")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
-        raise ValueError(f"k={k!r} is not an integer in [0, n={n}]")
+    _check_k(k, n)
     rng = np.random.default_rng(seed)
     code = _gnp_codes(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
     location = np.sort(rng.choice(n, size=k, replace=False))
@@ -137,7 +142,8 @@ def null_instance(n: int, alpha: float, seed: int) -> PlantedInstance:
 def degree_distinguisher(g: Graph, k: int, expected_null_degree: float,
                          c: float = 1.0) -> DistinguishVerdict:
     """Mean degree of the top-k vertices vs the null expectation plus
-    c*sqrt(log n) standard deviations."""
+    c*sqrt(log n) standard deviations; k must be an integer in [0, n]."""
+    _check_k(k, g.n)
     if g.n == 0 or k == 0:
         return DistinguishVerdict.decide("top-k-degree", 0.0, expected_null_degree)
     deg = np.sort(g.degrees)[::-1]
@@ -240,8 +246,10 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
     deflated estimate up to lower-order terms. Both eigenvalues come from
     separate matrix-free ARPACK solves (start vectors seeded by `seed`), so
     psd_margin is a numerical check of the certificate, near 0 when it holds.
+    k must be an integer in [0, n].
     """
     n = g.n
+    _check_k(k, n)
     if n == 0 or g.m == 0:
         return {"dual_value": 0.0, "psd_margin": 0.0, "lambda2": 0.0}
     D = 2 * g.m / n
@@ -273,9 +281,10 @@ def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0) -> DistinguishVerdi
     Any k-subgraph's edge count lower-bounds the SDP value, which for a random
     graph is upper-bounded by the dual certificate; a witness beating that
     bound certifies the graph is not null. The witness is the k-set of a
-    greedy dense-subset heuristic.
+    greedy dense-subset heuristic; k must be an integer in [0, n].
     """
     n = g.n
+    _check_k(k, n)
     if n == 0 or g.m == 0:
         return DistinguishVerdict.decide("primal-witness-edges", 0.0, 0.0)
     D = 2 * g.m / n

@@ -23,7 +23,7 @@ from .caterpillar import (_CELLS, HAIR, CaterpillarSchedule, build_schedule, cho
                           choose_rs, walk_step)
 from .graphs import Graph, SolveResult, sorted_unique, vertex_array, weighted_average_degree
 from .reductions import (bipartite_double_cover, collapse_double_cover, greedy_core,
-                         prune_to_size, resize_to_k, union_until_k, weight_buckets)
+                         resize_to_k, union_until_k, weight_buckets)
 
 
 @dataclass
@@ -288,13 +288,15 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     capped at 0.999. With C = 1 the cluster-local pass is skipped and the
     result matches dks_cat_combinatorial exactly. A C below 1, or above the
     number of non-isolated vertices of a graph with edges, raises ValueError;
-    an edgeless graph gets the edgeless result.
+    an edgeless graph gets the edgeless result. k must lie in [1, n], and the
+    result has exactly k vertices: the C > 1 pass prunes or pads its best set
+    with resize_to_k, as union_until_k does on the C = 1 path.
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     n = g.n
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
+    if n < 2 or not 1 <= k <= n:
+        raise ValueError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
     beta = math.log(max(k, 2)) / math.log(n)
     alpha = max(1.0 - beta, 1e-9)
     alpha_prime = min(alpha + 2 * beta * eps, 0.999)
@@ -308,9 +310,7 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     if cluster_size == 1:
         return dks_cat_combinatorial(g, k, r, s, cluster_budget, seed)
     best = _branch_best(g, k, build_schedule(r, s), cluster_budget, seed, cluster_size)
-    if len(best.vertices) <= k:
-        return best
-    return _scored(g, prune_to_size(g, best.vertices, k), best.provenance)
+    return _scored(g, resize_to_k(g, best.vertices, k), best.provenance)
 
 
 def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> SolveResult:

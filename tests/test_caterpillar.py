@@ -463,9 +463,9 @@ def test_common_neighbours_match_csr_rows(n, density):
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
 def test_common_neighbours_row_blocks_match_csr_rows(rows):
-    # _PACKED sized so a block packs `rows` of the 130 rows (192 bits each):
-    # the last block is short, each block reads the edges in parts of
-    # 3 * rows, and the tuples are ANDed `rows` at a time
+    # _PACKED patched to `rows` packed rows of 192 bits: the edges are read
+    # in parts of max(1, 3 * rows // 4) edges (1, 5 and 48), the last part
+    # short, and the tuples are ANDed `rows` at a time
     from unittest import mock
 
     from catdks import caterpillar
@@ -504,6 +504,32 @@ def test_packed_rows_built_by_block_peak_memory():
         tracemalloc.stop()
     assert got == ((1752, 1784, 1626), 6)
     assert peak <= PACKED_BLOCK_PEAK_BYTES
+
+
+# tracemalloc peak of the call in test_packed_witness_search_peak_memory,
+# measured at 2.97 MB with the rows packed by one scatter-add over parts of
+# 8,192 edges: 2.1 MB of packed rows, 64 KiB keys and blocks of 256 KB (it
+# was 5.10 MB with a block of rows at a time through a 2.1 MB bool scratch);
+# the bound is that value plus 0.5 MB
+PACKED_SCATTER_PEAK_BYTES = 3_500_000
+
+
+def test_packed_rows_scatter_added_peak_memory():
+    import tracemalloc
+
+    from catdks.models import gen_gnp
+
+    g = gen_gnp(4096, 4096 ** (-1 / 3), 0)
+    sched = build_schedule(2, 3)
+    max_witness_count(g, sched, 50, seed=1)      # warm imports and caches
+    tracemalloc.start()
+    try:
+        got = max_witness_count(g, sched, 10 ** 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ((1752, 1784, 1626), 6)
+    assert peak <= PACKED_SCATTER_PEAK_BYTES
 
 
 def test_walk_step_parts_match_one_pass():

@@ -319,6 +319,18 @@ def test_distinguishers_degenerate_inputs_score_zero():
     assert sdp_dual_distinguisher(Graph(6, []), 3).value == 0.0
 
 
+@pytest.mark.parametrize("k", [-3, 201])
+@pytest.mark.parametrize("call", [
+    lambda g, k: degree_distinguisher(g, k, expected_null_degree=10.0),
+    lambda g, k: sdp_dual_distinguisher(g, k),
+    lambda g, k: sdp_dual_certificate(g, k),
+], ids=["degree", "sdp-distinguisher", "sdp-certificate"])
+def test_k_set_statistics_reject_k_out_of_range(call, k):
+    # a negative k used to slice deg[:k] or lexsort[:k] from the far end
+    with pytest.raises(ValueError, match=f"k={k} is not an integer in \\[0, n=200\\]"):
+        call(gen_gnp(200, 0.05, 1), k)
+
+
 def test_degree_planted_clique_fires():
     inst = plant(400, 0.5, 20, 1.0, seed=1)
     v = degree_distinguisher(inst.graph, 20, expected_null_degree=400 ** 0.5)

@@ -475,6 +475,25 @@ def test_exp_cluster_recovers_planted_clique():
     assert ok >= 8
 
 
+def test_exp_cluster_returns_exactly_k():
+    # the cluster pass's best set is the triangle, 3 < k vertices; padded to
+    # k = 8 it reaches the optimum, as the C = 1 path does
+    g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8)])
+    res = dks_exp(g, 8, 0.25, 400, seed=1, cluster_size=2)
+    assert len(res.vertices) == 8
+    assert res.density == brute_force_dks(g, 8).density == 1.25
+    for seed in range(20):
+        g = random_graph(16, 20, seed)
+        res = dks_exp(g, 6, 0.25, 100, seed=seed, cluster_size=2)
+        assert len(res.vertices) == 6
+        assert res.density == density_report(g, res.vertices).average_degree
+    for size in (1, 2):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            dks_exp(g, 17, 0.25, 100, cluster_size=size)
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        dks_exp(Graph(5, []), 6, 0.25, 100)
+
+
 def test_exp_validates():
     with pytest.raises(ValueError):
         dks_exp(clique(6), 3, 0.9, 100)
