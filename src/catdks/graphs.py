@@ -267,12 +267,14 @@ class SolveResult:
     provenance: str
     gamma: float = 0.0
 
+    def rank(self) -> tuple:
+        """The one order on results, best first: density desc, vertex count
+        asc, lexicographic. Equal ranks are ties, left to the caller's order."""
+        return (-self.density, len(self.vertices), self.vertices)
+
     def better_than(self, other: Optional["SolveResult"]) -> bool:
-        """Total order: density desc, vertex count asc, lexicographic."""
-        if other is None:
-            return True
-        return (-self.density, len(self.vertices), self.vertices) < \
-               (-other.density, len(other.vertices), other.vertices)
+        """Whether self ranks strictly before other; anything beats None."""
+        return other is None or self.rank() < other.rank()
 
 
 # byte classes of the edge-list format: 0 in a token, 1 blank, 2 line break

@@ -6,9 +6,10 @@ array of leaf choices, one per hair step of a caterpillar schedule (every
 choice in lexicographic order, or a seeded sample), in blocks of rows and
 scores each block with one batched dks_local (_local_block) per step; ties
 go to the lowest (branch, step). Cluster mode generalizes leaves to
-C-subsets. The top-level approximate() driver assembles the preprocessing
-pipeline: weight buckets, greedy degree cap, bipartite double cover,
-caterpillar search, collapse, and resize to exactly k.
+C-subsets. The top-level approximate() driver ranks one list of stages by
+SolveResult.rank, list order breaking ties: each weight bucket, heaviest
+first, or the caterpillar search (greedy degree cap, bipartite double cover,
+caterpillar search, collapse, resize to exactly k), then the greedy baseline.
 """
 from __future__ import annotations
 
@@ -188,7 +189,7 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     cluster-local scoring, as S(s) is never scored otherwise. Blocks of
     branches are walked from S(1) = Gamma(J_1), one walk_step per step, and
     every row is scored by one _local_block call at each step t > 1. Ties on
-    SolveResult.better_than go to the lowest (branch, step, local before
+    SolveResult.rank go to the lowest (branch, step, local before
     cluster-local): the depth-first pre-order, as enumerated branches are
     lexicographic.
 
@@ -314,10 +315,8 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
 
 
 def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> SolveResult:
-    """Top-level driver: weight buckets -> greedy degree cap -> bipartite
-    double cover -> caterpillar search at the cap's log-density -> collapse ->
-    resize to k; returns the denser of the caterpillar output and the greedy
-    baseline.
+    """Top-level driver: ranks the one stage list _stages(g, k, config) by
+    SolveResult.rank and returns its best, list order breaking ties.
 
     Weighted input is solved bucket by bucket, each unweighted, which loses up
     to an O(log n) factor by design: K6 at weight 1 plus a 6-edge matching at
@@ -325,36 +324,35 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
     config = config or SolverConfig()
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
+    if g.weight_array is None:
+        if k == g.n:
+            return _scored(g, tuple(range(g.n)), "whole-graph")
+        if g.m == 0:
+            return _edgeless(g.n, k)
+        if k == 1:
+            return SolveResult(vertices=(0,), density=0.0, provenance="single-vertex")
+    return min(_stages(g, k, config), key=SolveResult.rank)
+
+
+def _stages(g: Graph, k: int, config: SolverConfig) -> list[SolveResult]:
+    """approximate's stages, in tie order. Weighted: each bucket's answer,
+    heaviest bucket first. Unweighted: greedy degree cap -> bipartite double
+    cover -> caterpillar search at the cap's log-density -> collapse -> resize
+    to k, when g' keeps an edge and the cap exceeds 1; then the greedy baseline."""
     if g.weight_array is not None:
         # each bucket is solved unweighted; its set is scored and reported by
         # its weighted average degree in g
-        best: Optional[SolveResult] = None
-        for i, bucket in enumerate(weight_buckets(g)):
-            res = approximate(bucket, k, config)
-            res = _scored(g, res.vertices, f"bucket{i}:{res.provenance}", res.gamma)
-            best = res if res.better_than(best) else best
-        return best
-    if k == g.n:
-        return _scored(g, tuple(range(g.n)), "whole-graph")
-    if g.m == 0:
-        return _edgeless(g.n, k)
-    if k == 1:
-        return SolveResult(vertices=(0,), density=0.0, provenance="single-vertex")
-
+        return [_scored(g, res.vertices, f"bucket{i}:{res.provenance}", res.gamma)
+                for i, res in enumerate(approximate(b, k, config) for b in weight_buckets(g))]
     core = greedy_core(g, k)
-    greedy_res = _scored(g, resize_to_k(g, core.h_prime, k), "greedy", core.gamma)
-
-    gp = core.g_prime
-    cap = core.cap_degree               # U is the top half by degree: no g' degree exceeds it
+    greedy = _scored(g, resize_to_k(g, core.h_prime, k), "greedy", core.gamma)
+    gp, cap = core.g_prime, core.cap_degree     # U is the top half by degree: none exceeds cap
     if gp.m == 0 or cap <= 1.0:
-        return greedy_res
+        return [greedy]
     cover = bipartite_double_cover(gp)
     alpha = math.log(cap) / math.log(cover.n)
-    alpha = min(max(alpha, 1e-6), 1 - 1e-6)
-    r, s = choose_rs(alpha, config.s_max)
-    cov_res = dks_cat_combinatorial(cover, min(2 * k, cover.n), r, s,
-                                    config.leaf_budget, config.seed)
-    collapsed = collapse_double_cover(cov_res.vertices, gp.n)
-    original = [core.g_prime_vertices[v] for v in collapsed]
-    cat_res = _scored(g, resize_to_k(g, original, k), f"caterpillar(r={r},s={s})", core.gamma)
-    return greedy_res if greedy_res.better_than(cat_res) else cat_res
+    r, s = choose_rs(min(max(alpha, 1e-6), 1 - 1e-6), config.s_max)
+    cat = dks_cat_combinatorial(cover, min(2 * k, cover.n), r, s,
+                                config.leaf_budget, config.seed)
+    original = [core.g_prime_vertices[v] for v in collapse_double_cover(cat.vertices, gp.n)]
+    return [_scored(g, resize_to_k(g, original, k), cat.provenance, core.gamma), greedy]

@@ -465,7 +465,9 @@ def test_common_neighbours_match_csr_rows(n, density):
 def test_common_neighbours_row_blocks_match_csr_rows(rows):
     # _PACKED patched to `rows` packed rows of 192 bits: the edges are read
     # in parts of max(1, 3 * rows // 4) edges (1, 5 and 48), the last part
-    # short, and the tuples are ANDed `rows` at a time
+    # short, and the tuples are ANDed `rows` at a time. Every vertex as an
+    # arity-1 leaf reads back each packed row's popcount, its degree, so an
+    # edge part left out or read twice shows even when random leaves miss it
     from unittest import mock
 
     from catdks import caterpillar
@@ -474,11 +476,12 @@ def test_common_neighbours_row_blocks_match_csr_rows(rows):
     rng = np.random.default_rng(rows)
     pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
     g = Graph.from_edges(n, pairs[rng.random(len(pairs)) < 0.5])
+    every = np.arange(n)[:, None]
     with mock.patch.object(caterpillar, "_PACKED", rows * 64 * words):
-        for arity in (1, 3):
-            leaves = rng.integers(0, n, size=(100, arity))
+        for leaves in (rng.integers(0, n, size=(100, 1)), rng.integers(0, n, size=(100, 3)), every):
             assert caterpillar._common_neighbours(g, leaves, words) == \
                 reference_common_neighbours(g, leaves, words)
+        assert caterpillar._common_neighbours(g, every, words) == g.degrees.tolist()
 
 
 # tracemalloc peak of the call in test_packed_witness_search_peak_memory,

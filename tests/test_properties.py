@@ -6,7 +6,8 @@ canonical output and planted ground truth, resize_to_k, union_until_k
 against its pad/prune tail written out, dks_local's density
 against density_report and its winner on a double cover's half against the
 per-k' tie rule, the block branch search against the recursive
-per-branch walk, the exact LP check (int64 and Python-int sums) against a
+per-branch walk, approximate's answer size, host density and rank
+against greedy, the exact LP check (int64 and Python-int sums) against a
 per-row Fraction evaluation, and the float LP check against an np.add.at
 evaluation, bit for bit."""
 import math
@@ -509,6 +510,30 @@ def test_greedy_residual_degrees_within_cap(ne, data):
     g = Graph.from_edges(n, edges)
     core = greedy_core(g, data.draw(st.integers(2, n)))
     assert (core.g_prime.degrees <= core.cap_degree).all()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_approximate_returns_k_vertices_at_host_density(n, data):
+    """approximate answers exactly k distinct, sorted vertices of g, reported
+    at their (weighted) average degree in g; on unweighted input with k >= 2
+    it never ranks below the greedy stage alone, early returns included.
+    Each pair is drawn as an edge or not, so that graphs are dense enough
+    for the caterpillar stage to run."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    drawn = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, drawn) if keep]
+    weights = data.draw(st.none() | st.lists(st.floats(0.01, 100), min_size=len(edges),
+                                             max_size=len(edges)))
+    g = Graph.from_edges(n, edges, weights)
+    k = data.draw(st.integers(1, n))
+    res = solvers.approximate(g, k)
+    assert len(res.vertices) == k and list(res.vertices) == sorted(set(res.vertices))
+    assert 0 <= res.vertices[0] and res.vertices[-1] < n
+    assert res.density == weighted_average_degree(g, res.vertices)
+    if weights is None and k >= 2:
+        greedy = resize_to_k(g, greedy_core(g, k).h_prime, k)
+        assert res.rank() <= (-weighted_average_degree(g, greedy), k, greedy)
 
 
 @settings(deadline=None, max_examples=60)
