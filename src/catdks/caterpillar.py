@@ -110,7 +110,7 @@ def _leaf_array(g: Graph, sched: CaterpillarSchedule, leaves: Sequence[int]) -> 
     return in_range(g, leaves)
 
 
-# cells in a block's B x n arrays, in its B x min(k, n) x max|S| scoring cube,
+# cells in a block's B x n arrays, in its scoring cube (at most B x min(k, n) x max|S|),
 # and in the CSR rows that one part of a walk_step reads
 _CELLS = 1 << 16
 # leaf tuples per block: the walker's count matrix is at most _BLOCK x n

@@ -218,8 +218,9 @@ class Graph:
         start = indptr[vs]
         length = indptr[vs + 1] - start
         owner = np.repeat(np.arange(len(vs)), length)
-        first = np.cumsum(length) - length   # where each row begins in the output
-        return owner, indices[np.arange(len(owner)) + (start - first)[owner]]
+        pos = np.repeat(start - np.cumsum(length) + length, length)  # start less output offset
+        pos += np.arange(len(owner))
+        return owner, indices[pos]
 
     @cached_property
     def degrees(self) -> np.ndarray:

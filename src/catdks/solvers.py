@@ -59,10 +59,11 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     C, whose row t-1 counts, for each member of S, its neighbours among the
     first t members of T (the cumulative sum over T of the T x S incidence
     matrix): a candidate's cross edges are the sum of the m largest entries
-    of its row. Candidates are compared by bipartite average degree, ties
-    to the smallest k'; the returned density is the induced average degree
-    of the winning vertex set in the host graph. When S and Gamma(S) are
-    disjoint, the smallest tied k' is also the smallest tied set.
+    of its row, or, once m = |S|, the degrees into S of T_k' summed.
+    Candidates are compared by bipartite average degree, ties to the
+    smallest k'; the returned density is the induced average degree of the
+    winning vertex set in the host graph. When S and Gamma(S) are disjoint,
+    the smallest tied k' is also the smallest tied set.
 
     `universe`, when given, restricts Gamma(S) to that subset. This is the
     one-row case of _local_block.
@@ -88,10 +89,11 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     as sorted flat (row, vertex) pairs, and its density per row.
 
     Per row it computes what dks_local describes: Gamma(S) and its degrees
-    into S come from one bincount over B x n, the rankings from one sort,
-    and the prefix matrices are a zero-padded B x |T| x |S| cube; one argmax
-    over k' picks every row's winner. When every edge joins the two _halves
-    of g (a double cover, or a residual of one), a row with S in one half has
+    into S come from one bincount over B x n, which then holds ranks in T;
+    one sort ranks the members at or above each row's k-th degree; the prefix
+    matrices are a zero-padded B x min(|T|, |S|) x |S| cube; one argmax over
+    k' picks every row's winner. When every edge joins the two _halves of g
+    (a double cover, or a residual of one), a row with S in one half has
     Gamma(S) in the other, so its winner's density is its bipartite average;
     other rows count the winner's induced edges. Rows are scored in parts
     that fit _CELLS.
@@ -112,40 +114,50 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
     rows = np.arange(B)
     col = np.arange(len(S)) - (np.cumsum(ns) - ns)[row]  # place within its row
     owner, nbr = g.rows(S)
-    orow = row[owner]
-    key = orow * n + nbr
+    key = (row * n)[owner] + nbr
     deg = np.bincount(key, minlength=B * n)             # degree into S, per row
     if universe is not None:
-        keep = np.zeros(B * n, dtype=bool)
-        keep[universe] = True
-        deg[~keep] = 0
+        kept = deg[universe]
+        deg.fill(0)
+        deg[universe] = kept
     gamma = np.flatnonzero(deg > 0)                     # row * n + vertex
+    dg, grow = deg[gamma], gamma // n
+    # above[r, j]: row r's members of degree >= D - j; none below the k-th is in T
+    above = np.bincount(grow * (D + 1) + D - dg, minlength=B * (D + 1)).reshape(B, -1).cumsum(1)
+    ng = above[:, D]                                    # |Gamma(S)| per row
     # by row, then degree into S descending, then id: one sort of a packed key
-    order = np.sort(gamma + (D * (gamma // n + 1) - deg[gamma]) * n)
+    order = gamma + (D * (grow + 1) - dg) * n
+    order = np.sort(order[dg >= D - (above < k).sum(axis=1)[grow]])
     order = order // ((D + 1) * n) * n + order % n
-    ng = np.bincount(order // n, minlength=B)           # |Gamma(S)| per row
-    rank = np.arange(len(order)) - (np.cumsum(ng) - ng)[order // n]
+    rank = np.arange(len(order)) - np.searchsorted(order // n, order // n)
     T, Trank = order[rank < k], rank[rank < k]          # T, as row * n + vertex
-    rk = np.full(B * n, k)
-    rk[T] = Trank
     K = max(min(k, ng.max()), 1)
-    C = np.zeros((B, K, D), dtype=np.int32)
-    hit = np.flatnonzero(rk[key] < k)
-    C.reshape(-1)[(orow[hit] * K + rk[key[hit]]) * D + col[owner[hit]]] = 1
+    # run[r, t-1]: edges between row r's S and T[:t], the cross edges once m = |S|
+    run = np.bincount(T // n * K + Trank, weights=deg[T], minlength=B * K)
+    run = run.reshape(B, K).cumsum(axis=1)
+    deg.fill(k)                                         # deg now holds ranks in T
+    deg[T] = Trank
+    rk = deg[key]                                       # per pair, its neighbour's
+    hit = np.flatnonzero(rk < k)                        # the pairs into T
+    owner, rk = owner[hit], rk[hit]
+    Kc = min(K, D)               # C's rows: only m < |S| <= D reads C, and t <= m
+    C = np.zeros((B, Kc, D), dtype=np.int32)
+    C.reshape(-1)[((row[owner] * Kc + rk) * D + col[owner])[rk < Kc]] = 1
     np.cumsum(C, axis=1, dtype=np.int32, out=C)
-    # top[r, t-1, m-1]: cross edges of row r's m best members of S against T[:t]
-    top = np.cumsum(np.sort(C, axis=2)[:, :, ::-1], axis=2, dtype=np.int32)
+    C.sort(axis=2)
+    np.cumsum(C, axis=2, dtype=np.int32, out=C)
     kp = np.arange(1, min(k, max(ng.max(), D)) + 1)
     t = np.minimum(kp, ng[:, None])
     m = np.minimum(kp, ns[:, None])
-    e = top[rows[:, None], np.maximum(t, 1) - 1, m - 1]
+    r, ti = rows[:, None], np.minimum(np.maximum(t, 1), Kc) - 1  # the top m are the last m
+    e = np.where(m < ns[:, None], C[r, ti, D - 1] - C[r, ti, D - 1 - m], run[r, t - 1])
     avg = np.where((kp <= np.maximum(ng, ns)[:, None]) & (t > 0), 2.0 * e / (m + t), -np.inf)
     best = avg.max(axis=1)
     pick = avg.argmax(axis=1)                           # ties: the smallest k'
     tw = t[rows, pick]                                  # 0 where Gamma(S) is empty
     mw = np.where(ng > 0, m[rows, pick], ns)
     # each row's members of S by neighbours in T[:t] descending, then id
-    cnt = C[row, np.maximum(tw, 1)[row] - 1, col]
+    cnt = np.bincount(owner[rk < tw[row[owner]]], minlength=len(S))
     ranked = np.sort((row * (K + 1) + K - cnt) * n + S)
     chosen = ranked[col < mw[row]]                      # rows keep their places
     chosen = chosen // ((K + 1) * n) * n + chosen % n
@@ -169,10 +181,10 @@ def _local_block(g: Graph, row: np.ndarray, S: np.ndarray, B: int, k: int,
 
 
 def _halves(g: Graph) -> bool:
-    """Whether every edge joins [0, n // 2) to [n // 2, n); edge rows are
-    sorted, so the last has the largest u."""
+    """Whether every edge joins [0, n // 2) to [n // 2, n): the last sorted
+    edge row has the largest u, and degrees[:n // 2] sum to m iff no v < n // 2."""
     uv, h = g.edge_array, g.n // 2
-    return not len(uv) or bool(uv[-1, 0] < h and uv[:, 1].min() >= h)
+    return not len(uv) or bool(uv[-1, 0] < h and g.degrees[:h].sum() == len(uv))
 
 
 def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
@@ -183,7 +195,8 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     clusters realize the subexponential hair step and are also scored against
     their candidate sets (cluster-local). Full enumeration is used when the
     branch space fits in `budget`, otherwise `budget` branches are sampled
-    deterministically from `seed`, all before the walk.
+    deterministically from `seed`, all before the walk. A sample can repeat a
+    branch: each distinct branch is walked once, under its first copy's id.
 
     A branch holds one cluster per hair step walked; the last one only for
     cluster-local scoring, as S(s) is never scored otherwise. Blocks of
@@ -213,11 +226,12 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
         draws = choice_rows(np.random.default_rng(seed), len(cands), cluster_size,
                             budget * n_hairs)
         branches = cands[np.sort(draws, axis=1)].reshape(budget, n_hairs, cluster_size)[:, :hairs]
+    _, ids = np.unique(branches.reshape(len(branches), -1), axis=0, return_index=True)
     found: list[tuple] = []                             # each scored block's best
     n = g.n
     width = max(1, _CELLS // n)                         # rows per block
-    for lo in range(0, len(branches), width):
-        branch = np.arange(lo, min(lo + width, len(branches)))
+    for lo in range(0, len(ids), width):
+        branch = ids[lo:lo + width]
         for t, kind in enumerate(sched.steps, start=1):
             if t > 1:
                 found.append(_block_best(*_local_block(g, row, vert, len(branch), k),

@@ -5,9 +5,9 @@ against brute force, density_report against a plain count, the generators'
 canonical output and planted ground truth, resize_to_k, union_until_k
 against its pad/prune tail written out, dks_local's density
 against density_report and its winner on a double cover's half against the
-per-k' tie rule, the block branch search against the recursive
-per-branch walk, approximate's answer size, host density and rank
-against greedy, the exact LP check (int64 and Python-int sums) against a
+per-k' tie rule, as is every row of a block scored at once, the block
+branch search against the recursive per-branch walk, approximate's
+answer size, host density and rank against greedy, the exact LP check (int64 and Python-int sums) against a
 per-row Fraction evaluation, and the float LP check against an np.add.at
 evaluation, bit for bit."""
 import math
@@ -440,6 +440,45 @@ def test_dks_local_on_a_cover_half_matches_tie_reference(ne, upper, data):
     k = data.draw(st.integers(1, g.n))
     res = solvers.dks_local(g, s, k)
     assert (res.vertices, res.density) == reference_local(g, s, k)
+
+
+@st.composite
+def cover_half_blocks(draw):
+    """(double cover, sets each inside one of its halves, k, rows per part):
+    k is drawn near the sets' sizes and their Gamma(S) sizes, so that it
+    lands below, at, between and above them."""
+    n, edges = draw(edge_lists(max_n=12))
+    g = bipartite_double_cover(Graph.from_edges(n, edges))
+    sets = draw(st.lists(st.tuples(st.booleans(), st.sets(st.integers(0, n - 1), min_size=1)),
+                         min_size=1, max_size=6))
+    sets = [sorted(v + n * upper for v in s) for upper, s in sets]
+    sizes = {len(s) for s in sets} | {len(neighborhood(g, s)) for s in sets}
+    near = sorted({x + d for x in sizes for d in (-1, 0, 1)} & set(range(1, g.n + 1)))
+    k = draw(st.sampled_from(near) | st.integers(1, g.n))
+    return g, sets, k, draw(st.integers(1, 3))
+
+
+# a 4-cycle and a path: each row's Gamma(S) degrees tie at the k-th member
+TIED_CYCLE = bipartite_double_cover(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+TIED_PATH = bipartite_double_cover(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(cover_half_blocks())
+@example((TIED_CYCLE, [[0, 2], [5], [4, 5, 6, 7]], 1, 3))
+@example((TIED_PATH, [[0, 2, 4], [7, 9], [1, 3, 5]], 2, 1))
+def test_local_block_on_cover_halves_matches_tie_reference(block):
+    """Every row of a block scored at once, and in parts of `width` rows,
+    against the per-k' reference: with S inside one half, the scorer ranks
+    only Gamma(S)'s members at or above the k-th degree, reads the cube for
+    m < |S| and the running sum of T's degrees for m = |S|, and takes the
+    winner's members of S from its (member, T) pairs."""
+    g, sets, k, width = block
+    row = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    with mock.patch.object(solvers, "_CELLS", width * g.n):
+        wrow, wv, dens = solvers._local_block(g, row, np.concatenate(sets), len(sets), k)
+    for r, s in enumerate(sets):
+        assert (tuple(wv[wrow == r].tolist()), dens[r]) == reference_local(g, s, k)
 
 
 @settings(deadline=None, max_examples=200)

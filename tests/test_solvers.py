@@ -383,6 +383,25 @@ def test_branch_best_matches_reference_at_solve_planted_scale():
     assert got == reference_branch_best(cover, 64, sched, 300, seed=3)
 
 
+def test_branch_best_scores_each_distinct_branch_once():
+    # (1,2) scores one step per block, and no S(1) = Gamma(leaf) is empty, so
+    # the scorer's rows are the branches it walks: 120 leaves drawn from about
+    # 40 candidates repeat, and each distinct one must be scored once
+    g = random_graph(40, 80, 11)
+    sched = build_schedule(1, 2)
+    cands = np.flatnonzero(g.degrees)
+    rng = np.random.default_rng(5)                      # the reference's draws
+    draws = [rng.choice(len(cands), size=1, replace=False)[0]
+             for _ in range(120 * sched.num_leaves)]
+    leaves = set(cands[draws[::sched.num_leaves]].tolist())  # each branch's first leaf
+    assert len(cands) ** sched.num_leaves > 120          # sampled, not enumerated
+    with mock.patch.object(solvers, "_local_block", wraps=solvers._local_block) as spy:
+        got = _branch_best(g, 6, sched, 120, 5)
+    scored = sum(call.args[3] for call in spy.call_args_list)
+    assert scored == len(leaves) < 120
+    assert got == reference_branch_best(g, 6, sched, 120, 5)
+
+
 # tracemalloc peak of the call below: 25.3 MB when a backbone step read the
 # CSR rows of its whole block at once, about 4.3 MB when it reads them in
 # parts that fit _CELLS
