@@ -8,6 +8,8 @@ Monte-Carlo runs and are frozen as regression values.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -41,12 +43,12 @@ class DistinguishVerdict:
                                   decision="planted" if value > threshold else "null-model")
 
 
-_DRAW = 1 << 16       # pairs whose rng.random values are drawn at once
+_DRAW = 1 << 16       # pairs a worker draws at once: memory is O(m) plus a block per worker
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), each pair an edge independently with probability p:
-    one rng.random draw per pair, in row-major upper-triangle order."""
+    one rng.random draw per pair of one stream, in row-major upper-triangle order."""
     n = _vertex_count(n)
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} out of [0,1]")
@@ -54,21 +56,39 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def _gnp_codes(n: int, p: float, seed: int) -> np.ndarray:
-    """gen_gnp's edges (u, v) as sorted codes u * n + v, from _DRAW draws at a
-    time into one reused buffer: memory is O(m) plus one block of draws."""
+    """gen_gnp's edges (u, v) as sorted codes u * n + v, in blocks of _DRAW draws. From 8
+    blocks on, min(CPUs, blocks // 4) workers each jump a default_rng(seed) of their own to
+    the next block (one PCG64 output per draw), so the split never changes the codes."""
     pairs = n * (n - 1) // 2 if p else 0               # G(n, 0) draws nothing
-    rng, draw, codes = np.random.default_rng(seed), np.empty(min(pairs, _DRAW)), []
     # pair k of the row-major upper triangle is (i, j), i < j; row i starts at
     # pair starts[i], where j = i + 1, so the pair's code is k + shift[i]
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2
     shift = rows * (n + 1) + 1 - starts
-    for lo in range(0, pairs, _DRAW):
-        k = lo + np.flatnonzero(rng.random(out=draw[:pairs - lo]) < p)   # sorted
-        r = slice(*np.searchsorted(starts, [lo, lo + _DRAW], side="right") - [1, 0])  # rows met
-        k += np.repeat(shift[r], np.diff(np.searchsorted(k, starts[r]), append=len(k)))
-        codes.append(k)
-    return np.concatenate([np.empty(0, dtype=np.int64), *codes])
+    lows = range(0, pairs, _DRAW)
+    codes, todo, errors = [np.empty(0, np.int64)] * (len(lows) + 1), iter(enumerate(lows, 1)), []
+    def work(helpers=()):
+        try:
+            for t in helpers:                          # the caller starts the other workers
+                t.start()
+            rng, draw, at = np.random.default_rng(seed), np.empty(min(pairs, _DRAW)), 0
+            for b, lo in todo:                         # next() is atomic under the GIL
+                rng.bit_generator.advance(lo - at)
+                at = min(lo + _DRAW, pairs)
+                k = lo + np.flatnonzero(rng.random(out=draw[:at - lo]) < p)   # sorted
+                r = slice(*np.searchsorted(starts, [lo, at], side="right") - [1, 0])  # rows met
+                k += np.repeat(shift[r], np.diff(np.searchsorted(k, starts[r]), append=len(k)))
+                codes[b] = k
+        except BaseException as e:                     # raised once every thread has ended
+            errors.append(e)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [threading.Thread(target=work) for _ in range(min(cpus or 1, len(lows) // 4) - 1)]
+    work(threads)
+    for t in filter(threading.Thread.is_alive, threads):
+        t.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(codes)
 
 
 def gnp_probability(n: int, alpha: float) -> float:

@@ -638,12 +638,13 @@ def test_lp_golden(name, tmp_path):
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported inside the functions that use it, so that the CLI
-    # (and every `import catdks.cli`) starts without it
+    # (and every `import catdks.cli`) starts without it; the generators' worker
+    # threads come from threading, so concurrent.futures stays out as well
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, catdks.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
 
@@ -165,13 +169,24 @@ def reference_plant(n, alpha, k, beta, seed):
 
 PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 SEEDS = st.integers(0, 2**63 - 1)
+CPUS = st.sampled_from([1, 2, 3, 8])
+
+
+@contextmanager
+def split(draw=None, cpus=1):
+    """The generators drawing blocks of `draw` pairs (left as is when None) on
+    as many workers as `cpus` CPUs allow."""
+    with mock.patch.object(models, "_DRAW", draw or models._DRAW), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: range(cpus), create=True):
+        yield
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(0, 40), PROBABILITIES, SEEDS, st.sampled_from([1, 3, 64]))
-def test_blocked_gnp_matches_one_draw(n, p, seed, draw):
-    # blocks of 1 and 3 draws end mid-row and, at times, exactly at a row's end
-    with mock.patch.object(models, "_DRAW", draw):
+@given(st.integers(0, 40), PROBABILITIES, SEEDS, st.sampled_from([1, 3, 64]), CPUS)
+def test_blocked_gnp_matches_one_draw(n, p, seed, draw, cpus):
+    # blocks of 1 and 3 draws end mid-row and, at times, exactly at a row's end;
+    # on several workers neighbouring blocks are drawn by different threads
+    with split(draw, cpus):
         g = models.gen_gnp(n, p, seed)
     ref = reference_gen_gnp(n, p, seed)
     assert g == ref and g.edge_array.tobytes() == ref.edge_array.tobytes()
@@ -179,19 +194,79 @@ def test_blocked_gnp_matches_one_draw(n, p, seed, draw):
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(0, 40), st.floats(0.01, 0.99), st.data(),
-       st.sampled_from([1.0]) | st.floats(0.01, 1.0), SEEDS, st.sampled_from([1, 3, 64]))
-def test_code_plant_matches_reference(n, alpha, data, beta, seed, draw):
+       st.sampled_from([1.0]) | st.floats(0.01, 1.0), SEEDS, st.sampled_from([1, 3, 64]), CPUS)
+def test_code_plant_matches_reference(n, alpha, data, beta, seed, draw, cpus):
     k = data.draw(st.sampled_from([0, n]) | st.integers(0, n))
     if n == 0:                                  # G(0, p) has no edge probability
         for call in (plant, reference_plant):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 call(n, alpha, k, beta, seed)
         return
-    with mock.patch.object(models, "_DRAW", draw):
+    with split(draw, cpus):
         inst = plant(n, alpha, k, beta, seed)
     g, location, gt = reference_plant(n, alpha, k, beta, seed)
     assert inst.graph == g and inst.graph.edge_array.tobytes() == g.edge_array.tobytes()
     assert inst.planted == location and repr(inst.ground_truth_density) == repr(gt)
+
+
+def test_worker_failure_reraises_after_every_thread_ends():
+    class Boom(Exception):
+        pass
+
+    real, failed = np.random.default_rng, threading.Event()
+
+    def failing_rng(seed):
+        # a worker's first block fails; the caller's first block waits for that
+        gen = real(seed)
+
+        def random(out):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10), "no worker drew a block"
+                return gen.random(out=out)
+            failed.set()
+            raise Boom
+        return mock.Mock(bit_generator=gen.bit_generator, random=random)
+
+    before = threading.active_count()
+    with split(draw=1, cpus=3), mock.patch.object(np.random, "default_rng", failing_rng):
+        with pytest.raises(Boom):
+            models.gen_gnp(40, 0.5, 0)
+    assert failed.is_set() and threading.active_count() == before
+    assert models.gen_gnp(40, 0.5, 0) == reference_gen_gnp(40, 0.5, 0)
+
+
+def test_blocks_split_under_fast_thread_switching():
+    # 8 workers on 780 one-pair blocks, switching threads every microsecond:
+    # a block taken twice or lost changes the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with split(draw=1, cpus=8):
+            graphs = [models.gen_gnp(40, 0.5, seed) for seed in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, g in enumerate(graphs):
+        assert g.edge_array.tobytes() == reference_gen_gnp(40, 0.5, seed).edge_array.tobytes()
+
+
+def test_small_draws_start_no_thread(monkeypatch):
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    with split(cpus=8):
+        for seed in range(3):
+            gen_gnp(159, 1.0, seed)             # the planted h of every distinguish op
+            gen_gnp(500, 500 ** (-1 / 3), seed)  # 2 blocks
+        assert made == []
+        gen_gnp(1000, 1000 ** (-1 / 2), 0)      # 8 blocks: the caller and one thread
+        assert len(made) == 1
+        gen_gnp(2000, 2000 ** (-1 / 3), 0)      # 31 blocks: the caller and six threads
+        assert len(made) == 7
 
 
 @settings(deadline=None, max_examples=100)
@@ -236,7 +311,9 @@ def traced_peak(call):
 # draws and their bool mask. Drawn in blocks they are 12.1 MB for gen_gnp (the codes
 # collected block by block, then joined, then the edge array) and 14.7 MB for
 # plant (the base codes, those kept and those merged with h's); each bound is
-# that value plus 1 MB
+# that value plus 1 MB. Each worker holds its own 0.5 MB block of draws, but
+# only while the codes are still being drawn, well below the peak: on 1 to 8
+# workers both peaks move by under 2 kB
 GNP_PEAK_BYTES = 13_100_000
 PLANT_PEAK_BYTES = 15_700_000
 
