@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, in_range
+from .graphs import Graph, check_int, in_range
 
 HAIR = "hair"
 BACKBONE = "backbone"
@@ -59,8 +59,8 @@ def _interval_contains_integer(t: int, r: int, s: int) -> bool:
 
 def build_schedule(r: int, s: int) -> CaterpillarSchedule:
     """Deterministic hair/backbone step sequence for coprime 0 < r < s."""
-    if not (0 < r < s):
-        raise ValueError(f"require 0 < r < s, got r={r}, s={s}")
+    check_int("r", r, 1)
+    check_int("s", s, r + 1)
     if math.gcd(r, s) != 1:
         raise ValueError(f"r={r} and s={s} must be coprime")
     steps = tuple(HAIR if _interval_contains_integer(t, r, s) else BACKBONE
@@ -74,10 +74,9 @@ def choose_rs(alpha: float, s_max: int) -> tuple[int, int]:
 
     Ties prefer r/s >= alpha, then the smallest s.
     """
+    check_int("s_max", s_max, 2)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if s_max < 2:
-        raise ValueError("s_max must be >= 2")
     a = Fraction(alpha).limit_denominator(10**9)
     best = None
     for s in range(2, s_max + 1):
@@ -276,8 +275,8 @@ def max_witness_count(g: Graph, sched: CaterpillarSchedule, budget: int,
     All tuples are counted by one _count_batch call. Ties resolved by
     (count, lexicographically smallest tuple). Returns (leaves, count).
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    check_int("budget", budget, 1)
+    check_int("seed", seed, 0)
     cands = np.flatnonzero(g.degrees)
     if not len(cands):
         return tuple([0] * sched.num_leaves), 0

@@ -10,9 +10,10 @@ only --seed and --out have no config key. Bad input writes no output file: a
 config that is not an object with "schema_version": 1 and its subcommand's
 keys exits 1; a value of the wrong type (a JSON float for an integer, or a
 bool), a --trials, --budget or --leaf-budget below 1, a --d with a zero
-denominator, an --n below 1 where p = n^(alpha-1), or a solve <input>.json
-sidecar that is not an object or whose ground_truth_density is neither null
-nor a finite number >= 0 exits 2; solve checks the sidecar before it solves.
+denominator, an integer the library rejects (an --n below 1 where p =
+n^(alpha-1), a solve --s-max below 2, a negative --seed where one is used), or
+a solve <input>.json sidecar that is not an object or whose ground_truth_density
+is neither null nor a finite number >= 0 exits 2; solve checks the sidecar first.
 
 Reports are byte-deterministic for a fixed (config, seed): per-trial data goes
 to CSV, summaries to JSON, and wall-clock timings to a separate
@@ -31,7 +32,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import (BudgetExceededError, GraphFormatError, brute_force_dks,
+from .graphs import (BudgetExceededError, GraphFormatError, brute_force_dks, check_int,
                      load_graph, save_graph)
 from .lp import build_lp, export_lp
 from .models import (caterpillar_distinguisher, degree_distinguisher, gen_gnp,
@@ -48,8 +49,7 @@ class UsageError(ValueError):
 
 def _count(value) -> int:
     n = int(value)
-    if n < 1:
-        raise ValueError("must be >= 1")
+    check_int("count", n, 1)
     return n
 
 

@@ -107,6 +107,15 @@ def _weight_array(weights) -> np.ndarray:
     return x.astype(np.float64)
 
 
+def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer in [lo, hi], no upper bound
+    when hi is None: numpy integers pass, bools and floats do not."""
+    hi = math.inf if hi is None else hi
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not lo <= value <= hi:
+        raise ValueError(f"{name}={value!r} is not an integer in [{lo}, {hi}]")
+
+
 def _vertex_count(n) -> int:
     """n as an int: an integer (a numpy one too), 0 <= n <= isqrt(2**63 - 1)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -501,8 +510,7 @@ def brute_force_dks(g: Graph, k: int) -> SolveResult:
     """Exact densest k-subgraph by enumeration; ties broken by lexicographically
     smallest vertex set. Intended as a test oracle at desk scale: more than
     5,000,000 k-subsets raises BudgetExceededError."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range for n={g.n}")
+    check_int("k", k, 1, g.n)
     if math.comb(g.n, k) > 5_000_000:
         raise BudgetExceededError(f"C({g.n},{k}) exceeds budget 5000000")
     # bitmask adjacency: popcount-based edge counting

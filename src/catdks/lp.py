@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import BudgetExceededError, Graph, induced_degrees, vertex_array
+from .graphs import BudgetExceededError, Graph, check_int, induced_degrees, vertex_array
 
 Path = tuple[int, ...]
 Number = Union[int, float, Fraction]
@@ -265,10 +265,8 @@ def build_lp(g: Graph, k: int, d: Number, t: int,
     Variable count is sum of n^l for l = 0..t+1; raises BudgetExceededError
     when that exceeds `budget`.
     """
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_int("k", k, 0)
+    check_int("t", t, 1)
     n = g.n
     variables = Paths(n, t + 1)
     if len(variables) > budget:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .caterpillar import _count_batch, build_schedule, max_witness_count
-from .graphs import Graph, _graph, _pairs, _vertex_count, vertex_array
+from .graphs import Graph, _graph, _pairs, _vertex_count, check_int, vertex_array
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,8 @@ def _gnp_codes(n: int, p: float, seed: int) -> np.ndarray:
 
 def gnp_probability(n: int, alpha: float) -> float:
     """p = n^(alpha - 1), the edge probability that gives G(n, p) an average
-    degree of about n^alpha; n must be >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    degree of about n^alpha; n must be an integer >= 1."""
+    check_int("n", n, 1)
     return float(n) ** (alpha - 1)
 
 
@@ -111,19 +110,14 @@ def _replace_induced(n: int, code: np.ndarray, loc: np.ndarray, h: Graph) -> np.
     return np.insert(kept, np.searchsorted(kept, new), new)
 
 
-def _check_k(k, n: int) -> None:
-    """Raise ValueError unless k is an integer in [0, n], a bool excluded."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
-        raise ValueError(f"k={k!r} is not an integer in [0, n={n}]")
-
-
 def plant(n: int, alpha: float, k: int, beta: float, seed: int) -> PlantedInstance:
     """Plant h = G(k, k^(beta-1)) on a random k-set inside G(n, n^(alpha-1));
     the set's edges are exactly h's, so ground_truth_density is 2 h.m / k."""
     n = _vertex_count(n)
+    check_int("k", k, 0, n)
+    check_int("seed", seed, 0)
     if not (0 < alpha < 1 and 0 < beta <= 1):
         raise ValueError("alpha in (0,1) and beta in (0,1] required")
-    _check_k(k, n)
     rng = np.random.default_rng(seed)
     code = _gnp_codes(n, gnp_probability(n, alpha), int(rng.integers(0, 2**63 - 1)))
     location = np.sort(rng.choice(n, size=k, replace=False))
@@ -163,8 +157,8 @@ def degree_distinguisher(g: Graph, k: int, expected_null_degree: float,
                          c: float = 1.0) -> DistinguishVerdict:
     """Mean degree of the top-k vertices vs the null expectation plus
     c*sqrt(log n) standard deviations; k must be an integer in [0, n]."""
-    _check_k(k, g.n)
-    if g.n == 0 or k == 0:
+    check_int("k", k, 0, g.n)
+    if k == 0:
         return DistinguishVerdict.decide("top-k-degree", 0.0, expected_null_degree)
     deg = np.sort(g.degrees)[::-1]
     stat = float(deg[:k].mean())
@@ -180,10 +174,10 @@ def intersection_distinguisher(g: Graph, pair_budget: int, seed: int = 0,
     `pair_budget`, else over `pair_budget` seeded pairs of distinct vertices.
 
     The null mean n*p^2 and binomial deviation are estimated from the realized
-    edge density. A pair_budget below 1 raises ValueError.
+    edge density. A pair_budget below 1 or a negative seed raises ValueError.
     """
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be positive")
+    check_int("pair_budget", pair_budget, 1)
+    check_int("seed", seed, 0)
     n = g.n
     if n < 2:
         return DistinguishVerdict.decide("max-pair-intersection", 0.0, 0.0)
@@ -269,7 +263,7 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
     k must be an integer in [0, n].
     """
     n = g.n
-    _check_k(k, n)
+    check_int("k", k, 0, n)
     if n == 0 or g.m == 0:
         return {"dual_value": 0.0, "psd_margin": 0.0, "lambda2": 0.0}
     D = 2 * g.m / n
@@ -304,7 +298,7 @@ def sdp_dual_distinguisher(g: Graph, k: int, c: float = 1.0) -> DistinguishVerdi
     greedy dense-subset heuristic; k must be an integer in [0, n].
     """
     n = g.n
-    _check_k(k, n)
+    check_int("k", k, 0, n)
     if n == 0 or g.m == 0:
         return DistinguishVerdict.decide("primal-witness-edges", 0.0, 0.0)
     D = 2 * g.m / n

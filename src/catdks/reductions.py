@@ -13,8 +13,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import (Graph, _graph, induced_degrees, induced_edge_mask, induced_subgraph,
-                     vertex_array)
+from .graphs import (Graph, _graph, check_int, induced_degrees, induced_edge_mask,
+                     induced_subgraph, vertex_array)
 
 
 class StallError(RuntimeError):
@@ -42,8 +42,7 @@ def greedy_core(g: Graph, k: int) -> GreedyResult:
     Fallback: when g has fewer than ceil(k/2) edges, h_prime is a maximal set
     of disjoint edges padded to k vertices.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    check_int("k", k, 2, g.n)
     half = (k + 1) // 2
     ids = np.arange(g.n)
     deg = g.degrees
@@ -84,8 +83,7 @@ def union_until_k(g: Graph, k: int,
     back to exactly k, or pads with the smallest untouched ids: with no
     residual edge left, every vertex outside the set is isolated.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range for n={g.n}")
+    check_int("k", k, 1, g.n)
     uv = g.edge_array
     remaining = np.ones(len(uv), dtype=bool)
     accum: set[int] = set()
@@ -105,12 +103,13 @@ def union_until_k(g: Graph, k: int,
 def prune_to_size(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
     """Greedily drop lowest-induced-degree vertices (ties by id) down to k:
     a heap peel that skips entries whose degree is no longer current."""
+    check_int("k", k, 0, g.n)
     vs = vertex_array(g, s)
     indptr, indices = g.csr
     deg = dict(zip(vs.tolist(), induced_degrees(g, vs).tolist()))   # alive vertices
     heap = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
-    while len(deg) > max(k, 0):
+    while len(deg) > k:
         d, v = heapq.heappop(heap)
         if deg.get(v) != d:
             continue
@@ -126,8 +125,7 @@ def resize_to_k(g: Graph, s: Iterable[int], k: int) -> tuple[int, ...]:
     """Prune (lowest degree first) or pad a vertex set to exactly k members;
     each padding step adds the vertex with the most neighbours in the set,
     ties (also at none) by smaller id."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k={k} out of range [0,{g.n}]")
+    check_int("k", k, 0, g.n)
     cur = vertex_array(g, s)
     if len(cur) > k:
         return prune_to_size(g, cur, k)

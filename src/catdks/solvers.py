@@ -22,22 +22,24 @@ import numpy as np
 
 from .caterpillar import (_CELLS, HAIR, CaterpillarSchedule, build_schedule, choice_rows,
                           choose_rs, walk_step)
-from .graphs import Graph, SolveResult, sorted_unique, vertex_array, weighted_average_degree
+from .graphs import (Graph, SolveResult, check_int, sorted_unique, vertex_array,
+                     weighted_average_degree)
 from .reductions import (bipartite_double_cover, collapse_double_cover, greedy_core,
                          resize_to_k, union_until_k, weight_buckets)
 
 
 @dataclass
 class SolverConfig:
+    """approximate's settings, each an integer it checks: s_max >= 2 bounds the
+    schedule's s, leaf_budget >= 1 the branches walked, seed >= 0 their sample."""
     s_max: int = 4
     leaf_budget: int = 2000
     seed: int = 0
 
 
-def _edgeless(n: int, k: int) -> SolveResult:
-    """The first min(k, n) vertices, for a graph with no edges to find."""
-    return SolveResult(vertices=tuple(range(min(k, n))), density=0.0,
-                       provenance="edgeless")
+def _edgeless(k: int) -> SolveResult:
+    """The first k vertices, for a graph with no edges to find."""
+    return SolveResult(vertices=tuple(range(k)), density=0.0, provenance="edgeless")
 
 
 def _scored(g: Graph, verts: tuple[int, ...], provenance: str,
@@ -68,11 +70,10 @@ def dks_local(g: Graph, s_set: Iterable[int], k: int,
     `universe`, when given, restricts Gamma(S) to that subset. This is the
     one-row case of _local_block.
     """
+    check_int("k", k, 1)
     S = vertex_array(g, s_set)
     if not len(S):
         raise ValueError("dks_local requires a nonempty set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     zeros = np.zeros(len(S), dtype=np.int64)
     if universe is not None:
         universe = vertex_array(g, universe)            # row 0's keys
@@ -211,8 +212,6 @@ def _branch_best(g: Graph, k: int, sched: CaterpillarSchedule, budget: int,
     nonempty, and step 2 scores a candidate pairing the top vertex of
     Gamma(S(1)) with a neighbour in S(1): the result has density > 0.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     cands = np.flatnonzero(g.degrees)
     if cluster_size > len(cands):
         raise ValueError(f"cluster_size {cluster_size} exceeds the {len(cands)} "
@@ -281,11 +280,12 @@ def dks_cat_combinatorial(g: Graph, k: int, r: int, s: int, leaf_budget: int,
     """Combinatorial caterpillar solver: enumerate/sample leaves at hair steps,
     fold dks_local at every step, then grow the best branch output to exactly
     k vertices with union_until_k."""
+    check_int("k", k, 1, g.n)
+    check_int("leaf_budget", leaf_budget, 1)
+    check_int("seed", seed, 0)
     sched = build_schedule(r, s)
-    if g.n == 0:
-        raise ValueError("empty graph")
     if g.m == 0:
-        return _edgeless(g.n, k)
+        return _edgeless(k)
     # each residual union_until_k passes has an edge, so the branch search
     # returns a set spanning one
     verts = union_until_k(
@@ -299,29 +299,30 @@ def dks_exp(g: Graph, k: int, eps: float, cluster_budget: int, seed: int = 0,
     additionally running dks_local on each cluster against its candidate set.
 
     C defaults to round(n^(2*beta*eps/(2*beta*eps+alpha))) with beta = log_n k
-    and alpha = 1 - beta; the schedule is choose_rs(alpha + 2*beta*eps, 5),
-    capped at 0.999. With C = 1 the cluster-local pass is skipped and the
-    result matches dks_cat_combinatorial exactly. A C below 1, or above the
-    number of non-isolated vertices of a graph with edges, raises ValueError;
-    an edgeless graph gets the edgeless result. k must lie in [1, n], and the
+    and alpha = 1 - beta, at most the non-isolated vertex count N; the schedule
+    is choose_rs(alpha + 2*beta*eps, 5), capped at 0.999. With C = 1 the
+    cluster-local pass is skipped and the result matches dks_cat_combinatorial
+    exactly. A C passed below 1, or above N on a graph with edges, raises
+    ValueError; an edgeless graph gets the edgeless result. k must lie in [1, n], and the
     result has exactly k vertices: the C > 1 pass prunes or pads its best set
     with resize_to_k, as union_until_k does on the C = 1 path.
     """
+    check_int("k", k, 1, g.n)
+    check_int("cluster_budget", cluster_budget, 1)
+    check_int("seed", seed, 0)
+    if cluster_size is not None:
+        check_int("cluster_size", cluster_size, 1)
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    n = g.n
-    if n < 2 or not 1 <= k <= n:
-        raise ValueError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
-    beta = math.log(max(k, 2)) / math.log(n)
+    if g.m == 0:                                        # so n >= 2 below
+        return _edgeless(k)
+    beta = math.log(max(k, 2)) / math.log(g.n)
     alpha = max(1.0 - beta, 1e-9)
     alpha_prime = min(alpha + 2 * beta * eps, 0.999)
     r, s = choose_rs(alpha_prime, 5)
     if cluster_size is None:
-        cluster_size = max(1, round(n ** (2 * beta * eps / (2 * beta * eps + alpha))))
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be >= 1")
-    if g.m == 0:
-        return _edgeless(n, k)
+        cluster_size = min(round(g.n ** (2 * beta * eps / (2 * beta * eps + alpha))),
+                           np.count_nonzero(g.degrees))        # both >= 1
     if cluster_size == 1:
         return dks_cat_combinatorial(g, k, r, s, cluster_budget, seed)
     best = _branch_best(g, k, build_schedule(r, s), cluster_budget, seed, cluster_size)
@@ -336,13 +337,15 @@ def approximate(g: Graph, k: int, config: Optional[SolverConfig] = None) -> Solv
     to an O(log n) factor by design: K6 at weight 1 plus a 6-edge matching at
     weight 1000, k=6, finds weighted density 667 where 1000 is attainable."""
     config = config or SolverConfig()
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range for n={g.n}")
+    check_int("k", k, 1, g.n)
+    check_int("s_max", config.s_max, 2)
+    check_int("leaf_budget", config.leaf_budget, 1)
+    check_int("seed", config.seed, 0)
     if g.weight_array is None:
         if k == g.n:
             return _scored(g, tuple(range(g.n)), "whole-graph")
         if g.m == 0:
-            return _edgeless(g.n, k)
+            return _edgeless(k)
         if k == 1:
             return SolveResult(vertices=(0,), density=0.0, provenance="single-vertex")
     return min(_stages(g, k, config), key=SolveResult.rank)

@@ -372,6 +372,21 @@ def test_budget_below_one_exits_2(tmp_path, budget):
     assert not out.exists()
 
 
+# a triangle among six vertices, and two weight buckets that each answer
+# (0, 1, 2): greedy decides both, so approximate must check its settings first
+_SOLVE_GRAPHS = {"triangle": "6 3\n0 1\n1 2\n0 2\n", "tie": "4 2\n0 1 8.0\n0 2 3.0\n"}
+
+
+@pytest.mark.parametrize("graph", sorted(_SOLVE_GRAPHS))
+@pytest.mark.parametrize("flags", [("--s-max", "1"), ("--s-max", "0"), ("--seed", "-1")])
+def test_solve_setting_out_of_range_exits_2(tmp_path, graph, flags):
+    path = tmp_path / "g.el"
+    path.write_text(_SOLVE_GRAPHS[graph])
+    assert run("solve", "--input", str(path), "--k", "3", *flags,
+               "--out", str(tmp_path / "out")) == 2
+    assert list(tmp_path.glob("out*")) == []
+
+
 # every parameter of each subcommand, as its config value; {graph} is a
 # planted graph with a ground-truth sidecar
 _EVERY_PARAM = {

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from catdks import caterpillar, lp, models, reductions, solvers
 from catdks.graphs import (BudgetExceededError, Graph, GraphFormatError,
                            brute_force_dks, density_report, induced_subgraph,
                            load_graph, save_graph, vertex_array, weighted_average_degree)
@@ -634,3 +635,104 @@ def test_save_graph_peak_memory(tmp_path):
         tracemalloc.stop()
     assert load_graph(p) == g
     assert peak <= SAVE_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# integer arguments of the public entry points
+
+TRIANGLE = Graph(6, [(0, 1), (1, 2), (0, 2)])   # greedy decides approximate here
+EMPTY = Graph(8, [])                            # solvers return early on no edges
+PLANTED = models.plant(100, 0.5, 10, 1.0, seed=1).graph   # the caterpillar stage runs
+
+
+def _config(graph, name):
+    """approximate at k = 3 with the SolverConfig field `name` set to the value."""
+    return lambda v: approximate(graph, 3, solvers.SolverConfig(**{name: v}))
+
+
+# (call of the value under test, argument name, lo, hi or None, more bad values)
+INT_ARGS = {
+    "approximate.k": (lambda v: approximate(TRIANGLE, v), "k", 1, 6, (2.5,)),
+    **{f"approximate.{name}@{label}": (_config(graph, name), name, lo, None, ())
+       for label, graph in (("triangle", TRIANGLE), ("planted", PLANTED))
+       for name, lo in (("s_max", 2), ("leaf_budget", 1), ("seed", 0))},
+    "dks_cat_combinatorial.k": (lambda v: solvers.dks_cat_combinatorial(EMPTY, v, 1, 2, 10),
+                                "k", 1, 8, (100,)),
+    "dks_cat_combinatorial.leaf_budget": (
+        lambda v: solvers.dks_cat_combinatorial(EMPTY, 2, 1, 2, v), "leaf_budget", 1, None, ()),
+    "dks_cat_combinatorial.seed": (
+        lambda v: solvers.dks_cat_combinatorial(EMPTY, 2, 1, 2, 10, seed=v), "seed", 0, None, ()),
+    "dks_exp.k": (lambda v: solvers.dks_exp(EMPTY, v, 0.25, 10), "k", 1, 8, (100,)),
+    "dks_exp.cluster_budget": (lambda v: solvers.dks_exp(EMPTY, 2, 0.25, v),
+                               "cluster_budget", 1, None, ()),
+    "dks_exp.seed": (lambda v: solvers.dks_exp(EMPTY, 2, 0.25, 10, seed=v), "seed", 0, None, ()),
+    "dks_exp.cluster_size": (lambda v: solvers.dks_exp(EMPTY, 2, 0.25, 10, cluster_size=v),
+                             "cluster_size", 1, None, ()),
+    "dks_local.k": (lambda v: dks_local(TRIANGLE, [0, 1], v), "k", 1, None, (2.5,)),
+    "brute_force_dks.k": (lambda v: brute_force_dks(TRIANGLE, v), "k", 1, 6, (2.0,)),
+    "greedy_core.k": (lambda v: reductions.greedy_core(TRIANGLE, v), "k", 2, 6, ()),
+    "union_until_k.k": (lambda v: reductions.union_until_k(TRIANGLE, v, lambda g: range(g.n)),
+                        "k", 1, 6, ()),
+    "resize_to_k.k": (lambda v: resize_to_k(TRIANGLE, [0, 1], v), "k", 0, 6, (2.0,)),
+    "prune_to_size.k": (lambda v: prune_to_size(TRIANGLE, [0, 1, 2], v), "k", 0, 6, ()),
+    "build_schedule.r": (lambda v: caterpillar.build_schedule(v, 3), "r", 1, None, ()),
+    "build_schedule.s": (lambda v: caterpillar.build_schedule(1, v), "s", 2, None, ()),
+    "choose_rs.s_max": (lambda v: caterpillar.choose_rs(0.5, v), "s_max", 2, None, ()),
+    "max_witness_count.budget": (
+        lambda v: caterpillar.max_witness_count(TRIANGLE, caterpillar.build_schedule(1, 2), v),
+        "budget", 1, None, (2.5,)),
+    "max_witness_count.seed": (
+        lambda v: caterpillar.max_witness_count(TRIANGLE, caterpillar.build_schedule(1, 2), 10,
+                                                seed=v), "seed", 0, None, ()),
+    "build_lp.k": (lambda v: lp.build_lp(TRIANGLE, v, 1, 1), "k", 0, None, (2.5, True)),
+    "build_lp.t": (lambda v: lp.build_lp(TRIANGLE, 2, 1, v), "t", 1, None, ()),
+    "gnp_probability.n": (lambda v: models.gnp_probability(v, 0.5), "n", 1, None, ()),
+    "plant.k": (lambda v: models.plant(20, 0.5, v, 1.0, 0), "k", 0, 20, ()),
+    "plant.seed": (lambda v: models.plant(20, 0.5, 4, 1.0, v), "seed", 0, None, ()),
+    "degree_distinguisher.k": (lambda v: models.degree_distinguisher(TRIANGLE, v, 1.0),
+                               "k", 0, 6, ()),
+    "intersection_distinguisher.pair_budget": (
+        lambda v: models.intersection_distinguisher(TRIANGLE, v), "pair_budget", 1, None, ()),
+    "intersection_distinguisher.seed": (
+        lambda v: models.intersection_distinguisher(TRIANGLE, 10, seed=v), "seed", 0, None, ()),
+    "sdp_dual_certificate.k": (lambda v: models.sdp_dual_certificate(TRIANGLE, v), "k", 0, 6, ()),
+    "sdp_dual_distinguisher.k": (lambda v: models.sdp_dual_distinguisher(TRIANGLE, v),
+                                 "k", 0, 6, ()),
+    "caterpillar_distinguisher.r": (
+        lambda v: models.caterpillar_distinguisher(TRIANGLE, v, 3, 10), "r", 1, None, ()),
+    "caterpillar_distinguisher.s": (
+        lambda v: models.caterpillar_distinguisher(TRIANGLE, 1, v, 10), "s", 2, None, ()),
+    "caterpillar_distinguisher.budget": (
+        lambda v: models.caterpillar_distinguisher(TRIANGLE, 1, 2, v), "budget", 1, None, ()),
+    "caterpillar_distinguisher.seed": (
+        lambda v: models.caterpillar_distinguisher(TRIANGLE, 1, 2, 10, seed=v), "seed", 0, None,
+        ()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ARGS))
+def test_integer_arguments_checked_on_every_input(entry):
+    # a float, a bool, and the integers just outside the range are each
+    # named in a ValueError before any early return or sampling branch
+    call, name, lo, hi, more = INT_ARGS[entry]
+    bad = [float(lo), lo + 0.5, True, lo - 1, *([] if hi is None else [hi + 1]), *more]
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{name}={value!r} is not an integer in "):
+            call(value)
+
+
+def test_numpy_integer_arguments_match_python_ints():
+    i = np.int64
+    config = solvers.SolverConfig(s_max=3, leaf_budget=50, seed=1)
+    np_config = solvers.SolverConfig(s_max=i(3), leaf_budget=i(50), seed=i(1))
+    assert approximate(PLANTED, i(10), np_config) == approximate(PLANTED, 10, config)
+    assert solvers.dks_exp(PLANTED, i(10), 0.25, i(40), seed=i(2), cluster_size=i(2)) == \
+        solvers.dks_exp(PLANTED, 10, 0.25, 40, seed=2, cluster_size=2)
+    assert brute_force_dks(TRIANGLE, i(3)) == brute_force_dks(TRIANGLE, 3)
+    assert resize_to_k(TRIANGLE, [0], i(4)) == resize_to_k(TRIANGLE, [0], 4)
+    sched = caterpillar.build_schedule(i(1), i(2))
+    assert caterpillar.max_witness_count(PLANTED, sched, i(30), seed=i(3)) == \
+        caterpillar.max_witness_count(PLANTED, sched, 30, seed=3)
+    assert models.plant(20, 0.5, i(4), 1.0, i(5)).graph == models.plant(20, 0.5, 4, 1.0, 5).graph
+    a, b = lp.build_lp(TRIANGLE, i(2), 1, i(1)), lp.build_lp(TRIANGLE, 2, 1, 1)
+    assert np.array_equal(a.constraints.matrix.toarray(), b.constraints.matrix.toarray())

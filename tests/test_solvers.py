@@ -446,6 +446,17 @@ def test_exp_rejects_bad_cluster_size():
     assert dks_exp(k5, 3, 0.25, 100, cluster_size=5).density == 2.0
 
 
+def test_exp_derived_cluster_size_capped_at_non_isolated():
+    # n = k = 5 derives C = 5, one more than the non-isolated vertices; capped
+    # at 4 it finds the optimum instead of rejecting a C the caller never passed
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    res = dks_exp(g, 5, 0.25, 100)
+    assert (res.vertices, res.density) == ((0, 1, 2, 3, 4), 1.6)
+    assert res.density == brute_force_dks(g, 5).density
+    with pytest.raises(ValueError, match="cluster_size 5 exceeds the 4 non-isolated"):
+        dks_exp(g, 5, 0.25, 100, cluster_size=5)
+
+
 @pytest.mark.parametrize("params,vertices,density,provenance", CAT_GOLDEN)
 def test_cat_golden(params, vertices, density, provenance):
     n, m, gseed, k, r, s, budget, seed = params
@@ -507,9 +518,9 @@ def test_exp_cluster_returns_exactly_k():
         assert len(res.vertices) == 6
         assert res.density == density_report(g, res.vertices).average_degree
     for size in (1, 2):
-        with pytest.raises(ValueError, match="1 <= k <= n"):
+        with pytest.raises(ValueError, match=r"k=17 is not an integer in \[1, 16\]"):
             dks_exp(g, 17, 0.25, 100, cluster_size=size)
-    with pytest.raises(ValueError, match="1 <= k <= n"):
+    with pytest.raises(ValueError, match=r"k=6 is not an integer in \[1, 5\]"):
         dks_exp(Graph(5, []), 6, 0.25, 100)
 
 
@@ -540,7 +551,7 @@ def test_resize_prunes_lowest_degree():
     ring = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
     assert resize_to_k(ring, range(8), 5) == (3, 4, 5, 6, 7)
     for k in (-1, 7):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=rf"k={k} is not an integer in \[0, 6\]"):
             resize_to_k(g, [0, 1], k)
 
 
