@@ -127,19 +127,29 @@ def _vertex_count(n) -> int:
     return int(n)
 
 
+# the faults of an edge row (u, v, weight), in the order both doors check them
+_ROW_FAULTS = ("self-loop", "endpoint out of range", "non-finite weight", "non-positive weight")
+
+
+def _row_faults(n: int, uv: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
+    """One bool row per _ROW_FAULTS entry over edge rows uv, weights w (None: unweighted)."""
+    w = np.ones(len(uv)) if w is None else w
+    return np.array([uv[:, 0] == uv[:, 1], (np.minimum(*uv.T) < 0) | (np.maximum(*uv.T) >= n),
+                     ~np.isfinite(w), ~(w > 0)])
+
+
 def _canonical(n: int, edges, weights):
     """(n, uv, w): _vertex_count(n), the canonical edge array of the pairs
     `edges`, and `weights` (one per pair, in the same order, or None) merged."""
     n, uv = _vertex_count(n), _edge_array(edges)
-    if len(uv) and (uv.min() < 0 or uv.max() >= n):
-        u, v = uv[((uv < 0) | (uv >= n)).any(axis=1).argmax()].tolist()
-        raise GraphFormatError(f"edge ({u},{v}) endpoint out of range [0,{n})")
-    bad = uv[:, 0] == uv[:, 1]
-    if bad.any():
-        raise GraphFormatError(f"self-loop at vertex {int(uv[bad.argmax(), 0])}")
     x = None if weights is None else _weight_array(weights)
     if x is not None and x.shape != (len(uv),):
         raise GraphFormatError(f"{x.size} weights for {len(uv)} edges")
+    fails = _row_faults(n, uv, x)
+    if fails.any():                                     # the first faulty row, its first fault
+        i = int(fails.any(axis=0).argmax())
+        raise GraphFormatError(
+            f"{_ROW_FAULTS[fails[:, i].argmax()]} on edge {tuple(uv[i].tolist())}")
     merged, w, clash = _merge(n, uv, x)
     if clash is not None:
         i, j = clash
@@ -176,15 +186,10 @@ class Graph:
         return Graph(n, edges, weights)
 
     def _init(self, n, uv, w) -> "Graph":
-        """Check and store canonical arrays; every constructor ends here."""
-        w = w if len(uv) else None                      # a graph with no edges is unweighted
-        if w is not None:
-            for bad, what in ((~(w > 0), "non-positive"), (~np.isfinite(w), "non-finite")):
-                if bad.any():
-                    i = int(bad.argmax())
-                    raise GraphFormatError(
-                        f"{what} weight {w[i].item()} on edge {tuple(uv[i].tolist())}")
-        self.__dict__.update(n=n, edge_array=uv, weight_array=w)
+        """Store canonical arrays that their door has checked (Graph(),
+        load_graph) or derived from a graph's; every constructor ends here. A
+        graph with no edges is unweighted."""
+        self.__dict__.update(n=n, edge_array=uv, weight_array=w if len(uv) else None)
         return self
 
     def __setattr__(self, name, value):
@@ -282,10 +287,6 @@ class SolveResult:
         asc, lexicographic. Equal ranks are ties, left to the caller's order."""
         return (-self.density, len(self.vertices), self.vertices)
 
-    def better_than(self, other: Optional["SolveResult"]) -> bool:
-        """Whether self ranks strictly before other; anything beats None."""
-        return other is None or self.rank() < other.rank()
-
 
 # byte classes of the edge-list format: 0 in a token, 1 blank, 2 line break
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
@@ -293,8 +294,7 @@ _BYTE_CLASS[list(b" \t\v\f")] = 1
 _BYTE_CLASS[list(b"\r\n")] = 2
 
 # load_graph's per-line checks, in the order they are applied to a line
-_LINE_CHECKS = ("malformed edge line", "self-loop", "endpoint out of range",
-                "malformed weight", "non-positive weight",
+_LINE_CHECKS = ("malformed edge line", *_ROW_FAULTS[:2], "malformed weight", *_ROW_FAULTS[2:],
                 "weighted and unweighted edge lines mixed")
 
 
@@ -310,12 +310,12 @@ def load_graph(path) -> Graph:
     accepts. Only the first m lines after the header are parsed; any further
     lines are counted, and the count must equal m.
 
-    Repeated edges are deduplicated; self-loops, out-of-range ids,
-    non-positive or non-finite weights, repeated edges with different
-    weights, and files mixing weighted and unweighted lines are rejected. The
-    error names the first bad line; a line is checked for width, ids,
-    self-loop, range, weight syntax, weight sign and weightedness, in that
-    order.
+    Repeated edges are deduplicated; a bad vertex count n, self-loops,
+    out-of-range ids, non-finite or non-positive weights, repeated edges with
+    different weights, and files mixing weighted and unweighted lines are
+    rejected. The error names the first bad line, the header first; an edge
+    line is checked for width, ids, self-loop, range, weight syntax, weight
+    finiteness, weight sign and weightedness, in that order.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -332,6 +332,7 @@ def load_graph(path) -> Graph:
         n, m = map(int, text(0).split())
     except ValueError as exc:
         raise GraphFormatError(f"bad header line: {text(0)!r}") from exc
+    n = _vertex_count(n)
     first, w = head[1:1 + m], width[1:1 + m]            # the edge lines
     # a line of one field reads it twice; its width check fails first
     ids = (first[:, None] + np.minimum(w[:, None] - 1, [0, 1])).ravel()
@@ -345,14 +346,13 @@ def load_graph(path) -> Graph:
             wt[i] = float(data[start[first[i] + 2]:end[first[i] + 2]].decode())
         except ValueError:
             bad_wt[i] = True
-    fails = np.array([(w < 2) | (w > 3) | ~np.logical_and(*is_id.T), uv[:, 0] == uv[:, 1],
-                      (np.minimum(*uv.T) < 0) | (np.maximum(*uv.T) >= n), bad_wt,
-                      ~(wt > 0), weighted != weighted[:1]])
-    bad = fails.any(axis=0)
-    if bad.any():
-        i = int(bad.argmax())
+    row = _row_faults(n, uv, wt)
+    fails = np.vstack([(w < 2) | (w > 3) | ~np.logical_and(*is_id.T), row[:2], bad_wt, row[2:],
+                       weighted != weighted[:1]])
+    if fails.any():
+        i = int(fails.any(axis=0).argmax())
         raise GraphFormatError(f"{_LINE_CHECKS[fails[:, i].argmax()]}: {text(1 + i)!r}")
-    uv, wt, clash = _merge(_vertex_count(n), uv, wt if weighted.any() else None)
+    uv, wt, clash = _merge(n, uv, wt if weighted.any() else None)
     if clash is not None:
         raise GraphFormatError(f"conflicting duplicate weight: {text(1 + clash[1])!r}")
     if len(head) - 1 != m:

@@ -50,6 +50,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), each pair an edge independently with probability p:
     one rng.random draw per pair of one stream, in row-major upper-triangle order."""
     n = _vertex_count(n)
+    check_int("seed", seed, 0)
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} out of [0,1]")
     return _graph(n, _pairs(n, _gnp_codes(n, p, seed)))
@@ -228,6 +229,7 @@ def lambda2_estimate(g: Graph, seed: int = 0) -> float:
     and returns the partial estimate when ARPACK does not converge.
     """
     n = g.n
+    check_int("seed", seed, 0)
     if n == 0:
         raise ValueError("empty graph")
     if g.m == 0:
@@ -264,6 +266,7 @@ def sdp_dual_certificate(g: Graph, k: int, seed: int = 0) -> dict:
     """
     n = g.n
     check_int("k", k, 0, n)
+    check_int("seed", seed, 0)
     if n == 0 or g.m == 0:
         return {"dual_value": 0.0, "psd_margin": 0.0, "lambda2": 0.0}
     D = 2 * g.m / n

@@ -488,6 +488,28 @@ def test_from_edges_rejects_conflicting_weights():
     assert weight_dict(g) == {(0, 1): 5.0}
 
 
+@pytest.mark.parametrize("edges, weights, row, fault", [
+    ([(0, 1)], [math.nan], 0, "non-finite weight"),
+    ([(0, 1), (1, 0)], [-1.0, 5.0], 0, "non-positive weight"),
+    ([(5, 5)], None, 0, "self-loop"),
+    ([(1, 2), (0, 1)], [math.inf, 0.0], 0, "non-finite weight"),
+    ([(0, 1), (1, 2)], [1.0, -math.inf], 1, "non-finite weight"),
+])
+def test_constructor_names_row_fault_as_load_graph_does(tmp_path, edges, weights, row, fault):
+    # both doors check a row for self-loop, range, finiteness and sign, in
+    # that order, and name the first faulty row with its first fault
+    lines = [f"{u} {v}" for u, v in edges]
+    if weights is not None:
+        lines = [f"{ln} {w!r}" for ln, w in zip(lines, weights)]
+    p = tmp_path / "g.el"
+    p.write_text(f"3 {len(edges)}\n" + "".join(ln + "\n" for ln in lines))
+    for build, message in ((lambda: Graph(3, edges, weights), f"{fault} on edge {edges[row]}"),
+                           (lambda: load_graph(p), f"{fault}: {lines[row]!r}")):
+        with pytest.raises(GraphFormatError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_load_rejects_weight_on_one_duplicate_only(tmp_path):
     p = tmp_path / "g.el"
     p.write_text("2 2\n0 1 5\n1 0\n")
@@ -500,7 +522,8 @@ def test_load_rejects_weight_on_one_duplicate_only(tmp_path):
 
 # each bad file's exact message: the first bad line wins, and within a line
 # the checks run in the order width, ids, self-loop, range, weight syntax,
-# weight sign, weighted/unweighted; then duplicates, then the header count
+# weight finiteness, weight sign, weighted/unweighted; then duplicates, then
+# the header count. The header's n is checked before any edge line
 LOAD_ERRORS = [
     ("3 1\n0\n", "malformed edge line: '0'"),
     ("3 1\n0 1 2 3\n", "malformed edge line: '0 1 2 3'"),
@@ -514,8 +537,11 @@ LOAD_ERRORS = [
      "endpoint out of range: '0 99999999999999999999999'"),
     ("3 1\n0 1 0\n", "non-positive weight: '0 1 0'"),
     ("3 1\n0 1 -2.5\n", "non-positive weight: '0 1 -2.5'"),
-    ("3 1\n0 1 nan\n", "non-positive weight: '0 1 nan'"),
-    ("3 2\n1 2 inf\n0 1 1\n", "non-finite weight inf on edge (1, 2)"),
+    ("3 1\n0 1 nan\n", "non-finite weight: '0 1 nan'"),
+    ("3 2\n1 2 inf\n0 1 1\n", "non-finite weight: '1 2 inf'"),
+    ("3 1\n0 1 -inf\n", "non-finite weight: '0 1 -inf'"),
+    ("3 2\n1 2 inf\n0 1 0\n", "non-finite weight: '1 2 inf'"),
+    ("-3 1\n0 1\n", "n = -3 is negative"),
     ("3 2\n0 1\n1 2 5\n", "weighted and unweighted edge lines mixed: '1 2 5'"),
     ("3 2\n0 1 5\n1 2\n", "weighted and unweighted edge lines mixed: '1 2'"),
     ("3 3\n0 1 5\n1 2 1\n1 0 7\n", "conflicting duplicate weight: '1 0 7'"),
@@ -707,6 +733,14 @@ INT_ARGS = {
     "caterpillar_distinguisher.seed": (
         lambda v: models.caterpillar_distinguisher(TRIANGLE, 1, 2, 10, seed=v), "seed", 0, None,
         ()),
+    "gen_gnp.seed": (lambda v: models.gen_gnp(10, 0.0, v), "seed", 0, None, ()),
+    "null_instance.seed": (lambda v: models.null_instance(10, 0.5, v), "seed", 0, None, ()),
+    "lambda2_estimate.seed": (
+        lambda v: models.lambda2_estimate(EMPTY, seed=v), "seed", 0, None, ()),
+    "spectral_distinguisher.seed": (
+        lambda v: models.spectral_distinguisher(EMPTY, 0.5, seed=v), "seed", 0, None, ()),
+    "sdp_dual_certificate.seed": (
+        lambda v: models.sdp_dual_certificate(EMPTY, 2, seed=v), "seed", 0, None, ()),
 }
 
 
@@ -734,5 +768,6 @@ def test_numpy_integer_arguments_match_python_ints():
     assert caterpillar.max_witness_count(PLANTED, sched, i(30), seed=i(3)) == \
         caterpillar.max_witness_count(PLANTED, sched, 30, seed=3)
     assert models.plant(20, 0.5, i(4), 1.0, i(5)).graph == models.plant(20, 0.5, 4, 1.0, 5).graph
+    assert models.gen_gnp(30, 0.3, i(5)) == models.gen_gnp(30, 0.3, 5)
     a, b = lp.build_lp(TRIANGLE, i(2), 1, i(1)), lp.build_lp(TRIANGLE, 2, 1, 1)
     assert np.array_equal(a.constraints.matrix.toarray(), b.constraints.matrix.toarray())

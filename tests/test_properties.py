@@ -1,7 +1,7 @@
 """Property tests: Graph canonical form, its lazy edge view,
 derived structures, edge-list round trip, load_graph against a
-line-by-line parser, the batched caterpillar walker
-against brute force, density_report against a plain count, the generators'
+line-by-line parser and against Graph() on the same rows, the batched
+caterpillar walker against brute force, density_report against a plain count, the generators'
 canonical output and planted ground truth, resize_to_k, union_until_k
 against its pad/prune tail written out, dks_local's density
 against density_report and its winner on a double cover's half against the
@@ -175,6 +175,8 @@ def reference_load(path) -> Graph:
                 w = float(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"malformed weight: {ln!r}") from exc
+            if not math.isfinite(w):
+                raise GraphFormatError(f"non-finite weight: {ln!r}")
             if not w > 0:
                 raise GraphFormatError(f"non-positive weight: {ln!r}")
         edges.append((min(u, v), max(u, v), w, ln))
@@ -235,6 +237,42 @@ def test_load_graph_matches_line_parser(data):
                 outcome.append(parse(path))
             except GraphFormatError as exc:
                 outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
+
+
+_FAULT = re.compile(r"(.+?)(?: on edge \((-?\d+), (-?\d+)\)|: '(-?\d+)[ ]+(-?\d+))")
+
+
+def fault_of(message: str):
+    """(fault name, sorted endpoints of the row it names) of a GraphFormatError
+    from Graph() ("<fault> on edge (u, v)...") or load_graph ("<fault>: 'u v w'")."""
+    found = _FAULT.match(message)
+    assert found, message
+    return found[1], sorted(int(x) for x in found.groups()[1:] if x is not None)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 6), st.lists(st.tuples(
+    st.integers(-1, 7), st.integers(-1, 7),
+    st.sampled_from([2.5, 1.0, 0.0, -1.0, math.inf, -math.inf, math.nan])), max_size=6),
+    st.booleans())
+def test_graph_and_load_graph_check_rows_alike(n, rows, weighted):
+    """The same rows, as Graph(n, pairs, weights) and as an edge-list file,
+    build equal graphs, or both fail with the same fault on a row with the
+    same endpoints (ids in [-1, 7] against n <= 6, self-loops included)."""
+    pairs = [(u, v) for u, v, _ in rows]
+    weights = [w for _, _, w in rows] if weighted else None
+    outcome = []
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.el")
+        with open(path, "w") as f:
+            f.write(f"{n} {len(rows)}\n" + "".join(
+                f"{u} {v}" + (f" {w!r}" if weighted else "") + "\n" for u, v, w in rows))
+        for build in (lambda: Graph(n, pairs, weights), lambda: load_graph(path)):
+            try:
+                outcome.append(build())
+            except GraphFormatError as exc:
+                outcome.append(fault_of(str(exc)))
     assert outcome[0] == outcome[1]
 
 

@@ -340,7 +340,7 @@ def reference_branch_best(g, k, sched, budget, seed, cluster_size=1,
 
     def fold(cand):
         nonlocal best
-        if cand.better_than(best):
+        if best is None or cand.rank() < best.rank():
             best = cand
 
     def walk(t, current, hairs):
@@ -661,7 +661,7 @@ def test_approximate_keeps_the_earlier_of_tied_stages():
     first = SolveResult(vertices=(0, 1), density=2.0, provenance="first")
     second = dataclasses.replace(first, provenance="second")
     denser = SolveResult(vertices=(2, 3, 4), density=3.0, provenance="denser")
-    assert first.rank() == second.rank() and not first.better_than(second)
+    assert first.rank() == second.rank()
     for stages, want in (([first, second], first), ([second, first], second),
                          ([first, second, denser], denser)):
         with mock.patch.object(solvers, "_stages", return_value=stages):
